@@ -69,27 +69,47 @@ func unpackFrameMeta(w0, w1, w2 uint64) (src, dst amnet.NodeID, h amnet.HandlerI
 		uint32(w2 >> 32), uint32(w2)
 }
 
-// appendPacketFrame appends p's complete wire frame (length prefix
-// included) to buf.  payload is the codec-encoded Payload body, empty
-// when p.Payload is nil.
-func appendPacketFrame(buf []byte, p *amnet.Packet, payload []byte) ([]byte, error) {
-	body := 1 + packetFixed + len(payload) + 8*len(p.Data)
+// Byte offsets inside a packet frame: the body-length prefix, the kind
+// byte, then the fixed word section led by the three meta words.
+const (
+	frameMetaOff    = 4 + 1
+	framePayloadOff = frameMetaOff + packetFixed
+)
+
+// beginPacketFrame appends the head of p's wire frame to buf: the length
+// prefix and the meta words (both filled in by endPacketFrame, which
+// alone knows the section lengths), the kind byte and the packet's
+// words.  The caller appends the codec-encoded Payload bytes, if any,
+// directly after it and then calls endPacketFrame with the offset the
+// frame started at.
+func beginPacketFrame(buf []byte, p *amnet.Packet) []byte {
+	var head [framePayloadOff]byte
+	head[4] = frPacket
+	binary.LittleEndian.PutUint64(head[frameMetaOff+24:], p.U0)
+	binary.LittleEndian.PutUint64(head[frameMetaOff+32:], p.U1)
+	binary.LittleEndian.PutUint64(head[frameMetaOff+40:], p.U2)
+	binary.LittleEndian.PutUint64(head[frameMetaOff+48:], p.U3)
+	binary.LittleEndian.PutUint64(head[frameMetaOff+56:], math.Float64bits(p.VT))
+	binary.LittleEndian.PutUint64(head[frameMetaOff+64:], p.Seq)
+	return append(buf, head[:]...)
+}
+
+// endPacketFrame completes the frame begun at buf[start:]: everything
+// after the head is the payload section, whose length it back-patches
+// into the meta words together with the frame's length prefix, and the
+// bulk data words follow.  On error buf comes back cut to start.
+func endPacketFrame(buf []byte, start int, p *amnet.Packet) ([]byte, error) {
+	payLen := len(buf) - start - framePayloadOff
+	body := 1 + packetFixed + payLen + 8*len(p.Data)
 	if body > maxFrameBody {
-		return buf, fmt.Errorf("sock: packet frame body %d exceeds the %d-byte cap", body, maxFrameBody)
+		return buf[:start], fmt.Errorf("sock: packet frame body %d exceeds the %d-byte cap", body, maxFrameBody)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(body))
-	buf = append(buf, frPacket)
-	w0, w1, w2 := packFrameMeta(p.Src, p.Dst, p.Handler, uint32(len(payload)), uint32(8*len(p.Data)))
-	buf = binary.LittleEndian.AppendUint64(buf, w0)
-	buf = binary.LittleEndian.AppendUint64(buf, w1)
-	buf = binary.LittleEndian.AppendUint64(buf, w2)
-	buf = binary.LittleEndian.AppendUint64(buf, p.U0)
-	buf = binary.LittleEndian.AppendUint64(buf, p.U1)
-	buf = binary.LittleEndian.AppendUint64(buf, p.U2)
-	buf = binary.LittleEndian.AppendUint64(buf, p.U3)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.VT))
-	buf = binary.LittleEndian.AppendUint64(buf, p.Seq)
-	buf = append(buf, payload...)
+	binary.LittleEndian.PutUint32(buf[start:], uint32(body))
+	w0, w1, w2 := packFrameMeta(p.Src, p.Dst, p.Handler, uint32(payLen), uint32(8*len(p.Data)))
+	meta := buf[start+frameMetaOff:]
+	binary.LittleEndian.PutUint64(meta[0:], w0)
+	binary.LittleEndian.PutUint64(meta[8:], w1)
+	binary.LittleEndian.PutUint64(meta[16:], w2)
 	for _, v := range p.Data {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}

@@ -11,6 +11,14 @@ import (
 	"hal/internal/amnet"
 )
 
+// appendPacketFrame assembles a whole packet frame around an already
+// encoded payload section, the way link.encode does around the codec.
+func appendPacketFrame(buf []byte, p *amnet.Packet, payload []byte) ([]byte, error) {
+	start := len(buf)
+	buf = append(beginPacketFrame(buf, p), payload...)
+	return endPacketFrame(buf, start, p)
+}
+
 // randomPacket builds a packet with every wire-visible field populated
 // from rng; payload is the already-encoded payload section.
 func randomPacket(rng *rand.Rand) (amnet.Packet, []byte) {

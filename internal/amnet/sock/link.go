@@ -202,6 +202,10 @@ func (l *link) redial(backoff time.Duration) net.Conn {
 	return conn
 }
 
+// readBufBytes is each connection's read buffer: room for dozens of
+// ordinary frames per read(2) without showing in the process's heap.
+const readBufBytes = 16 << 10
+
 // flushBatchFrames bounds how many frames the writer coalesces into the
 // buffered writer before forcing a flush even with more queued: mirrors
 // the in-memory BatchMax so one saturated link cannot starve latency
@@ -269,21 +273,22 @@ func (l *link) writeLoop() {
 	}
 }
 
-// encode renders one outbound frame, running the payload codec for
-// boxed packet payloads.
+// encode renders one outbound frame into buf.  A boxed packet payload
+// is written by the payload codec straight into the frame, between the
+// head and the data words; endPacketFrame back-patches its length.
 func (l *link) encode(buf []byte, f *outFrame) ([]byte, error) {
 	if f.isCtl {
 		return appendControlFrame(buf, f.ctlKind, f.ctlBody)
 	}
-	var payload []byte
+	start := len(buf)
+	buf = beginPacketFrame(buf, &f.pkt)
 	if f.pkt.Payload != nil {
 		var err error
-		payload, err = l.t.codec.EncodePayload(&f.pkt)
-		if err != nil {
-			return buf, err
+		if buf, err = l.t.codec.AppendPayload(buf, &f.pkt); err != nil {
+			return buf[:start], err
 		}
 	}
-	return appendPacketFrame(buf, &f.pkt, payload)
+	return endPacketFrame(buf, start, &f.pkt)
 }
 
 // readLoop drains one connection: packet frames decode and inject into
@@ -299,9 +304,12 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 	case <-t.stopc:
 		return
 	}
+	// One read(2) usually brings in several frames (a frame is a few
+	// hundred bytes); frames larger than the buffer bypass it.
+	br := bufio.NewReaderSize(conn, readBufBytes)
 	var scratch []byte
 	for {
-		kind, body, s, err := readFrame(conn, scratch)
+		kind, body, s, err := readFrame(br, scratch)
 		if err != nil {
 			l.connFailed(gen)
 			return

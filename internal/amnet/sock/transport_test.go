@@ -150,12 +150,12 @@ func TestListenRejectsBadShapes(t *testing.T) {
 // testCodec moves string payloads as raw bytes.
 type testCodec struct{}
 
-func (testCodec) EncodePayload(p *amnet.Packet) ([]byte, error) {
+func (testCodec) AppendPayload(buf []byte, p *amnet.Packet) ([]byte, error) {
 	s, ok := p.Payload.(string)
 	if !ok {
-		return nil, fmt.Errorf("testCodec: unexpected payload %T", p.Payload)
+		return buf, fmt.Errorf("testCodec: unexpected payload %T", p.Payload)
 	}
-	return []byte(s), nil
+	return append(buf, s...), nil
 }
 
 func (testCodec) DecodePayload(b []byte) (any, error) { return string(b), nil }

@@ -66,7 +66,12 @@ type Transport interface {
 // wire transport.  The kernel supplies the implementation (it knows the
 // runtime-protocol body types); transports treat the bytes as opaque.
 type PayloadCodec interface {
-	EncodePayload(p *Packet) ([]byte, error)
+	// AppendPayload appends p.Payload's wire form to buf, so a transport
+	// encodes straight into its frame buffer.  On error the returned
+	// slice is buf at its original length.
+	AppendPayload(buf []byte, p *Packet) ([]byte, error)
+	// DecodePayload rebuilds a payload from the bytes AppendPayload
+	// wrote.  It must not retain b.
 	DecodePayload(b []byte) (any, error)
 }
 

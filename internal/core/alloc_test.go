@@ -233,6 +233,35 @@ func TestAllocTracedFIRRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocPayloadCodecMessage: the common cross-process message (two int
+// arguments) encodes into a reused frame buffer without allocating, and
+// decoding allocates only what the receiver keeps: the Message, its Args
+// slice, and one box per argument.
+func TestAllocPayloadCodecMessage(t *testing.T) {
+	m, prog := allocMachine(t, 2)
+	c := &payloadCodec{m: m}
+	pkt := amnet.Packet{Payload: &Message{
+		To: Addr{Birth: 1, Hint: 1, Seq: 7}, Sel: 1, Args: []any{1 << 20, -(1 << 30)},
+		origin: 0, originLD: 3, vt: 12.5, prog: prog,
+	}}
+	var buf []byte
+	requireZeroAllocs(t, "AppendPayload", func() {
+		var err error
+		if buf, err = c.AppendPayload(buf[:0], &pkt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocs := testing.AllocsPerRun(200, func() {
+		v, err := c.DecodePayload(buf)
+		if err != nil || v.(*Message).prog != prog {
+			t.Fatalf("decode: %v, %v", v, err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("DecodePayload: %.2f allocs/op, want at most 4", allocs)
+	}
+}
+
 // TestReplyEncodingRoundTrip pins the scalar tags and the boxed fallback.
 func TestReplyEncodingRoundTrip(t *testing.T) {
 	for _, v := range []any{nil, 0, 42, -7, 3.5, -0.25, true, false} {

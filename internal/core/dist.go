@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -204,7 +202,7 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 					// Two separated waves, identical balanced counters:
 					// the program is globally quiescent.
 					prog.finishProg()
-					d.t.SendControl(-1, dcDone, ctlEncode(doneMsg{Prog: prog.id}))
+					d.t.SendControl(-1, dcDone, doneMsg{Prog: prog.id}.encode())
 					changed = true
 					continue
 				}
@@ -244,7 +242,7 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 //
 //halvet:allowwallclock probe retransmission and the worker-silence deadline pace on the host clock — lost control frames leave no VT signal
 func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]reportMsg, bool) {
-	probe := ctlEncode(probeMsg{Wave: wave})
+	probe := probeMsg{Wave: wave}.encode()
 	d.t.SendControl(-1, dcProbe, probe)
 	resent := time.Now()
 	var deadline time.Time
@@ -296,7 +294,7 @@ func (d *distState) applyResult(rw resultWire) {
 	if prog.isDone() {
 		// Already terminated: the earlier dcDone was lost; re-ack so the
 		// worker stops carrying the box.
-		d.t.SendControl(-1, dcDone, ctlEncode(doneMsg{Prog: rw.Prog}))
+		d.t.SendControl(-1, dcDone, doneMsg{Prog: rw.Prog}.encode())
 		return
 	}
 	v, err := decodeValue(rw.V)
@@ -307,7 +305,7 @@ func (d *distState) applyResult(rw resultWire) {
 	if rw.Force {
 		// ExitNow: complete immediately, without waiting for quiescence.
 		prog.finishProg()
-		d.t.SendControl(-1, dcDone, ctlEncode(doneMsg{Prog: rw.Prog}))
+		d.t.SendControl(-1, dcDone, doneMsg{Prog: rw.Prog}.encode())
 	}
 }
 
@@ -318,7 +316,7 @@ func (d *distState) broadcastShutdown(stalled bool, msg string) {
 	d.mu.Lock()
 	d.lastShut = sm
 	d.mu.Unlock()
-	d.t.SendControl(-1, dcShutdown, ctlEncode(sm))
+	d.t.SendControl(-1, dcShutdown, sm.encode())
 }
 
 // awaitByes blocks (bounded) until every worker acknowledged the
@@ -336,7 +334,7 @@ func (d *distState) awaitByes() {
 		if n >= d.procs-1 || time.Now().After(deadline) {
 			return
 		}
-		d.t.SendControl(-1, dcShutdown, ctlEncode(sm))
+		d.t.SendControl(-1, dcShutdown, sm.encode())
 		time.Sleep(100 * time.Millisecond)
 	}
 }
@@ -409,8 +407,8 @@ func (d *distState) boxResult(prog *Program, v any, force bool) {
 func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 	switch kind {
 	case dcProbe:
-		var pm probeMsg
-		if ctlDecode(body, &pm) != nil {
+		pm, err := decodeProbe(body)
+		if err != nil {
 			return
 		}
 		d.mu.Lock()
@@ -421,10 +419,10 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		}
 		d.mu.Unlock()
 		rep := reportMsg{Wave: pm.Wave, Progs: d.localCounts(), Results: results}
-		d.t.SendControl(peer, dcReport, ctlEncode(rep))
+		d.t.SendControl(peer, dcReport, rep.encode())
 	case dcReport:
-		var rm reportMsg
-		if ctlDecode(body, &rm) != nil {
+		rm, err := decodeReport(body)
+		if err != nil {
 			return
 		}
 		d.mu.Lock()
@@ -433,8 +431,8 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		}
 		d.mu.Unlock()
 	case dcDone:
-		var dm doneMsg
-		if ctlDecode(body, &dm) != nil {
+		dm, err := decodeDone(body)
+		if err != nil || dm.Prog > d.m.progSeq.Load()+maxProgAhead {
 			return
 		}
 		d.mu.Lock()
@@ -442,8 +440,8 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		d.mu.Unlock()
 		d.m.progForWire(dm.Prog).finishProg()
 	case dcShutdown:
-		var sm shutMsg
-		if ctlDecode(body, &sm) != nil {
+		sm, err := decodeShut(body)
+		if err != nil {
 			return
 		}
 		d.shutOnce.Do(func() {
@@ -469,19 +467,77 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 }
 
 // --- control-body codec ---------------------------------------------------
+//
+// Control bodies use payloadwire.go's little-endian helpers: words, a
+// byte per bool, u32-counted lists.  Decode errors are returned, never
+// panicked on: a corrupt frame from a half-dead peer must not kill the
+// process.
 
-// ctlEncode gob-encodes a control body; the types are fixed kernel
-// structs, so failure is a programming error.
-func ctlEncode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: control message %T does not encode: %v", v, err))
-	}
-	return buf.Bytes()
+func (pm probeMsg) encode() []byte { return le.AppendUint64(nil, pm.Wave) }
+
+func decodeProbe(b []byte) (probeMsg, error) {
+	r := wireReader{b: b}
+	pm := probeMsg{Wave: r.u64()}
+	return pm, r.done()
 }
 
-// ctlDecode decodes a control body; errors are returned (a corrupt frame
-// from a half-dead peer must not kill the process).
-func ctlDecode(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+// progCountBytes and resultMinBytes are the encoded size of a
+// progCountWire and the least of a resultWire.
+const (
+	progCountBytes = 24
+	resultMinBytes = 8 + 1 + 4
+)
+
+func (rm reportMsg) encode() []byte {
+	b := le.AppendUint64(nil, rm.Wave)
+	b = appendListLen(b, rm.Progs)
+	for _, pc := range rm.Progs {
+		b = le.AppendUint64(b, pc.ID)
+		b = le.AppendUint64(b, uint64(pc.Created))
+		b = le.AppendUint64(b, uint64(pc.Consumed))
+	}
+	b = appendListLen(b, rm.Results)
+	for _, rw := range rm.Results {
+		b = le.AppendUint64(b, rw.Prog)
+		b = appendBool(b, rw.Force)
+		b = appendBytes(b, rw.V)
+	}
+	return b
+}
+
+func decodeReport(b []byte) (reportMsg, error) {
+	r := wireReader{b: b}
+	rm := reportMsg{Wave: r.u64()}
+	if n, _ := r.listLen(progCountBytes); n > 0 {
+		rm.Progs = make([]progCountWire, n)
+		for i := range rm.Progs {
+			rm.Progs[i] = progCountWire{ID: r.u64(), Created: int64(r.u64()), Consumed: int64(r.u64())}
+		}
+	}
+	if n, _ := r.listLen(resultMinBytes); n > 0 {
+		rm.Results = make([]resultWire, n)
+		for i := range rm.Results {
+			rw := resultWire{Prog: r.u64(), Force: r.bool()}
+			// The report outlives the transport's read buffer.
+			rw.V = append([]byte(nil), r.bytes()...)
+			rm.Results[i] = rw
+		}
+	}
+	return rm, r.done()
+}
+
+func (dm doneMsg) encode() []byte { return le.AppendUint64(nil, dm.Prog) }
+
+func decodeDone(b []byte) (doneMsg, error) {
+	r := wireReader{b: b}
+	dm := doneMsg{Prog: r.u64()}
+	return dm, r.done()
+}
+
+func (sm shutMsg) encode() []byte { return appendBytes(appendBool(nil, sm.Stalled), sm.Msg) }
+
+func decodeShut(b []byte) (shutMsg, error) {
+	r := wireReader{b: b}
+	sm := shutMsg{Stalled: r.bool(), Msg: string(r.bytes())}
+	return sm, r.done()
 }

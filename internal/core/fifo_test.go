@@ -19,7 +19,7 @@ import (
 
 type fifoReceiver struct {
 	last map[int]int // sender id -> last sequence seen
-	bad  *int32
+	bad  *[]string   // one line per out-of-order delivery
 }
 
 func (r *fifoReceiver) Receive(ctx *Context, msg *Message) {
@@ -27,7 +27,8 @@ func (r *fifoReceiver) Receive(ctx *Context, msg *Message) {
 	case selWork:
 		sender, seq := msg.Int(0), msg.Int(1)
 		if prev, ok := r.last[sender]; ok && seq != prev+1 {
-			*r.bad++
+			*r.bad = append(*r.bad, fmt.Sprintf("courier %d: letter %d arrived after letter %d, on node %d at vt %.1f",
+				sender, seq, prev, ctx.Node(), msg.vt))
 		}
 		r.last[sender] = seq
 	case selPing:
@@ -83,7 +84,7 @@ func TestFIFOPerPairUnderMigration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bad int32
+		var bad []string
 		recvT := m.RegisterType("recv", func(args []any) Behavior {
 			return &fifoReceiver{last: map[int]int{}, bad: &bad}
 		})
@@ -102,17 +103,15 @@ func TestFIFOPerPairUnderMigration(t *testing.T) {
 				ctx.Send(cr, selInit, r)
 			}
 		}); err != nil {
-			var tr strings.Builder
-			for _, e := range m.Trace() {
-				switch e.Kind {
-				case EvMigrateOut, EvMigrateIn, EvFIRSent, EvFIRServed, EvDeadLetter:
-					fmt.Fprintln(&tr, e)
-				}
-			}
-			t.Fatalf("seed %d: %v\n%s\n%s", seed, err, m.DebugDump(), tr.String())
+			t.Fatalf("seed %d: %v\n%s\n%s", seed, err, m.DebugDump(), fifoTrace(m))
 		}
-		if bad != 0 {
-			t.Logf("seed %d: %d out-of-order deliveries", seed, bad)
+		if len(bad) != 0 {
+			// The receiver is the only actor here that moves or is looked
+			// up, so these events are its whole location history: which
+			// stale-cached letter met a forwarder (send-routed) while its
+			// successors met the reinstalled actor.
+			t.Logf("seed %d: %d out-of-order deliveries\n%s\n%s", seed, len(bad),
+				strings.Join(bad, "\n"), fifoTrace(m))
 			return false
 		}
 		return true
@@ -120,6 +119,19 @@ func TestFIFOPerPairUnderMigration(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fifoTrace is the machine's migration, FIR, re-routing and dead-letter
+// events in virtual-time order.
+func fifoTrace(m *Machine) string {
+	var tr strings.Builder
+	for _, e := range m.Trace() {
+		switch e.Kind {
+		case EvMigrateOut, EvMigrateIn, EvFIRSent, EvFIRServed, EvSendRouted, EvDeadLetter:
+			fmt.Fprintln(&tr, e)
+		}
+	}
+	return tr.String()
 }
 
 type discard struct{}

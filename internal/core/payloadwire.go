@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 
 	"hal/internal/amnet"
 	"hal/internal/names"
@@ -13,23 +16,48 @@ import (
 // frame codec (amnet/sock) moves Packet's fixed words bit-exactly; boxed
 // payloads — the pointer-rich runtime-protocol bodies that move by
 // reference inside one process — are this file's problem.  Each payload
-// kind gets a flat mirror struct with exported fields (gob sees only
-// those), a one-byte kind tag, and explicit conversions that rebuild the
-// kernel's unexported state on the receiving side.  Program pointers
-// cross as leader-assigned ids, materialized on demand (progForWire);
-// user-level values (message Args, reply values, migrating behaviors)
-// cross via gob's interface mechanism, so applications register their
-// concrete types with gob.Register in every process — the same way they
-// register behavior types with RegisterType.
+// kind has one hand-written little-endian layout: a kind byte, the
+// kind's fixed fields as 64-bit words, then its variable tails.
+//
+//	Addr     nodes(Birth,Hint) | Seq
+//	ReplyTo  Node<<32|Slot | JC
+//	Group    ID | N | nodes(Birth,Base) | Nodes | slot0
+//	message  To | Sel<<32|flags | Reply | origin | originLD | dstSeq |
+//	         vt bits | program id | Data floats | Args values
+//	wtMsg    message
+//	wtSpawn  alias | typ | vt bits | program id | args values
+//	wtFIR    addr | path list (u32 node ids)
+//	wtMig    addr | alias | program id | behavior value |
+//	         msgs list (messages) | pending list (messages)
+//	wtGroup  Group | typ | program id | args values
+//	wtBcast  Group | root | message
+//	wtReply  program id | value
+//
+// A list is a u32 element count (nilList marks a nil slice, so nil and
+// empty survive the trip apart) followed by its elements; floats are a
+// list of 8-byte words.  A value is a tag byte and the tag's body (see
+// the tv* constants): the scalars, strings, kernel handle types and
+// []float64 that make up nearly all message arguments are written as
+// words.  Any other value — an argument of a user-defined type, a
+// migrating Behavior, a boxed reply of a user type — is opaque to the
+// kernel and crosses as tvGob: its gob bytes, through gob's interface
+// mechanism, so applications register those concrete types with
+// gob.Register in every process, the same way they register behavior
+// types with RegisterType.  gob appears nowhere else on the wire: no type
+// descriptor is sent, and no gob engine built, for a payload made of the
+// types above.
+//
+// Program pointers cross as leader-assigned ids, materialized on demand
+// (progForWire).  Every decoder checks a length against the bytes that
+// remain before it allocates for it.
 //
 // progLaunch deliberately has no wire form: its body is a Go closure.
 // Programs load on the leader, whose node 0 serves hLoadProgram locally;
 // a launch packet reaching the codec is a kernel bug, reported loudly.
 
 func init() {
-	// The kernel types that legally appear inside user-visible interface
-	// slots (message Args, reply values).  Scalars are pre-registered by
-	// package gob itself.
+	// The kernel types that legally appear in interface slots inside an
+	// opaque user value.  Scalars are pre-registered by package gob itself.
 	gob.Register(names.Addr{})
 	gob.Register(Group{})
 	gob.Register(ReplyTo{})
@@ -48,78 +76,144 @@ const (
 	wtReply
 )
 
-// payloadCodec implements amnet.PayloadCodec for one machine process.
-type payloadCodec struct {
-	m *Machine
+// Value tags.
+const (
+	tvNil byte = iota
+	tvInt
+	tvInt64
+	tvUint64
+	tvFloat64
+	tvBool
+	tvString
+	tvAddr
+	tvGroup
+	tvReplyTo
+	tvSelector
+	tvTypeID
+	tvFloats
+	tvGob // u32 length + encodeValue bytes
+)
+
+// Message flag bits (low half of the selector word).
+const (
+	mfRouted uint64 = 1 << iota
+	mfShared
+)
+
+const (
+	// nilList is the list header of a nil slice.
+	nilList = ^uint32(0)
+
+	// msgMinBytes is the shortest encoded message (fixed words plus two
+	// empty list headers): what a message list charges per element when
+	// its count is checked against the bytes remaining.
+	msgMinBytes = 88
+
+	// maxProgAhead bounds how far past the programs this process knows a
+	// program id from the wire may lie.  Ids are dense and every process
+	// hears of every program when it finishes (dcDone), so a real gap is
+	// at most the programs in flight; a corrupt id must not materialize
+	// placeholders without bound.
+	maxProgAhead = 4096
+)
+
+var le = binary.LittleEndian
+
+// --- encoding -------------------------------------------------------------
+
+func appendAddr(b []byte, a Addr) []byte {
+	b = le.AppendUint64(b, packNodes(a.Birth, a.Hint))
+	return le.AppendUint64(b, a.Seq)
 }
 
-var _ amnet.PayloadCodec = (*payloadCodec)(nil)
-
-// wireMsg mirrors Message, unexported delivery state included: a message
-// forwarded across processes must keep its origin/cache bookkeeping or
-// the receiving name server would repair the wrong caches.
-type wireMsg struct {
-	To       Addr
-	Sel      Selector
-	Args     []any
-	Data     []float64
-	Reply    ReplyTo
-	Origin   amnet.NodeID
-	OriginLD uint64
-	DstSeq   uint64
-	Routed   bool
-	Shared   bool
-	VT       float64
-	Prog     uint64
+func appendReplyTo(b []byte, rt ReplyTo) []byte {
+	b = le.AppendUint64(b, packNodes(rt.Node, amnet.NodeID(rt.Slot)))
+	return le.AppendUint64(b, rt.JC)
 }
 
-// wireSpawn mirrors spawnRecord.
-type wireSpawn struct {
-	Alias Addr
-	Typ   TypeID
-	Args  []any
-	VT    float64
-	Prog  uint64
+func appendGroup(b []byte, g Group) []byte {
+	b = le.AppendUint64(b, g.ID)
+	b = le.AppendUint64(b, uint64(g.N))
+	b = le.AppendUint64(b, packNodes(g.Birth, g.Base))
+	b = le.AppendUint64(b, uint64(g.Nodes))
+	return le.AppendUint64(b, g.slot0)
 }
 
-// wireFIR mirrors firReq (the boxed long-path fallback; short paths ride
-// packet words and never reach the codec).
-type wireFIR struct {
-	Addr Addr
-	Path []amnet.NodeID
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
-// wireMig mirrors migBundle.  Behavior crosses as a gob interface value:
-// migrating behavior types must be gob.Registered in every process.
-type wireMig struct {
-	Addr     Addr
-	Alias    Addr
-	Behavior Behavior
-	Msgs     []wireMsg
-	Pending  []wireMsg
-	Prog     uint64
+// appendBytes appends a u32 length and the bytes.
+func appendBytes[T ~string | ~[]byte](b []byte, s T) []byte {
+	b = le.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
-// wireGroupCreate mirrors groupCreate.
-type wireGroupCreate struct {
-	G    Group
-	Typ  TypeID
-	Args []any
-	Prog uint64
+// appendListLen appends the header of list s.
+func appendListLen[T any](b []byte, s []T) []byte {
+	if s == nil {
+		return le.AppendUint32(b, nilList)
+	}
+	return le.AppendUint32(b, uint32(len(s)))
 }
 
-// wireBcast mirrors bcastWork.
-type wireBcast struct {
-	G    Group
-	Root amnet.NodeID
-	Msg  wireMsg
+func appendFloats(b []byte, f []float64) []byte {
+	b = appendListLen(b, f)
+	for _, v := range f {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
 }
 
-// wireReply mirrors replyEnvelope (the boxed fallback; scalar replies
-// ride packet words).
-type wireReply struct {
-	V    any
-	Prog uint64
+// appendValue appends one tagged value.  Only the opaque escape can fail.
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case nil:
+		return append(b, tvNil), nil
+	case int:
+		return le.AppendUint64(append(b, tvInt), uint64(x)), nil
+	case int64:
+		return le.AppendUint64(append(b, tvInt64), uint64(x)), nil
+	case uint64:
+		return le.AppendUint64(append(b, tvUint64), x), nil
+	case float64:
+		return le.AppendUint64(append(b, tvFloat64), math.Float64bits(x)), nil
+	case bool:
+		return appendBool(append(b, tvBool), x), nil
+	case string:
+		return appendBytes(append(b, tvString), x), nil
+	case Addr:
+		return appendAddr(append(b, tvAddr), x), nil
+	case Group:
+		return appendGroup(append(b, tvGroup), x), nil
+	case ReplyTo:
+		return appendReplyTo(append(b, tvReplyTo), x), nil
+	case Selector:
+		return le.AppendUint32(append(b, tvSelector), uint32(x)), nil
+	case TypeID:
+		return le.AppendUint32(append(b, tvTypeID), uint32(x)), nil
+	case []float64:
+		return appendFloats(append(b, tvFloats), x), nil
+	}
+	g, err := encodeValue(v)
+	if err != nil {
+		return b, err
+	}
+	return appendBytes(append(b, tvGob), g), nil
+}
+
+func appendValues(b []byte, vs []any) ([]byte, error) {
+	b = appendListLen(b, vs)
+	var err error
+	for _, v := range vs {
+		if b, err = appendValue(b, v); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
 }
 
 func progID(p *Program) uint64 {
@@ -129,117 +223,313 @@ func progID(p *Program) uint64 {
 	return p.id
 }
 
-// progForWire resolves a leader-assigned program id in this process,
-// materializing placeholder Programs for ids not seen before.  The leader
-// allocates ids densely from 1 and is the only process that launches, so
-// materializing id n fills every id <= n and later ids stay aligned.
-func (m *Machine) progForWire(id uint64) *Program {
-	if id == 0 {
-		return nil
+// appendMsg appends a Message, unexported delivery state included: a
+// message forwarded across processes must keep its origin/cache
+// bookkeeping or the receiving name server would repair the wrong caches.
+func appendMsg(b []byte, msg *Message) ([]byte, error) {
+	b = appendAddr(b, msg.To)
+	var flags uint64
+	if msg.routed {
+		flags |= mfRouted
 	}
-	if p := m.progByID(id); p != nil {
-		return p
+	if msg.shared {
+		flags |= mfShared
 	}
-	m.launchMu.Lock()
-	defer m.launchMu.Unlock()
-	for {
-		if p := m.progByID(id); p != nil {
-			return p
+	b = le.AppendUint64(b, uint64(uint32(msg.Sel))<<32|flags)
+	b = appendReplyTo(b, msg.Reply)
+	b = le.AppendUint64(b, uint64(uint32(msg.origin)))
+	b = le.AppendUint64(b, msg.originLD)
+	b = le.AppendUint64(b, msg.dstSeq)
+	b = le.AppendUint64(b, math.Float64bits(msg.vt))
+	b = le.AppendUint64(b, progID(msg.prog))
+	b = appendFloats(b, msg.Data)
+	return appendValues(b, msg.Args)
+}
+
+func appendMsgs(b []byte, msgs []*Message) ([]byte, error) {
+	b = appendListLen(b, msgs)
+	var err error
+	for _, msg := range msgs {
+		if b, err = appendMsg(b, msg); err != nil {
+			return b, err
 		}
-		m.registerProg(&Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})})
 	}
+	return b, nil
 }
 
-func toWireMsg(msg *Message) wireMsg {
-	return wireMsg{
-		To:       msg.To,
-		Sel:      msg.Sel,
-		Args:     msg.Args,
-		Data:     msg.Data,
-		Reply:    msg.Reply,
-		Origin:   msg.origin,
-		OriginLD: msg.originLD,
-		DstSeq:   msg.dstSeq,
-		Routed:   msg.routed,
-		Shared:   msg.shared,
-		VT:       msg.vt,
-		Prog:     progID(msg.prog),
-	}
+// payloadCodec implements amnet.PayloadCodec for one machine process.
+type payloadCodec struct {
+	m *Machine
 }
 
-func (m *Machine) fromWireMsg(w wireMsg) *Message {
-	return &Message{
-		To:       w.To,
-		Sel:      w.Sel,
-		Args:     w.Args,
-		Data:     w.Data,
-		Reply:    w.Reply,
-		origin:   w.Origin,
-		originLD: w.OriginLD,
-		dstSeq:   w.DstSeq,
-		routed:   w.Routed,
-		shared:   w.Shared,
-		vt:       w.VT,
-		prog:     m.progForWire(w.Prog),
-	}
-}
+var _ amnet.PayloadCodec = (*payloadCodec)(nil)
 
-func toWireMsgs(msgs []*Message) []wireMsg {
-	if msgs == nil {
-		return nil
-	}
-	out := make([]wireMsg, len(msgs))
-	for i, msg := range msgs {
-		out[i] = toWireMsg(msg)
-	}
-	return out
-}
-
-func (m *Machine) fromWireMsgs(ws []wireMsg) []*Message {
-	if ws == nil {
-		return nil
-	}
-	out := make([]*Message, len(ws))
-	for i := range ws {
-		out[i] = m.fromWireMsg(ws[i])
-	}
-	return out
-}
-
-// EncodePayload flattens a boxed kernel payload into tag + gob bytes.
-func (c *payloadCodec) EncodePayload(p *amnet.Packet) ([]byte, error) {
-	var tag byte
-	var body any
+// AppendPayload appends a boxed kernel payload's wire form to buf.  On
+// error buf comes back at its original length.
+func (c *payloadCodec) AppendPayload(buf []byte, p *amnet.Packet) ([]byte, error) {
+	start := len(buf)
+	var err error
 	switch v := p.Payload.(type) {
 	case *Message:
-		tag, body = wtMsg, toWireMsg(v)
+		buf, err = appendMsg(append(buf, wtMsg), v)
 	case *spawnRecord:
-		tag, body = wtSpawn, wireSpawn{Alias: v.alias, Typ: v.typ, Args: v.args, VT: v.vt, Prog: progID(v.prog)}
+		buf = appendAddr(append(buf, wtSpawn), v.alias)
+		buf = le.AppendUint64(buf, uint64(uint32(v.typ)))
+		buf = le.AppendUint64(buf, math.Float64bits(v.vt))
+		buf = le.AppendUint64(buf, progID(v.prog))
+		buf, err = appendValues(buf, v.args)
 	case firReq:
-		tag, body = wtFIR, wireFIR{Addr: v.addr, Path: v.path}
+		buf = appendAddr(append(buf, wtFIR), v.addr)
+		buf = appendListLen(buf, v.path)
+		for _, hop := range v.path {
+			buf = le.AppendUint32(buf, uint32(hop))
+		}
 	case *migBundle:
-		tag, body = wtMig, wireMig{
-			Addr: v.addr, Alias: v.alias, Behavior: v.behavior,
-			Msgs: toWireMsgs(v.msgs), Pending: toWireMsgs(v.pending),
-			Prog: progID(v.prog),
+		buf = appendAddr(append(buf, wtMig), v.addr)
+		buf = appendAddr(buf, v.alias)
+		buf = le.AppendUint64(buf, progID(v.prog))
+		if buf, err = appendValue(buf, v.behavior); err == nil {
+			if buf, err = appendMsgs(buf, v.msgs); err == nil {
+				buf, err = appendMsgs(buf, v.pending)
+			}
 		}
 	case groupCreate:
-		tag, body = wtGroup, wireGroupCreate{G: v.g, Typ: v.typ, Args: v.args, Prog: progID(v.prog)}
+		buf = appendGroup(append(buf, wtGroup), v.g)
+		buf = le.AppendUint64(buf, uint64(uint32(v.typ)))
+		buf = le.AppendUint64(buf, progID(v.prog))
+		buf, err = appendValues(buf, v.args)
 	case *bcastWork:
-		tag, body = wtBcast, wireBcast{G: v.g, Root: v.root, Msg: toWireMsg(v.msg)}
+		buf = appendGroup(append(buf, wtBcast), v.g)
+		buf = le.AppendUint64(buf, uint64(uint32(v.root)))
+		buf, err = appendMsg(buf, v.msg)
 	case replyEnvelope:
-		tag, body = wtReply, wireReply{V: v.v, Prog: progID(v.prog)}
+		buf = le.AppendUint64(append(buf, wtReply), progID(v.prog))
+		buf, err = appendValue(buf, v.v)
 	case progLaunch:
-		return nil, fmt.Errorf("core: program loads never cross the wire (hLoadProgram is leader-local)")
+		return buf, fmt.Errorf("core: program loads never cross the wire (hLoadProgram is leader-local)")
 	default:
-		return nil, fmt.Errorf("core: handler %d payload %T has no wire form", p.Handler, p.Payload)
+		return buf, fmt.Errorf("core: handler %d payload %T has no wire form", p.Handler, p.Payload)
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(tag)
-	if err := gob.NewEncoder(&buf).Encode(body); err != nil {
-		return nil, fmt.Errorf("core: payload %T does not encode: %w (gob.Register user types in every process)", p.Payload, err)
+	if err != nil {
+		return buf[:start], fmt.Errorf("core: payload %T does not encode: %w (gob.Register user types in every process)", p.Payload, err)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
+}
+
+// --- decoding -------------------------------------------------------------
+
+var errShortWire = errors.New("truncated")
+
+// wireReader consumes a little-endian body front to back.  The first
+// failure sticks: later reads return zeros, and done reports it.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+// take returns the next n bytes, or nil once the body has run out.
+func (r *wireReader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b) {
+		r.err = errShortWire
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *wireReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *wireReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return le.Uint32(b)
+	}
+	return 0
+}
+
+func (r *wireReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return le.Uint64(b)
+	}
+	return 0
+}
+
+// listLen reads a list header and checks that count elements of at least
+// elem bytes each still fit in the body, so a caller may allocate count
+// of them.
+func (r *wireReader) listLen(elem int) (count int, isNil bool) {
+	c := r.u32()
+	if r.err != nil || c == nilList {
+		return 0, true
+	}
+	if uint64(c)*uint64(elem) > uint64(len(r.b)) {
+		r.err = fmt.Errorf("list of %d needs %d bytes, %d remain", c, uint64(c)*uint64(elem), len(r.b))
+		return 0, true
+	}
+	return int(c), false
+}
+
+// bytes reads a u32 length and that many bytes, aliasing the body.
+func (r *wireReader) bytes() []byte {
+	return r.take(int(r.u32()))
+}
+
+func (r *wireReader) bool() bool { return r.u8() != 0 }
+
+func (r *wireReader) addr() Addr {
+	birth, hint := unpackNodes(r.u64())
+	return Addr{Birth: birth, Hint: hint, Seq: r.u64()}
+}
+
+func (r *wireReader) replyTo() ReplyTo {
+	node, slot := unpackNodes(r.u64())
+	return ReplyTo{Node: node, Slot: int32(slot), JC: r.u64()}
+}
+
+func (r *wireReader) group() Group {
+	g := Group{ID: r.u64(), N: int(r.u64())}
+	g.Birth, g.Base = unpackNodes(r.u64())
+	g.Nodes = int(r.u64())
+	g.slot0 = r.u64()
+	return g
+}
+
+func (r *wireReader) node() amnet.NodeID { return amnet.NodeID(int32(uint32(r.u64()))) }
+
+func (r *wireReader) floats() []float64 {
+	n, isNil := r.listLen(8)
+	if isNil {
+		return nil
+	}
+	f := make([]float64, n)
+	for i := range f {
+		f[i] = math.Float64frombits(r.u64())
+	}
+	return f
+}
+
+// value reads one tagged value.
+func (r *wireReader) value() any {
+	switch tag := r.u8(); tag {
+	case tvNil:
+		return nil
+	case tvInt:
+		return int(r.u64())
+	case tvInt64:
+		return int64(r.u64())
+	case tvUint64:
+		return r.u64()
+	case tvFloat64:
+		return math.Float64frombits(r.u64())
+	case tvBool:
+		return r.bool()
+	case tvString:
+		return string(r.bytes())
+	case tvAddr:
+		return r.addr()
+	case tvGroup:
+		return r.group()
+	case tvReplyTo:
+		return r.replyTo()
+	case tvSelector:
+		return Selector(r.u32())
+	case tvTypeID:
+		return TypeID(r.u32())
+	case tvFloats:
+		return r.floats()
+	case tvGob:
+		g := r.bytes()
+		if r.err != nil {
+			return nil
+		}
+		v, err := decodeValue(g)
+		if err != nil {
+			r.err = fmt.Errorf("opaque value does not decode: %w (gob.Register user types in every process)", err)
+		}
+		return v
+	default:
+		if r.err == nil {
+			r.err = fmt.Errorf("unknown value tag %d", tag)
+		}
+		return nil
+	}
+}
+
+func (r *wireReader) values() []any {
+	n, isNil := r.listLen(1)
+	if isNil {
+		return nil
+	}
+	vs := make([]any, n)
+	for i := range vs {
+		vs[i] = r.value()
+	}
+	return vs
+}
+
+// done reports the reader's failure, or bytes left over after a body
+// that should have ended.
+func (r *wireReader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+// payloadReader is a wireReader that also resolves program ids.
+type payloadReader struct {
+	wireReader
+	m *Machine
+	// progLimit is the largest acceptable program id, fixed when decoding
+	// starts so one payload materializes at most maxProgAhead programs.
+	progLimit uint64
+}
+
+func (r *payloadReader) prog() *Program {
+	id := r.u64()
+	if id > r.progLimit {
+		if r.err == nil {
+			r.err = fmt.Errorf("program id %d is more than %d past the programs known here", id, maxProgAhead)
+		}
+		return nil
+	}
+	return r.m.progForWire(id)
+}
+
+func (r *payloadReader) msg() *Message {
+	msg := &Message{To: r.addr()}
+	w := r.u64()
+	msg.Sel = Selector(uint32(w >> 32))
+	msg.routed, msg.shared = w&mfRouted != 0, w&mfShared != 0
+	msg.Reply = r.replyTo()
+	msg.origin = r.node()
+	msg.originLD = r.u64()
+	msg.dstSeq = r.u64()
+	msg.vt = math.Float64frombits(r.u64())
+	msg.prog = r.prog()
+	msg.Data = r.floats()
+	msg.Args = r.values()
+	return msg
+}
+
+func (r *payloadReader) msgs() []*Message {
+	n, isNil := r.listLen(msgMinBytes)
+	if isNil {
+		return nil
+	}
+	out := make([]*Message, n)
+	for i := range out {
+		out[i] = r.msg()
+	}
+	return out
 }
 
 // DecodePayload rebuilds the payload value the receiving handler type-
@@ -249,62 +539,93 @@ func (c *payloadCodec) DecodePayload(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("core: empty payload body")
 	}
-	dec := gob.NewDecoder(bytes.NewReader(b[1:]))
+	r := payloadReader{wireReader: wireReader{b: b[1:]}, m: c.m, progLimit: c.m.progSeq.Load() + maxProgAhead}
+	var v any
 	switch b[0] {
 	case wtMsg:
-		var w wireMsg
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
-		}
-		return c.m.fromWireMsg(w), nil
+		v = r.msg()
 	case wtSpawn:
-		var w wireSpawn
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
-		}
-		return &spawnRecord{alias: w.Alias, typ: w.Typ, args: w.Args, vt: w.VT, prog: c.m.progForWire(w.Prog)}, nil
+		rec := &spawnRecord{alias: r.addr(), typ: TypeID(uint32(r.u64()))}
+		rec.vt = math.Float64frombits(r.u64())
+		rec.prog = r.prog()
+		rec.args = r.values()
+		v = rec
 	case wtFIR:
-		var w wireFIR
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
+		req := firReq{addr: r.addr()}
+		if n, isNil := r.listLen(4); !isNil {
+			req.path = make([]amnet.NodeID, n)
+			for i := range req.path {
+				req.path[i] = amnet.NodeID(int32(r.u32()))
+			}
 		}
-		return firReq{addr: w.Addr, path: w.Path}, nil
+		v = req
 	case wtMig:
-		var w wireMig
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
+		mb := &migBundle{addr: r.addr(), alias: r.addr()}
+		mb.prog = r.prog()
+		if bv := r.value(); bv != nil {
+			beh, ok := bv.(Behavior)
+			if !ok && r.err == nil {
+				r.err = fmt.Errorf("migrating behavior decoded as %T, not a Behavior", bv)
+			}
+			mb.behavior = beh
 		}
-		return &migBundle{
-			addr: w.Addr, alias: w.Alias, behavior: w.Behavior,
-			msgs: c.m.fromWireMsgs(w.Msgs), pending: c.m.fromWireMsgs(w.Pending),
-			prog: c.m.progForWire(w.Prog),
-		}, nil
+		mb.msgs = r.msgs()
+		mb.pending = r.msgs()
+		v = mb
 	case wtGroup:
-		var w wireGroupCreate
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
-		}
-		return groupCreate{g: w.G, typ: w.Typ, args: w.Args, prog: c.m.progForWire(w.Prog)}, nil
+		gc := groupCreate{g: r.group(), typ: TypeID(uint32(r.u64()))}
+		gc.prog = r.prog()
+		gc.args = r.values()
+		v = gc
 	case wtBcast:
-		var w wireBcast
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
-		}
-		msg := c.m.fromWireMsg(w.Msg)
-		msg.shared = true
-		return &bcastWork{g: w.G, root: w.Root, msg: msg}, nil
+		bw := &bcastWork{g: r.group(), root: r.node()}
+		bw.msg = r.msg()
+		bw.msg.shared = true
+		v = bw
 	case wtReply:
-		var w wireReply
-		if err := dec.Decode(&w); err != nil {
-			return nil, err
-		}
-		return replyEnvelope{v: w.V, prog: c.m.progForWire(w.Prog)}, nil
+		env := replyEnvelope{prog: r.prog()}
+		env.v = r.value()
+		v = env
 	default:
 		return nil, fmt.Errorf("core: unknown payload kind %d", b[0])
 	}
+	if err := r.done(); err != nil {
+		return nil, fmt.Errorf("core: payload kind %d: %w", b[0], err)
+	}
+	return v, nil
 }
 
-// --- Group wire form -----------------------------------------------------
+// progForWire resolves a leader-assigned program id in this process,
+// materializing placeholder Programs for ids not seen before.  The leader
+// allocates ids densely from 1 and is the only process that launches, so
+// materializing id n fills every id <= n and later ids stay aligned.
+// Callers bound id first (maxProgAhead).
+func (m *Machine) progForWire(id uint64) *Program {
+	if id == 0 {
+		return nil
+	}
+	if p := m.progByID(id); p != nil {
+		return p
+	}
+	m.launchMu.Lock()
+	defer m.launchMu.Unlock()
+	var tab []*Program
+	if old := m.progTab.Load(); old != nil {
+		tab = *old
+	}
+	if id <= uint64(len(tab)) {
+		return tab[id-1]
+	}
+	grown := make([]*Program, len(tab), id)
+	copy(grown, tab)
+	for uint64(len(grown)) < id {
+		grown = append(grown, &Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})})
+	}
+	m.progTab.Store(&grown)
+	return grown[id-1]
+}
+
+// --- opaque values ----------------------------------------------------------
 
 // groupWire is Group's gob image; slot0 is load-bearing (Member computes
 // alias addresses from it) and must survive the trip.
@@ -318,8 +639,8 @@ type groupWire struct {
 }
 
 // GobEncode serializes the handle including its unexported alias base, so
-// Group values inside Args, behaviors, and results stay usable across
-// processes.
+// Group values inside opaque user values (arguments of user types,
+// behaviors, results) stay usable across processes.
 func (g Group) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(groupWire{
@@ -338,14 +659,14 @@ func (g *Group) GobDecode(b []byte) error {
 	return nil
 }
 
-// --- boxed program results (dist.go) -------------------------------------
-
 // valueBox wraps an arbitrary value so gob's interface mechanism (with
 // its concrete-type registry) carries it.
 type valueBox struct {
 	V any
 }
 
+// encodeValue is the gob escape for a value the kernel cannot see into:
+// tvGob values above and program results (dist.go).
 func encodeValue(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(valueBox{V: v}); err != nil {

@@ -1,0 +1,304 @@
+package core
+
+import (
+	"bytes"
+	"encoding/gob"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"hal/internal/amnet"
+)
+
+// wireBeh is a migrating behavior of a user type: opaque to the codec,
+// carried by gob, and holding a Group so slot0 must survive GobEncode.
+type wireBeh struct {
+	Count int
+	Next  Addr
+	G     Group
+}
+
+func (*wireBeh) Receive(*Context, *Message) {}
+
+// wirePoint is a registered user argument type; wireStranger is not
+// registered anywhere.
+type wirePoint struct{ X, Y int }
+type wireStranger struct{ X int }
+
+func init() {
+	gob.Register(&wireBeh{})
+	gob.Register(wirePoint{})
+}
+
+// wireCases is one payload of every kind the codec carries, each built
+// around the corners the layout has to keep apart.  prog must belong to
+// the codec's machine so decoding resolves to the same pointer.
+func wireCases(prog *Program) map[string]any {
+	grp := Group{ID: 3<<40 | 9, N: 5, Birth: 3, Base: 1, Nodes: 4, slot0: 77}
+	plain := &Message{
+		To: Addr{Birth: 1, Hint: 2, Seq: 99}, Sel: -4,
+		Args:  []any{7, -1 << 40, int64(math.MinInt64), uint64(math.MaxUint64), 2.5, true, false, "héllo", ""},
+		Reply: ReplyTo{Node: 1, JC: 12, Slot: -3},
+		origin: 2, originLD: 1 << 50, dstSeq: 5, routed: true, vt: 1234.5, prog: prog,
+	}
+	handles := &Message{
+		To: Nil, Sel: math.MaxInt32, Reply: invalidReply, origin: amnet.NoNode,
+		Args: []any{nil, Addr{Birth: 0, Hint: 3, Seq: 1 << 63}, grp, ReplyTo{Node: amnet.NoNode},
+			Selector(-9), TypeID(4), []float64{1, -2}, []float64(nil), []float64{}},
+		Data: []float64{},
+	}
+	opaque := &Message{
+		To:   Addr{Birth: 0, Hint: 0, Seq: 1},
+		Args: []any{wirePoint{X: 1, Y: -2}, int32(-7), []string{"a", "b"}},
+		Data: []float64{3, 4, 5},
+		prog: prog,
+	}
+	return map[string]any{
+		"msg/scalars":    plain,
+		"msg/handles":    handles,
+		"msg/opaque":     opaque,
+		"msg/nil-lists":  &Message{To: Addr{Seq: 2}},
+		"msg/empty-args": &Message{To: Addr{Seq: 2}, Args: []any{}, shared: true},
+		"spawn":          &spawnRecord{alias: Addr{Birth: 2, Hint: 0, Seq: 8}, typ: 3, args: []any{1, grp}, vt: 9.25, prog: prog},
+		"spawn/no-args":  &spawnRecord{alias: Nil, typ: -1},
+		"fir":            firReq{addr: Addr{Birth: 1, Hint: 1, Seq: 4}, path: []amnet.NodeID{0, 65536, amnet.NoNode, 3, 4, 5, 6, 7}},
+		"fir/nil-path":   firReq{addr: Addr{Seq: 4}},
+		"fir/empty-path": firReq{addr: Addr{Seq: 4}, path: []amnet.NodeID{}},
+		"mig": &migBundle{
+			addr: Addr{Birth: 1, Hint: 1, Seq: 6}, alias: Addr{Birth: 0, Hint: 1, Seq: 2},
+			behavior: &wireBeh{Count: 3, Next: Addr{Birth: 2, Hint: 2, Seq: 1}, G: grp},
+			msgs:     []*Message{plain, handles},
+			pending:  []*Message{opaque},
+			prog:     prog,
+		},
+		"mig/bare":   &migBundle{addr: Addr{Seq: 1}, alias: Nil, msgs: []*Message{}},
+		"group":      groupCreate{g: grp, typ: 2, args: []any{"x", 1.5}, prog: prog},
+		"bcast":      &bcastWork{g: grp, root: 3, msg: &Message{To: Nil, Sel: 1, Args: []any{1}, shared: true, prog: prog}},
+		"reply":      replyEnvelope{v: "done", prog: prog},
+		"reply/user": replyEnvelope{v: wirePoint{X: 5}},
+		"reply/nil":  replyEnvelope{},
+	}
+}
+
+// wireCodec is a codec over a bare machine with program id 1 known.
+func wireCodec() (*payloadCodec, *Program) {
+	m := &Machine{}
+	return &payloadCodec{m: m}, m.progForWire(1)
+}
+
+// TestPayloadRoundTrip: every kind comes back deeply equal to what went
+// in — nil and empty lists apart, signs and unexported delivery state
+// intact, program pointers resolved — and re-encodes to the same bytes.
+func TestPayloadRoundTrip(t *testing.T) {
+	c, prog := wireCodec()
+	for name, in := range wireCases(prog) {
+		t.Run(name, func(t *testing.T) {
+			prefix := []byte("frame head")
+			enc, err := c.AppendPayload(prefix, &amnet.Packet{Payload: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(enc, prefix) {
+				t.Fatal("AppendPayload disturbed the bytes before it")
+			}
+			enc = enc[len(prefix):]
+			out, err := c.DecodePayload(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Errorf("decoded\n %#v\nwant\n %#v", out, in)
+			}
+			again, err := c.AppendPayload(nil, &amnet.Packet{Payload: out})
+			if err != nil || !bytes.Equal(again, enc) {
+				t.Errorf("re-encoding differs (err %v)", err)
+			}
+			// Every proper prefix is an error, never a panic or a value.
+			for cut := 0; cut < len(enc); cut++ {
+				if v, err := c.DecodePayload(enc[:cut]); err == nil {
+					t.Fatalf("truncated to %d of %d bytes decoded as %#v", cut, len(enc), v)
+				}
+			}
+			if _, err := c.DecodePayload(append(enc[:len(enc):len(enc)], 0)); err == nil {
+				t.Error("a trailing byte went unnoticed")
+			}
+		})
+	}
+}
+
+// TestPayloadFloatBits: NaN payloads and negative zero cross bit-exactly
+// in every float position (DeepEqual cannot say so: NaN != NaN).
+func TestPayloadFloatBits(t *testing.T) {
+	c, _ := wireCodec()
+	nan := math.Float64frombits(0x7ff8000000000abc)
+	negZero := math.Copysign(0, -1)
+	in := &Message{To: Addr{Seq: 1}, Args: []any{nan, negZero, []float64{nan, negZero}}, Data: []float64{negZero, nan}, vt: negZero}
+	enc, err := c.AppendPayload(nil, &amnet.Packet{Payload: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.DecodePayload(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := v.(*Message)
+	got := append([]float64{out.Args[0].(float64), out.Args[1].(float64), out.vt}, out.Args[2].([]float64)...)
+	got = append(got, out.Data...)
+	want := []float64{nan, negZero, negZero, nan, negZero, negZero, nan}
+	if len(got) != len(want) {
+		t.Fatalf("got %d floats, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("float %d: bits %#x, want %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestPayloadRefusals: what must not cross says why, and leaves the
+// frame buffer as it found it.
+func TestPayloadRefusals(t *testing.T) {
+	c, prog := wireCodec()
+	head := []byte{1, 2, 3}
+	for _, tc := range []struct {
+		name, want string
+		payload    any
+	}{
+		{"unregistered arg", "gob.Register user types", &Message{Args: []any{1, wireStranger{X: 1}}}},
+		{"unregistered reply", "gob.Register user types", replyEnvelope{v: &wireStranger{}}},
+		{"program launch", "program loads never cross the wire", progLaunch{prog: prog}},
+		{"unknown type", "has no wire form", 42},
+	} {
+		buf, err := c.AppendPayload(head, &amnet.Packet{Payload: tc.payload})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if !bytes.Equal(buf, head) {
+			t.Errorf("%s: buffer came back as %v", tc.name, buf)
+		}
+	}
+
+	// Decoder side: a kind, a value tag and a program id from nowhere.
+	msg, _ := c.AppendPayload(nil, &amnet.Packet{Payload: &Message{To: Addr{Seq: 1}, Args: []any{1}}})
+	far, _ := c.AppendPayload(nil, &amnet.Packet{Payload: replyEnvelope{prog: &Program{id: maxProgAhead + 2}}})
+	badTag := bytes.Clone(msg)
+	badTag[len(badTag)-9] = 0xEE // the int argument's tag
+	for name, b := range map[string][]byte{"empty": nil, "kind 0": {0}, "kind 99": {99, 0, 0}, "value tag": badTag, "program id": far} {
+		if v, err := c.DecodePayload(b); err == nil {
+			t.Errorf("%s decoded as %#v", name, v)
+		}
+	}
+	if got := c.m.progSeq.Load(); got != 1 {
+		t.Errorf("refused payloads materialized programs: progSeq %d, want 1", got)
+	}
+}
+
+// TestProgForWireFillsGaps: an id ahead of the table materializes every
+// id up to it, in order, once.
+func TestProgForWireFillsGaps(t *testing.T) {
+	m := &Machine{}
+	p5 := m.progForWire(5)
+	if p5 == nil || p5.id != 5 || m.progSeq.Load() != 5 {
+		t.Fatalf("progForWire(5) = %+v with progSeq %d", p5, m.progSeq.Load())
+	}
+	for id := uint64(1); id <= 5; id++ {
+		if p := m.progByID(id); p == nil || p.id != id {
+			t.Errorf("program %d missing or misnumbered: %+v", id, p)
+		}
+	}
+	if m.progForWire(5) != p5 || m.progForWire(0) != nil {
+		t.Error("second resolution differs, or id 0 is not nil")
+	}
+}
+
+// TestControlBodyRoundTrip covers the dist control plane's four bodies.
+func TestControlBodyRoundTrip(t *testing.T) {
+	rm := reportMsg{Wave: 7,
+		Progs:   []progCountWire{{ID: 1, Created: 10, Consumed: -1}, {ID: 2}},
+		Results: []resultWire{{Prog: 2, V: []byte{1, 2, 3}, Force: true}, {Prog: 1}}}
+	if got, err := decodeReport(rm.encode()); err != nil || !reflect.DeepEqual(got, rm) {
+		t.Errorf("report: %+v, %v", got, err)
+	}
+	if got, err := decodeReport(reportMsg{Wave: 1}.encode()); err != nil || !reflect.DeepEqual(got, reportMsg{Wave: 1}) {
+		t.Errorf("empty report: %+v, %v", got, err)
+	}
+	if got, err := decodeProbe(probeMsg{Wave: 1 << 60}.encode()); err != nil || got.Wave != 1<<60 {
+		t.Errorf("probe: %+v, %v", got, err)
+	}
+	if got, err := decodeDone(doneMsg{Prog: 9}.encode()); err != nil || got.Prog != 9 {
+		t.Errorf("done: %+v, %v", got, err)
+	}
+	sm := shutMsg{Stalled: true, Msg: "counters stable"}
+	if got, err := decodeShut(sm.encode()); err != nil || got != sm {
+		t.Errorf("shutdown: %+v, %v", got, err)
+	}
+	// Truncated and over-long bodies are errors; a lying count does not
+	// allocate (the list check fails first).
+	enc := rm.encode()
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := decodeReport(enc[:cut]); err == nil {
+			t.Fatalf("report truncated to %d bytes decoded", cut)
+		}
+	}
+	lying := le.AppendUint32(le.AppendUint64(nil, 1), 1<<30)
+	if _, err := decodeReport(lying); err == nil {
+		t.Error("report with a 2^30-entry list decoded")
+	}
+	if _, err := decodeDone(append(doneMsg{Prog: 1}.encode(), 0)); err == nil {
+		t.Error("trailing byte after a done body went unnoticed")
+	}
+}
+
+// FuzzPayloadDecode feeds the decoder arbitrary bytes: it must never
+// panic, never allocate beyond what the input's size justifies (a count
+// or length the bytes cannot back is refused before anything is made for
+// it), and whatever it accepts must encode and decode again to itself.
+//
+// Allocation is read from the runtime, so the bound has slack for what
+// one payload may legitimately cause: maxProgAhead placeholder programs
+// (under 1 MiB), and, only when an opaque value is present, package gob's
+// own buffers, which this codec does not control.
+func FuzzPayloadDecode(f *testing.F) {
+	c, prog := wireCodec()
+	for _, in := range wireCases(prog) {
+		enc, err := c.AppendPayload(nil, &amnet.Packet{Payload: in})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c := &payloadCodec{m: &Machine{}}
+		slack := uint64(2 << 20)
+		opaque := bytes.IndexByte(b, tvGob) >= 0
+		if opaque {
+			slack = 32 << 20
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		v, err := c.DecodePayload(b)
+		runtime.ReadMemStats(&ms)
+		if grew := ms.TotalAlloc - before; grew > slack+64*uint64(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := c.AppendPayload(nil, &amnet.Packet{Payload: v})
+		if err != nil {
+			t.Fatalf("decoded %#v does not encode: %v", v, err)
+		}
+		v2, err := c.DecodePayload(enc)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		// gob does not promise one byte form per value, so only payloads
+		// without an opaque part are held to a fixed point.
+		if enc2, _ := c.AppendPayload(nil, &amnet.Packet{Payload: v2}); !opaque && !bytes.Equal(enc, enc2) {
+			t.Fatalf("encoding is not a fixed point:\n %x\n %x", enc, enc2)
+		}
+	})
+}

@@ -69,6 +69,11 @@ type relState struct {
 	// Sender side: next sequence per destination, and the retry table.
 	nextSeq []uint64
 	pending map[relKey]*relEntry
+	// nextDue is no later than the earliest due date in pending (zero
+	// when nothing was noted since the last scan), so the run loop's
+	// retry pump can return without walking the table.  Acks leave it
+	// stale-early, which costs one scan that finds nothing due.
+	nextDue time.Time
 	// Receiver side: next expected sequence per source, plus the set of
 	// out-of-order sequences already delivered ahead of it.
 	recvNext []uint64
@@ -92,11 +97,19 @@ func (r *relState) reset() {
 		r.nextSeq[i] = 0
 	}
 	clear(r.pending)
+	r.nextDue = time.Time{}
 	for i := range r.recvNext {
 		r.recvNext[i] = 1
 	}
 	for i := range r.ahead {
 		r.ahead[i] = nil
+	}
+}
+
+// noteDue lowers nextDue to t if t is earlier.
+func (r *relState) noteDue(t time.Time) {
+	if r.nextDue.IsZero() || t.Before(r.nextDue) {
+		r.nextDue = t
 	}
 }
 
@@ -166,14 +179,16 @@ func (n *node) sendCtlUnits(p amnet.Packet, unit relUnit, extra []relUnit) {
 	r.nextSeq[p.Dst]++
 	p.Seq = r.nextSeq[p.Dst]
 	base := n.m.cfg.RetryBase
+	//halvet:allowwallclock retransmit timers model host-time recovery, not simulated cost; the sender's VT does not advance while it waits
+	due := time.Now().Add(base)
 	r.pending[relKey{dst: p.Dst, seq: p.Seq}] = &relEntry{
-		pkt: p,
-		//halvet:allowwallclock retransmit timers model host-time recovery, not simulated cost; the sender's VT does not advance while it waits
-		due:      time.Now().Add(base),
+		pkt:      p,
+		due:      due,
 		interval: base,
 		unit:     unit,
 		extra:    extra,
 	}
+	r.noteDue(due)
 	n.ep.SendBatched(p)
 }
 
@@ -191,18 +206,26 @@ func (n *node) handleCtlAck(src amnet.NodeID, seq uint64) {
 // pumpRetries re-sends overdue unacknowledged packets and escalates the
 // ones whose budget ran out.  Called from the node main loop; reentrant
 // acks during ep.Send mutate the map mid-range, which Go's map
-// iteration semantics permit.
+// iteration semantics permit.  The range runs only once the earliest due
+// date has passed, and recomputes it: every entry it leaves behind is
+// noted, and so is every entry a reentrant send inserts meanwhile.
 //
 //halvet:allowwallclock retransmit due-dates pace on the host clock: retries recover from injected faults, which are invisible to (and frozen in) VT
 func (n *node) pumpRetries() {
+	r := &n.rel
 	now := time.Now()
+	if now.Before(r.nextDue) {
+		return
+	}
+	r.nextDue = time.Time{}
 	budget := n.m.cfg.RetryBudget
-	for k, e := range n.rel.pending {
+	for k, e := range r.pending {
 		if now.Before(e.due) {
+			r.noteDue(e.due)
 			continue
 		}
 		if e.tries >= budget {
-			delete(n.rel.pending, k)
+			delete(r.pending, k)
 			n.escalate(e)
 			continue
 		}
@@ -217,6 +240,7 @@ func (n *node) pumpRetries() {
 		// +-25% jitter so retransmit storms from many nodes decorrelate.
 		jit := iv / 4
 		e.due = now.Add(iv - jit + time.Duration(n.rng.Int63n(int64(2*jit)+1)))
+		r.noteDue(e.due)
 		n.ep.Send(e.pkt)
 	}
 }
