@@ -53,14 +53,11 @@ cover-check: cover
 	  { echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Everything the per-push CI workflow gates on, runnable locally before
-# pushing: vet, build, race tests, the halvet suite, the coverage floor,
-# the allocation guards, and the benchmark trajectory against the pinned
-# baseline (written to a scratch path — the committed BENCH_hal.json is
-# never mutated).
+# pushing: vet, build, race tests, the halvet suite, the coverage floor
+# and the allocation guards.
 ci: build lint test-race cover-check
 	$(GO) vet ./...
 	$(GO) test ./internal/core -run 'TestAlloc' -count=2
-	$(GO) run ./cmd/haltables -bench-json BENCH_hal.json -bench-out /tmp/BENCH_ci.json -bench-label local-ci
 
 clean:
 	rm -rf bin cover.out

@@ -4,37 +4,15 @@
 // Usage:
 //
 //	haltables [-table all|1|2|3|4|5] [flags]
-//	haltables -bench-json BENCH_hal.json [-bench-label post]
-//	          [-bench-out out.json] [-bench-count 5]
-//	          [-bench-scale [-scale-gomaxprocs 1,4,16] [-scale-p 256,1024,4096]
-//	           [-scale-count 5]]
 //
 // Scaling tables report virtual makespans under the Table 2-calibrated
 // cost model; microbenchmark tables also report host wall time.
-//
-// -bench-json switches to the benchmark-trajectory harness: it runs the
-// Table 2/3 microbenchmarks (ns/op, B/op, allocs/op) plus a small Table
-// 1/4/5 workload sweep (virtual makespan, packets per virtual ms, and
-// the runtime's tail-latency histograms), appends the labeled entry to
-// the trajectory next to the pinned pre-optimization baseline, and exits
-// non-zero if allocations per op regressed against the baseline.
-// -bench-out writes the updated trajectory somewhere other than the
-// -bench-json input, so CI can gate against a committed baseline without
-// mutating it; -bench-count N keeps the best of N measurement runs.
-//
-// -bench-scale additionally runs the multicore spray matrix (every
-// -scale-gomaxprocs value crossed with every -scale-p partition size,
-// best of -scale-count runs per point) and attaches the points to the
-// entry.  The matrix takes minutes and only means something on a
-// multi-core host, so it is opt-in and owned by the nightly workflow.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"hal/internal/bench"
 )
@@ -47,41 +25,7 @@ func main() {
 	fibGrain := flag.Float64("fib-grain", 1, "table 4: per-call compute in µs")
 	matN := flag.Int("mat-n", 1024, "table 5: matrix dimension")
 	skip := flag.Bool("mat-skip-compute", false, "table 5: skip real arithmetic (timing only)")
-	benchJSON := flag.String("bench-json", "", "read/update a benchmark trajectory file and exit (skips the tables)")
-	benchLabel := flag.String("bench-label", "post", "trajectory entry label for -bench-json")
-	benchOut := flag.String("bench-out", "", "write the updated trajectory here instead of overwriting -bench-json")
-	benchCount := flag.Int("bench-count", 1, "measurement repetitions for -bench-json (best of N is recorded)")
-	benchScale := flag.Bool("bench-scale", false, "also run the multicore spray matrix and attach it to the entry (schema v3)")
-	scaleGMP := flag.String("scale-gomaxprocs", "1,4,16", "GOMAXPROCS values for -bench-scale")
-	scaleP := flag.String("scale-p", "256,1024,4096", "partition sizes for -bench-scale")
-	scaleCount := flag.Int("scale-count", 1, "spray repetitions per matrix point (best of N is recorded)")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		out := *benchOut
-		if out == "" {
-			out = *benchJSON
-		}
-		var scale *scaleSpec
-		if *benchScale {
-			gmp, err := csvInts(*scaleGMP)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "haltables: -scale-gomaxprocs:", err)
-				os.Exit(2)
-			}
-			ps, err := csvInts(*scaleP)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "haltables: -scale-p:", err)
-				os.Exit(2)
-			}
-			scale = &scaleSpec{gomaxprocs: gmp, nodes: ps, count: *scaleCount}
-		}
-		if err := runTrajectory(*benchJSON, out, *benchLabel, *benchCount, scale); err != nil {
-			fmt.Fprintln(os.Stderr, "haltables:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := func(t string) bool { return *table == "all" || *table == t }
 	failed := false
@@ -149,87 +93,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// scaleSpec selects the optional multicore spray matrix.
-type scaleSpec struct {
-	gomaxprocs []int
-	nodes      []int
-	count      int
-}
-
-// csvInts parses a comma-separated list of positive integers.
-func csvInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// runTrajectory measures the current build count times (recording the
-// best), appends it under label to the trajectory read from inPath
-// alongside the pinned pre-optimization baseline, writes the result to
-// outPath, prints the before/after table with tail-latency columns, and
-// fails on allocation regressions.
-func runTrajectory(inPath, outPath, label string, count int, scale *scaleSpec) error {
-	tr, err := bench.LoadTrajectory(inPath)
-	if err != nil {
-		return err
-	}
-	base := bench.PreBaseline()
-	tr.Append(base)
-
-	if count < 1 {
-		count = 1
-	}
-	runs := make([]bench.TrajectoryEntry, 0, count)
-	for i := 0; i < count; i++ {
-		e, err := bench.Measure(label)
-		if err != nil {
-			return err
-		}
-		runs = append(runs, e)
-	}
-	entry := bench.MergeBest(runs)
-	if scale != nil {
-		entry.Scale, err = bench.MeasureScale(scale.gomaxprocs, scale.nodes, scale.count)
-		if err != nil {
-			return err
-		}
-	}
-	tr.Append(entry)
-	if err := tr.Write(outPath); err != nil {
-		return err
-	}
-
-	report, regressions := bench.CompareMicro(base, entry)
-	fmt.Print(report)
-	for _, w := range entry.Workloads {
-		fmt.Printf("%-34s virtual %.2f ms, %d pkts (%.0f pkts/virt-ms), %d batches carrying %d pkts\n",
-			w.Name, w.VirtualMS, w.Packets, w.PktsPerVirtMS, w.Batches, w.BatchedPkts)
-		for _, l := range w.Latencies {
-			fmt.Printf("    %-24s n=%-8d mean=%-8.1f p50=%-8.1f p95=%-8.1f p99=%-8.1f max=%-8.1f (%s)\n",
-				l.Name, l.N, l.Mean, l.P50, l.P95, l.P99, l.Max, l.Unit)
-		}
-	}
-	if len(entry.Scale) > 0 {
-		fmt.Println()
-		bench.PrintScale(os.Stdout, entry.Scale)
-	}
-	if count > 1 {
-		fmt.Printf("(best of %d measurement runs)\n", count)
-	}
-	fmt.Printf("trajectory written to %s (%d entries)\n", outPath, len(tr.Entries))
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "haltables: REGRESSION:", r)
-		}
-		return fmt.Errorf("%d allocation regression(s) vs baseline", len(regressions))
-	}
-	return nil
 }

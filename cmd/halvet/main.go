@@ -1,8 +1,7 @@
 // Command halvet is the HAL runtime's invariant checker: a multichecker
-// driving the nine analyzers in internal/analysis (handlernoblock,
-// poolowner, repairplane, endpointaffinity, mutexguard, atomicfield,
-// vtclock, ringowner, wiresym), plus the driver's staleness sweep over
-// suppression comments.
+// driving the six analyzers in internal/analysis (handlernoblock,
+// poolowner, repairplane, endpointaffinity, vtclock, ringowner), plus the
+// driver's staleness sweep over suppression comments.
 //
 // Two ways to run it:
 //

@@ -101,10 +101,8 @@ type Config struct {
 	// Default 512 (4 KiB segments).
 	SegWords int
 	// BatchMax is the largest number of packets coalesced into one
-	// SendBatched injection per destination link.  0 selects the default
-	// (32); a negative value disables coalescing (every SendBatched
-	// injects immediately, equivalent to Send).  Clamped to InboxCap so a
-	// full batch always fits the destination inbox.
+	// SendBatched injection per destination link.  Default 32.  Clamped
+	// to InboxCap so a full batch always fits the destination inbox.
 	BatchMax int
 	// Faults, when non-nil, injects deterministic delivery faults (see
 	// faults.go).  Nil means a perfect network; the fault-free receive
@@ -143,11 +141,8 @@ func (c *Config) applyDefaults() error {
 	if c.SegWords <= 0 {
 		c.SegWords = 512
 	}
-	if c.BatchMax == 0 {
+	if c.BatchMax <= 0 {
 		c.BatchMax = defaultBatchMax
-	}
-	if c.BatchMax < 1 {
-		c.BatchMax = 1
 	}
 	if c.BatchMax > c.InboxCap {
 		c.BatchMax = c.InboxCap

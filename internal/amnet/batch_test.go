@@ -151,24 +151,6 @@ func TestSendNowBypassesStaging(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabled checks BatchMax < 0: every SendBatched injects
-// immediately, equivalent to Send.
-func TestBatchingDisabled(t *testing.T) {
-	nw := newTestNet(t, Config{Nodes: 2, BatchMax: -1}, map[HandlerID]Handler{
-		hCount: func(*Endpoint, Packet) {},
-	})
-	src, dst := nw.Endpoint(0), nw.Endpoint(1)
-	for i := 0; i < 5; i++ {
-		src.SendBatched(Packet{Handler: hCount, Dst: 1})
-	}
-	if got := dst.Pending(); got != 5 {
-		t.Fatalf("Pending() = %d with batching disabled, want 5", got)
-	}
-	if got := src.Stats().Batches; got != 0 {
-		t.Fatalf("Batches = %d with batching disabled, want 0", got)
-	}
-}
-
 // TestDiscardOutboundDropsStaged checks that DiscardOutbound drops staged
 // packets without injecting them and leaves the endpoint reusable.
 func TestDiscardOutboundDropsStaged(t *testing.T) {

@@ -33,7 +33,6 @@ func TestRingSlotLayout(t *testing.T) {
 	// tail and head must not share a line with each other or the slots
 	// header: producers hammer tail while the consumer owns head.
 	var r mpscRing
-	//lint:ignore halvet-atomicfield unsafe.Offsetof inspects layout without reading or copying the word
 	tailOff := unsafe.Offsetof(r.tail)
 	headOff := unsafe.Offsetof(r.head)
 	if tailOff/64 == headOff/64 {

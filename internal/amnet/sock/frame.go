@@ -11,9 +11,9 @@
 // carries one amnet.Packet (fixed 72-byte word section, then the
 // codec-encoded payload bytes, then the bulk data words), and a control
 // frame carries an out-of-band message for the kernel's distributed
-// control plane or the transport's own handshake.  The word section is
-// checked by halvet's wiresym analyzer like the kernel's other four
-// codecs: packFrameMeta/unpackFrameMeta below are the annotated pair.
+// control plane or the transport's own handshake.  The word section's
+// packing (packFrameMeta/unpackFrameMeta below) is pinned field for field
+// by TestFrameMetaRoundTrip and FuzzFrameRoundTrip.
 //
 // Ordering: one connection per process pair, frames written by a single
 // writer goroutine per link, so per-(src,dst) FIFO holds across the wire
@@ -52,8 +52,6 @@ const (
 // packFrameMeta packs a packet's routing and section lengths into the
 // three leading wire words: src/dst node ids (w0, src high), the handler
 // id (w1), and the payload/data byte-section lengths (w2, payload high).
-//
-//halvet:wire frame encode
 func packFrameMeta(src, dst amnet.NodeID, h amnet.HandlerID, payLen, dataLen uint32) (w0, w1, w2 uint64) {
 	return uint64(uint32(src))<<32 | uint64(uint32(dst)),
 		uint64(h),
@@ -61,8 +59,6 @@ func packFrameMeta(src, dst amnet.NodeID, h amnet.HandlerID, payLen, dataLen uin
 }
 
 // unpackFrameMeta is the inverse of packFrameMeta.
-//
-//halvet:wire frame decode
 func unpackFrameMeta(w0, w1, w2 uint64) (src, dst amnet.NodeID, h amnet.HandlerID, payLen, dataLen uint32) {
 	return amnet.NodeID(int32(uint32(w0 >> 32))), amnet.NodeID(int32(uint32(w0))),
 		amnet.HandlerID(uint8(w1)),

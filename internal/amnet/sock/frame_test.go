@@ -65,20 +65,34 @@ func packetsEqual(a, b amnet.Packet) bool {
 	return true
 }
 
-// TestFrameMetaRoundTrip pins the annotated wire pair bit for bit.
+// TestFrameMetaRoundTrip pins packFrameMeta/unpackFrameMeta field for
+// field: first the boundary values (NoNode is all ones as a uint32, the
+// top bit and all ones of a section length) with neighbouring fields
+// holding different ones, so a narrowed conversion, a dropped high half,
+// two fields sharing bits and a swapped order each show; then random
+// values.
 func TestFrameMetaRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		src := amnet.NodeID(rng.Int31())
-		dst := amnet.NodeID(rng.Int31())
-		h := amnet.HandlerID(rng.Intn(256))
-		payLen := rng.Uint32()
-		dataLen := rng.Uint32()
+	check := func(src, dst amnet.NodeID, h amnet.HandlerID, payLen, dataLen uint32) {
+		t.Helper()
 		gs, gd, gh, gp, gl := unpackFrameMeta(packFrameMeta(src, dst, h, payLen, dataLen))
 		if gs != src || gd != dst || gh != h || gp != payLen || gl != dataLen {
 			t.Fatalf("meta round trip: (%d,%d,%d,%d,%d) -> (%d,%d,%d,%d,%d)",
 				src, dst, h, payLen, dataLen, gs, gd, gh, gp, gl)
 		}
+	}
+	nodes := []amnet.NodeID{amnet.NoNode, 0, 1, 1 << 16, math.MaxInt32, math.MinInt32}
+	lens := []uint32{0, 1, 1 << 16, 1 << 31, math.MaxUint32}
+	handlers := []amnet.HandlerID{0, 1, 128, 255}
+	for i, src := range nodes {
+		for j, payLen := range lens {
+			check(src, nodes[(i+1)%len(nodes)], handlers[(i+j)%len(handlers)],
+				payLen, lens[(j+1)%len(lens)])
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		check(amnet.NodeID(rng.Int31()), amnet.NodeID(rng.Int31()),
+			amnet.HandlerID(rng.Intn(256)), rng.Uint32(), rng.Uint32())
 	}
 }
 

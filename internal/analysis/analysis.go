@@ -31,10 +31,6 @@
 //	    instruments and host-level pacing that virtual time cannot
 //	    express (vtclock analyzer).
 //
-//	//halvet:guardedby <mutexField>
-//	    on a struct field declares which sibling mutex protects it
-//	    (mutexguard analyzer).  A declaration, not a suppression.
-//
 //	//halvet:mpsc <producer|consumer|init>
 //	    on a method declares which side of a lock-free MPSC ring it runs
 //	    on (ringowner analyzer).  A declaration, not a suppression: a
@@ -184,8 +180,7 @@ type Directive struct {
 
 // parseDirective recognizes the suppression comment forms.  A directive
 // without a reason is not honored (ok=false): unexplained suppressions are
-// exactly the convention rot this suite exists to prevent.  The guardedby
-// declaration is not a suppression and is parsed by mutexguard itself.
+// exactly the convention rot this suite exists to prevent.
 func parseDirective(text string) (kind, arg, reason string, ok bool) {
 	if rest, found := strings.CutPrefix(text, "//lint:ignore "); found {
 		fields := strings.Fields(rest)

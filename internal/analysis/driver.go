@@ -7,18 +7,15 @@ import (
 	"time"
 )
 
-// Suite returns the nine halvet analyzers in their canonical order.
+// Suite returns the six halvet analyzers in their canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		HandlerNoBlock,
 		PoolOwner,
 		RepairPlane,
 		EndpointAffinity,
-		MutexGuard,
-		AtomicField,
 		VTClock,
 		RingOwner,
-		WireSym,
 	}
 }
 
@@ -44,8 +41,8 @@ type AnalyzerTimings map[string]time.Duration
 // runs the analyzers over each non-dependency match, and returns every
 // finding.  Dependencies inside the same module are analyzed in
 // FactsOnly mode first so cross-package facts (handler reachability,
-// guard obligations, atomic-field sets, pool and wire summaries) are
-// available, mirroring what `go vet -vettool` does with vetx files.
+// pool summaries) are available, mirroring what `go vet -vettool` does
+// with vetx files.
 // With staleSweep set, every suppression comment in a pattern-matched
 // package that suppressed nothing is reported as a "staleallow" finding.
 func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer, staleSweep bool) ([]Finding, error) {

@@ -25,8 +25,8 @@ func sarifInput() []Finding {
 			// Outside the root: the URI stays absolute rather than escaping
 			// upward with ../ segments.
 			Pos:      token.Position{Filename: "/elsewhere/x.go", Line: 1, Column: 1},
-			Analyzer: "mutexguard",
-			Message:  "read of n.snap outside its critical section",
+			Analyzer: "ringowner",
+			Message:  "producer method push writes plain field mpscRing.head",
 		},
 	}
 }

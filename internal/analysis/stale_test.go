@@ -48,13 +48,11 @@ func TestStaleDirectives(t *testing.T) {
 		"the blocking call was removed long ago", // onClean's allowblock
 		"the clock read was removed",             // quiet's allowwallclock
 		"obsolete suppression",                   // fine's lint:ignore
-		"the schema asymmetry was fixed",         // encodeSeq's lint:ignore
 	}
 	liveReasons := []string{
 		"sanctioned blocking for the test",
 		"host pacing for the test",
 		"sanctioned host observation",
-		"sanctioned asymmetric frame",
 	}
 	for _, want := range wantStale {
 		hit := false

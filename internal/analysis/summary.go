@@ -12,11 +12,9 @@ import (
 // summaries are computed during its own pass (including FactsOnly dependency
 // passes) and imported by downstream packages through Pass.ImportFacts.
 //
-// Two analyzers consume the layer: poolowner folds PoolSummary effects into
-// its abstract interpretation so a helper that frees, sends, or leaks a
-// pooled argument is applied at every call site, and wiresym folds
-// WireSummary bit ranges through helper calls so packNodes-style packing
-// helpers stay transparent to the schema check.
+// poolowner consumes the layer: it folds PoolSummary effects into its
+// abstract interpretation so a helper that frees, sends, or leaks a
+// pooled argument is applied at every call site.
 
 // funcKeyOf names a function for the summary store: "Name" for package
 // functions, "Recv.Name" for methods (pointer receivers stripped).  The key
@@ -77,6 +75,14 @@ func flatParams(info *types.Info, fd *ast.FuncDecl) []types.Object {
 		}
 	}
 	return out
+}
+
+// defOrUse resolves an identifier to its object through either table.
+func defOrUse(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
 }
 
 // --- pool-ownership summaries -------------------------------------------

@@ -60,27 +60,3 @@ func hot() int64 {
 	//lint:ignore halvet-vtclock fixture: sanctioned host observation
 	return time.Now().UnixNano()
 }
-
-// Live: the ignore suppresses a real wiresym diagnostic — the encoder
-// deliberately packs a field the decoder drops.
-//
-//halvet:wire frame encode
-func encodeFrame(hi, lo uint32) uint64 {
-	//lint:ignore halvet-wiresym fixture: sanctioned asymmetric frame
-	return uint64(hi)<<32 | uint64(lo)
-}
-
-//halvet:wire frame decode
-func decodeFrame(w uint64) uint32 { return uint32(w) }
-
-// Stale: the pair round-trips cleanly, so no wiresym diagnostic lands on
-// the covered line anymore.
-//
-//halvet:wire seq encode
-func encodeSeq(v uint32) uint64 {
-	//lint:ignore halvet-wiresym fixture: the schema asymmetry was fixed
-	return uint64(v)
-}
-
-//halvet:wire seq decode
-func decodeSeq(w uint64) uint32 { return uint32(w) }

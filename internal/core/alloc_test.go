@@ -14,8 +14,7 @@ import (
 //
 // The guards are skipped under the race detector (its instrumentation
 // allocates).  They construct fault-free machines on purpose: with
-// Config.Faults set the pools disable themselves and the retry table
-// allocates by design.
+// Config.Faults set the retry table allocates by design.
 
 // allocMachine builds an unstarted fault-free machine with a registered
 // program whose live count is pre-based at 1, so the measured loops can

@@ -65,7 +65,7 @@ func (n *node) handleStealReq(thief amnet.NodeID, vt float64) {
 
 func (n *node) handleStealGrant(rec *spawnRecord) {
 	n.stealOut = false
-	n.stealBackoff = n.m.cfg.StealBackoff
+	n.stealBackoff = stealBackoffBase
 	n.nextSteal = time.Time{}
 	n.stats.StealHits++
 	if !n.stealSent.IsZero() {

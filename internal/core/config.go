@@ -29,20 +29,10 @@ type Config struct {
 	// protocol.  Default 512.
 	SegWords int
 
-	// BatchMax bounds how many control packets to one destination may
-	// coalesce into a single interconnect injection (see amnet.Config).
-	// Zero selects the network default (32); negative disables batching.
-	BatchMax int
-
 	// LoadBalance enables receiver-initiated random-polling dynamic load
 	// balancing: idle nodes steal deferred creations (NewAuto) from
 	// random victims.
 	LoadBalance bool
-
-	// StealBackoff is the pause between steal attempts after a denial
-	// (receiver-initiated polling is otherwise continuous).  Default
-	// 20µs.
-	StealBackoff time.Duration
 
 	// FastPathDepth bounds the stack depth of SendFast's
 	// compiler-controlled stack-based scheduling; 0 disables the fast
@@ -103,11 +93,10 @@ type Config struct {
 	// machines.
 	Faults *amnet.FaultPlan
 
-	// RetryBase is the first retransmit timeout of an unacknowledged
-	// control packet (fault injection only).  Default 500µs.
-	RetryBase time.Duration
-	// RetryMax caps the exponential backoff between retransmits.
-	// Default 10ms.
+	// RetryMax caps the exponential backoff between retransmits of an
+	// unacknowledged control packet (fault injection and dist machines
+	// only; the first timeout is retryBase).  Default 10ms, 250ms on a
+	// dist machine.
 	RetryMax time.Duration
 	// RetryBudget is how many retransmissions a control packet gets
 	// before it is abandoned and dead-lettered.  Default 24.
@@ -191,6 +180,28 @@ func (d *DistConfig) validate(nodes int) error {
 	return nil
 }
 
+// stealBackoffBase is the pause between steal attempts after a denial
+// (receiver-initiated polling is otherwise continuous).
+const stealBackoffBase = 20 * time.Microsecond
+
+// retryBase is the first retransmit timeout of an unacknowledged control
+// packet.  A wire ack pays two socket hops plus both kernels' poll
+// boundaries; the in-memory value sits below that RTT and would
+// retransmit almost every packet.  Worse, a budget of patient-for-230ms
+// can exhaust on a DELIVERED packet whose acks are merely slow, and
+// escalation then retires units the receiver also consumed — the
+// cross-process counters go negative and the run stalls instead of
+// finishing.  Sockets get laxer timers — acks share one connection per
+// process pair with bulk traffic, so their tail latency under load is
+// head-of-line blocking, not loss — for ~5s of patience per packet,
+// safely past any ack tail yet still inside the stall watchdog's horizon.
+func (c *Config) retryBase() time.Duration {
+	if c.Dist != nil {
+		return 20 * time.Millisecond
+	}
+	return 500 * time.Microsecond
+}
+
 // DefaultConfig returns a configuration for nodes PEs with the paper's
 // defaults (flow control on, LD caching on, collective scheduling on, no
 // load balancing).
@@ -214,9 +225,6 @@ func (c *Config) applyDefaults() error {
 	if c.FastPathDepth < 0 {
 		c.FastPathDepth = 0
 	}
-	if c.StealBackoff <= 0 {
-		c.StealBackoff = 20 * time.Microsecond
-	}
 	if c.StallTimeout == 0 {
 		c.StallTimeout = 5 * time.Second
 	}
@@ -236,31 +244,10 @@ func (c *Config) applyDefaults() error {
 	if c.Faults != nil && c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 500 * time.Microsecond
-		if c.Dist != nil {
-			// A wire ack pays two socket hops plus both kernels' poll
-			// boundaries; the in-memory default sits below that RTT and
-			// would retransmit almost every packet.  Worse, a budget of
-			// patient-for-230ms can exhaust on a DELIVERED packet whose
-			// acks are merely slow, and escalation then retires units
-			// the receiver also consumed — the cross-process counters go
-			// negative and the run stalls instead of finishing.  Give
-			// sockets laxer timers — acks share one connection per
-			// process pair with bulk traffic, so their tail latency
-			// under load is head-of-line blocking, not loss — for ~5s
-			// of patience per packet, safely past any ack tail yet
-			// still inside the stall watchdog's horizon.
-			c.RetryBase = 20 * time.Millisecond
-		}
-	}
-	if c.RetryMax < c.RetryBase {
+	if c.RetryMax < c.retryBase() {
 		c.RetryMax = 10 * time.Millisecond
 		if c.Dist != nil {
 			c.RetryMax = 250 * time.Millisecond
-		}
-		if c.RetryMax < c.RetryBase {
-			c.RetryMax = c.RetryBase
 		}
 	}
 	if c.RetryBudget <= 0 {

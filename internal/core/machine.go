@@ -108,7 +108,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		InboxCap: cfg.InboxCap,
 		Flow:     cfg.Flow,
 		SegWords: cfg.SegWords,
-		BatchMax: cfg.BatchMax,
 		Faults:   cfg.Faults,
 	}
 	if cfg.Dist != nil {

@@ -87,7 +87,7 @@ type node struct {
 	// through.  Layout-sensitive; see DESIGN.md "Cache-line layout".
 	_      [64]byte
 	snapMu sync.Mutex
-	snap   NodeStats //halvet:guardedby snapMu
+	snap   NodeStats // guarded by snapMu
 	_      [64]byte
 
 	// sink receives streamed trace events (Config.TraceSink), nil when
@@ -95,7 +95,7 @@ type node struct {
 	sink TraceSink
 
 	// Control-plane arenas (wire.go): message, spawn-record, and FIR-path
-	// freelists, disabled under fault injection.
+	// freelists.
 	msgFree   []*Message
 	spawnFree []*spawnRecord
 	pathFree  [][]amnet.NodeID
@@ -132,7 +132,7 @@ func newNode(m *Machine, id amnet.NodeID) *node {
 		groups:       make(map[uint64]*groupEntry),
 		pendingCasts: make(map[uint64][]pendingCast),
 		rng:          rand.New(rand.NewSource(m.cfg.Seed ^ (int64(id)+1)*0x5deece66d)),
-		stealBackoff: m.cfg.StealBackoff,
+		stealBackoff: stealBackoffBase,
 	}
 	n.invSpeed = 1
 	if len(m.cfg.NodeSpeed) > 0 {
@@ -229,8 +229,8 @@ func (n *node) idle() {
 	if n.m.relOn {
 		if len(n.rel.pending) > 0 {
 			// Unacknowledged control packets: wake in time to retry.
-			if timeout == 0 || n.m.cfg.RetryBase < timeout {
-				timeout = n.m.cfg.RetryBase
+			if base := n.m.cfg.retryBase(); timeout == 0 || base < timeout {
+				timeout = base
 			}
 		}
 		if n.ep.FaultBacklog() > 0 {

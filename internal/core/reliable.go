@@ -178,7 +178,7 @@ func (n *node) sendCtlUnits(p amnet.Packet, unit relUnit, extra []relUnit) {
 	r := &n.rel
 	r.nextSeq[p.Dst]++
 	p.Seq = r.nextSeq[p.Dst]
-	base := n.m.cfg.RetryBase
+	base := n.m.cfg.retryBase()
 	//halvet:allowwallclock retransmit timers model host-time recovery, not simulated cost; the sender's VT does not advance while it waits
 	due := time.Now().Add(base)
 	r.pending[relKey{dst: p.Dst, seq: p.Seq}] = &relEntry{

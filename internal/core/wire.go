@@ -31,23 +31,17 @@ import (
 // slots are 16-bit, wide enough for any partition this simulator runs.
 
 // packNodes packs two node ids into one word (a in the high half).
-//
-//halvet:wire nodes encode
 func packNodes(a, b amnet.NodeID) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 // unpackNodes is the inverse of packNodes.
-//
-//halvet:wire nodes decode
 func unpackNodes(w uint64) (a, b amnet.NodeID) {
 	return amnet.NodeID(int32(uint32(w >> 32))), amnet.NodeID(int32(uint32(w)))
 }
 
 // locPacket word-encodes a location triple: addr is known to live on node
 // under descriptor slot seq.
-//
-//halvet:wire loc encode
 func locPacket(h amnet.HandlerID, dst amnet.NodeID, addr Addr, node amnet.NodeID, seq uint64) amnet.Packet {
 	return amnet.Packet{
 		Handler: h,
@@ -60,8 +54,6 @@ func locPacket(h amnet.HandlerID, dst amnet.NodeID, addr Addr, node amnet.NodeID
 }
 
 // decodeLoc is the inverse of locPacket.
-//
-//halvet:wire loc decode
 func decodeLoc(p amnet.Packet) (addr Addr, node amnet.NodeID, seq uint64) {
 	birth, hint := unpackNodes(p.U1)
 	return Addr{Birth: birth, Hint: hint, Seq: p.U0},
@@ -95,8 +87,6 @@ const (
 
 // encodeReplyValue word-encodes the common scalar reply values.  ok is
 // false when v needs the boxed fallback.
-//
-//halvet:wire reply encode
 func encodeReplyValue(v any) (tag, bits uint64, ok bool) {
 	switch x := v.(type) {
 	case nil:
@@ -115,8 +105,6 @@ func encodeReplyValue(v any) (tag, bits uint64, ok bool) {
 }
 
 // decodeReplyValue is the inverse of encodeReplyValue.
-//
-//halvet:wire reply decode
 func decodeReplyValue(tag, bits uint64) any {
 	switch tag {
 	case replyNil:
@@ -138,8 +126,6 @@ func decodeReplyValue(tag, bits uint64) any {
 const firMaxHops = 7
 
 // encodeFIRPacket word-encodes an FIR if its path fits.
-//
-//halvet:wire fir encode
 func encodeFIRPacket(dst amnet.NodeID, addr Addr, path []amnet.NodeID) (amnet.Packet, bool) {
 	if len(path) > firMaxHops {
 		return amnet.Packet{}, false
@@ -169,8 +155,6 @@ func encodeFIRPacket(dst amnet.NodeID, addr Addr, path []amnet.NodeID) (amnet.Pa
 // decodeFIRWords is the pure inverse of encodeFIRPacket: it unpacks the
 // word form into path (appending the decoded hops) and returns the
 // reconstructed request.
-//
-//halvet:wire fir decode
 func decodeFIRWords(p amnet.Packet, path []amnet.NodeID) firReq {
 	addr, _, _ := decodeLoc(p)
 	cnt := int(p.U3 >> 48)
@@ -217,12 +201,13 @@ func (n *node) sendFIR(dst amnet.NodeID, req firReq) {
 // another — a pool entry is just memory, not node state, and the handoff
 // through the network channel orders the accesses).
 //
-// Fault-mode exemption: with Config.Faults set, the reliable-delivery
-// layer retains sent packets (and their payloads) in the retry table
-// until acknowledged, so a consumed record may still be resent.  All
-// three pools therefore disable themselves when relOn — alloc falls back
-// to plain make/new and free is a no-op — rather than making every
-// consumer reason about retry lifetimes.
+// The pools stay on under fault injection and on dist machines: the
+// reliable layer's retry table keeps a sent packet, payload pointer
+// included, until it is acknowledged, but nothing dereferences that
+// pointer again — a retransmit the receiver already consumed is dropped
+// by rel.accept before any handler runs (handlers.go reg), and escalate
+// reads only the units captured at send time and by-value addresses.
+// The message pool (freeMsg) rests on the same argument.
 
 const (
 	spawnPoolCap = 1024
@@ -231,21 +216,16 @@ const (
 
 // newSpawn returns a spawn record from the node-local pool.
 func (n *node) newSpawn() *spawnRecord {
-	if !n.m.relOn {
-		if k := len(n.spawnFree); k > 0 {
-			rec := n.spawnFree[k-1]
-			n.spawnFree = n.spawnFree[:k-1]
-			return rec
-		}
+	if k := len(n.spawnFree); k > 0 {
+		rec := n.spawnFree[k-1]
+		n.spawnFree = n.spawnFree[:k-1]
+		return rec
 	}
 	return &spawnRecord{}
 }
 
 // freeSpawn recycles a consumed spawn record.
 func (n *node) freeSpawn(rec *spawnRecord) {
-	if n.m.relOn {
-		return
-	}
 	*rec = spawnRecord{}
 	if len(n.spawnFree) < spawnPoolCap {
 		n.spawnFree = append(n.spawnFree, rec)
@@ -254,19 +234,17 @@ func (n *node) freeSpawn(rec *spawnRecord) {
 
 // newPath returns an empty FIR path slice from the node-local pool.
 func (n *node) newPath() []amnet.NodeID {
-	if !n.m.relOn {
-		if k := len(n.pathFree); k > 0 {
-			p := n.pathFree[k-1]
-			n.pathFree = n.pathFree[:k-1]
-			return p
-		}
+	if k := len(n.pathFree); k > 0 {
+		p := n.pathFree[k-1]
+		n.pathFree = n.pathFree[:k-1]
+		return p
 	}
 	return make([]amnet.NodeID, 0, firMaxHops+1)
 }
 
 // freePath recycles a consumed FIR path.
 func (n *node) freePath(p []amnet.NodeID) {
-	if n.m.relOn || cap(p) == 0 {
+	if cap(p) == 0 {
 		return
 	}
 	if len(n.pathFree) < pathPoolCap {

@@ -84,3 +84,46 @@ func FuzzFIRRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLocRoundTrip checks the two codecs every other word encoding is
+// built from: packNodes/unpackNodes and locPacket/decodeLoc.  Each field
+// is compared on its own, and the seeds are the boundary values — NoNode
+// (all ones as a uint32), the largest node id, the top bit and all ones
+// of a sequence word — in every position at once, so a narrowed
+// conversion, a shift that drops the high half, two fields sharing bits
+// and a swapped field order each fail some comparison.
+func FuzzLocRoundTrip(f *testing.F) {
+	nodes := []int32{int32(amnet.NoNode), 0, 1, 1 << 16, math.MaxInt32, math.MinInt32}
+	seqs := []uint64{0, 1, 1 << 32, 1 << 63, math.MaxUint64}
+	for i, birth := range nodes {
+		for j, seq := range seqs {
+			// Neighbouring fields take different boundary values.
+			hint, node := nodes[(i+1)%len(nodes)], nodes[(i+2)%len(nodes)]
+			f.Add(seq, birth, hint, node, seqs[(j+1)%len(seqs)], uint8(i), int32(j))
+		}
+	}
+	f.Fuzz(func(t *testing.T, aseq uint64, birth, hint, node int32, seq uint64, h uint8, dst int32) {
+		a, b := unpackNodes(packNodes(amnet.NodeID(birth), amnet.NodeID(hint)))
+		if a != amnet.NodeID(birth) || b != amnet.NodeID(hint) {
+			t.Fatalf("nodes round trip: (%d, %d) -> (%d, %d)", birth, hint, a, b)
+		}
+		addr := Addr{Birth: amnet.NodeID(birth), Hint: amnet.NodeID(hint), Seq: aseq}
+		pkt := locPacket(amnet.HandlerID(h), amnet.NodeID(dst), addr, amnet.NodeID(node), seq)
+		if pkt.Handler != amnet.HandlerID(h) || pkt.Dst != amnet.NodeID(dst) {
+			t.Fatalf("routing: handler %d dst %d, want %d %d", pkt.Handler, pkt.Dst, h, dst)
+		}
+		if pkt.Payload != nil || pkt.Data != nil {
+			t.Fatalf("a location triple must ride in the four words alone: %+v", pkt)
+		}
+		gotAddr, gotNode, gotSeq := decodeLoc(pkt)
+		if gotAddr.Birth != addr.Birth || gotAddr.Hint != addr.Hint || gotAddr.Seq != addr.Seq {
+			t.Fatalf("addr round trip: got %+v, want %+v", gotAddr, addr)
+		}
+		if gotNode != amnet.NodeID(node) {
+			t.Fatalf("node round trip: got %d, want %d", gotNode, node)
+		}
+		if gotSeq != seq {
+			t.Fatalf("seq round trip: got %#x, want %#x", gotSeq, seq)
+		}
+	})
+}

@@ -114,10 +114,8 @@ func (s LDState) String() string {
 // name server is a substrate below the kernel.
 //
 // The 72-byte size is part of the performance contract (one descriptor
-// per live actor, arena-allocated): the pin below makes halvet-wiresym
-// fail the build if a field lands the struct on a new size bucket.
-//
-//halvet:wire LD size=72
+// per live actor, arena-allocated): TestLDSize fails if a field lands
+// the struct on a new size bucket.
 type LD struct {
 	State LDState
 	// FIRSent dedupes forwarding-information requests per descriptor:

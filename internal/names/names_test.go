@@ -4,9 +4,22 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hal/internal/amnet"
 )
+
+// TestLDSize pins the descriptor's size: arenas hold one LD per live
+// actor, so a field that lands the struct on a new size bucket is a
+// memory and creation-cost regression that nothing else would notice.
+func TestLDSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 72-byte pin is for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(LD{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(LD{}) = %d, want 72", got)
+	}
+}
 
 func TestAddrNil(t *testing.T) {
 	if !Nil.IsNil() {
