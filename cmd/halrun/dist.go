@@ -102,8 +102,7 @@ func runDistLeader(network, addr string, workers int, spec distSpec, faulty, sta
 	m.Shutdown()
 	obsErr := finishObs()
 	if stats {
-		fmt.Print(m.Stats())
-		printWireStats(t)
+		fmt.Print(m.Stats()) // wire counters included
 	}
 	switch {
 	case runErr != nil:
@@ -143,7 +142,6 @@ func runDistWorker(network, addr string, stats bool,
 	obsErr := finishObs()
 	if stats {
 		fmt.Print(m.Stats())
-		printWireStats(t)
 	}
 	if waitErr != nil {
 		return waitErr
@@ -277,11 +275,4 @@ func encodeSpec(spec distSpec) ([]byte, error) {
 
 func spanString(lo, hi amnet.NodeID) string {
 	return fmt.Sprintf("[%d,%d)", int(lo), int(hi))
-}
-
-func printWireStats(t *sock.Transport) {
-	ws := t.TransportStats()
-	fmt.Printf("wire: sent=%d recvd=%d out=%dB in=%dB dropped=%d redials=%d ctl-sent=%d ctl-recvd=%d\n",
-		ws.WireSent, ws.WireRecvd, ws.WireBytesOut, ws.WireBytesIn,
-		ws.WireDropped, ws.Redials, ws.CtlSent, ws.CtlRecvd)
 }

@@ -553,6 +553,12 @@ func (ep *Endpoint) sendRemote(p Packet, urgent bool) {
 	}
 	ep.stats.SendStalls++
 	for !r.TrySend(p, urgent) {
+		if ep.net.injectDiscard.Load() {
+			// The machine is shutting down.  A transport holds packets
+			// for a peer that may never come back, and nothing here would
+			// take an answer any more: give the packet up, do not wait.
+			return
+		}
 		if ep.depth < maxPollDepth {
 			if q, ok := ep.ring.pop(); ok {
 				ep.consume(q)

@@ -65,12 +65,12 @@ func packetsEqual(a, b amnet.Packet) bool {
 	return true
 }
 
-// TestFrameMetaRoundTrip pins packFrameMeta/unpackFrameMeta field for
-// field: first the boundary values (NoNode is all ones as a uint32, the
-// top bit and all ones of a section length) with neighbouring fields
-// holding different ones, so a narrowed conversion, a dropped high half,
-// two fields sharing bits and a swapped order each show; then random
-// values.
+// TestFrameMetaRoundTrip pins packFrameMeta/unpackFrameMeta and the link
+// word field for field: first the boundary values (NoNode is all ones as
+// a uint32, the top bit and all ones of a section length or a sequence
+// number) with neighbouring fields holding different ones, so a narrowed
+// conversion, a dropped high half, two fields sharing bits and a swapped
+// order each show; then random values.
 func TestFrameMetaRoundTrip(t *testing.T) {
 	check := func(src, dst amnet.NodeID, h amnet.HandlerID, payLen, dataLen uint32) {
 		t.Helper()
@@ -78,6 +78,10 @@ func TestFrameMetaRoundTrip(t *testing.T) {
 		if gs != src || gd != dst || gh != h || gp != payLen || gl != dataLen {
 			t.Fatalf("meta round trip: (%d,%d,%d,%d,%d) -> (%d,%d,%d,%d,%d)",
 				src, dst, h, payLen, dataLen, gs, gd, gh, gp, gl)
+		}
+		// The section lengths double as a (seq, ack) pair.
+		if seq, ack := unpackLink(packLink(payLen, dataLen)); seq != payLen || ack != dataLen {
+			t.Fatalf("link round trip: (%d,%d) -> (%d,%d)", payLen, dataLen, seq, ack)
 		}
 	}
 	nodes := []amnet.NodeID{amnet.NoNode, 0, 1, 1 << 16, math.MaxInt32, math.MinInt32}
@@ -103,40 +107,58 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var stream bytes.Buffer
 	type sent struct {
-		pkt     amnet.Packet
-		payload []byte
-		ctl     bool
-		kind    uint8
-		body    []byte
+		pkt      amnet.Packet
+		payload  []byte
+		ctl, ack bool
+		kind     uint8
+		body     []byte
+		seq, lnk uint32 // the link word's halves
 	}
 	var wantSeq []sent
 	var buf []byte
 	for i := 0; i < 500; i++ {
 		var err error
-		if rng.Intn(4) == 0 {
-			kind := uint8(rng.Intn(256))
-			body := make([]byte, rng.Intn(64))
-			rng.Read(body)
-			buf, err = appendControlFrame(buf[:0], kind, body)
-			wantSeq = append(wantSeq, sent{ctl: true, kind: kind, body: body})
-		} else {
-			p, payload := randomPacket(rng)
-			buf, err = appendPacketFrame(buf[:0], &p, payload)
-			wantSeq = append(wantSeq, sent{pkt: p, payload: payload})
+		w := sent{seq: rng.Uint32(), lnk: rng.Uint32()}
+		switch rng.Intn(5) {
+		case 0:
+			w.ctl, w.kind = true, uint8(rng.Intn(256))
+			w.body = make([]byte, rng.Intn(64))
+			rng.Read(w.body)
+			buf, err = appendControlFrame(buf[:0], w.kind, w.body)
+		case 1:
+			w.ack, w.seq = true, 0
+			buf = appendAckFrame(buf[:0], w.lnk)
+		default:
+			w.pkt, w.payload = randomPacket(rng)
+			buf, err = appendPacketFrame(buf[:0], &w.pkt, w.payload)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !w.ack {
+			stampLink(buf, w.seq, w.lnk)
+		}
+		wantSeq = append(wantSeq, w)
 		stream.Write(buf)
 	}
 
 	var scratch []byte
 	for i, want := range wantSeq {
-		kind, body, s, err := readFrame(&stream, scratch)
+		h, body, s, err := readFrame(&stream, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		scratch = s
+		kind := h.kind
+		if h.seq != want.seq || h.ack != want.lnk {
+			t.Fatalf("frame %d: link word (%d,%d), want (%d,%d)", i, h.seq, h.ack, want.seq, want.lnk)
+		}
+		if want.ack {
+			if kind != frAck || len(body) != 0 {
+				t.Fatalf("frame %d: kind %d with %d trailing bytes, want a bare ack", i, kind, len(body))
+			}
+			continue
+		}
 		if want.ctl {
 			if kind != frControl {
 				t.Fatalf("frame %d: kind %d, want control", i, kind)
@@ -179,23 +201,30 @@ func TestReadFrameTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(whole); cut++ {
-		_, _, _, err := readFrame(bytes.NewReader(whole[:cut]), nil)
-		if err == nil {
-			t.Fatalf("truncation at %d/%d bytes parsed as a frame", cut, len(whole))
-		}
-		if cut > 4 && err != nil {
-			// Past the header the failure must be the mid-frame wrap, and
-			// it must preserve the io error underneath.
-			if !errorIsUnexpectedEOF(err) {
-				t.Fatalf("truncation at %d: error %v does not wrap an io short-read", cut, err)
+	stampLink(whole, 11, 5)
+	ack := appendAckFrame(nil, 99)
+	for _, fr := range [][]byte{whole, ack} {
+		for cut := 0; cut < len(fr); cut++ {
+			_, _, _, err := readFrame(bytes.NewReader(fr[:cut]), nil)
+			if err == nil {
+				t.Fatalf("truncation at %d/%d bytes parsed as a frame", cut, len(fr))
+			}
+			if cut > 4 && err != nil {
+				// Past the header the failure must be the mid-frame wrap, and
+				// it must preserve the io error underneath.
+				if !errorIsUnexpectedEOF(err) {
+					t.Fatalf("truncation at %d: error %v does not wrap an io short-read", cut, err)
+				}
 			}
 		}
 	}
+	if h, rest, _, err := readFrame(bytes.NewReader(ack), nil); err != nil || h != (frameHead{frAck, 0, 99}) || len(rest) != 0 {
+		t.Fatalf("whole ack frame: head %+v rest %x err %v", h, rest, err)
+	}
 	// The whole frame still parses after all that.
-	kind, body, _, err := readFrame(bytes.NewReader(whole), nil)
-	if err != nil || kind != frPacket {
-		t.Fatalf("whole frame: kind %d err %v", kind, err)
+	h, body, _, err := readFrame(bytes.NewReader(whole), nil)
+	if err != nil || h != (frameHead{frPacket, 11, 5}) {
+		t.Fatalf("whole frame: head %+v err %v", h, err)
 	}
 	got, payload, err := parsePacketBody(body)
 	if err != nil || !packetsEqual(got, p) || string(payload) != "payload" {
@@ -220,15 +249,36 @@ func unwrap(err error) error {
 	return u.Unwrap()
 }
 
-// TestReadFrameLengthBounds pins the corrupt-length-prefix guards: zero
-// and oversized lengths are rejected before any allocation happens.
+// TestReadFrameLengthBounds pins the corrupt-length-prefix guards: zero,
+// shorter-than-a-head and oversized lengths are rejected before any
+// allocation happens.
 func TestReadFrameLengthBounds(t *testing.T) {
-	for _, n := range []uint32{0, maxFrameBody + 1, math.MaxUint32} {
+	for _, n := range []uint32{0, frameHeadBytes - 1, maxFrameBody + 1, math.MaxUint32} {
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], n)
 		if _, _, _, err := readFrame(bytes.NewReader(hdr[:]), nil); err == nil {
 			t.Fatalf("length %d accepted", n)
 		}
+	}
+}
+
+// TestAckFrameLength pins the ack frame's exact size: its body is the
+// kind byte and the link word, and one with anything after them is a
+// corrupt stream, not an ack with options.
+func TestAckFrameLength(t *testing.T) {
+	fr := appendAckFrame(nil, 7)
+	if len(fr) != ackFrameBytes {
+		t.Fatalf("ack frame is %d bytes, want %d", len(fr), ackFrameBytes)
+	}
+	long := append(append([]byte(nil), fr...), 0xEE)
+	binary.LittleEndian.PutUint32(long, frameHeadBytes+1)
+	if _, _, _, err := readFrame(bytes.NewReader(long), nil); err == nil {
+		t.Fatal("ack frame with a trailing byte accepted")
+	}
+	// The same length is fine on a frame kind that has a body.
+	long[frameKindOff] = frControl
+	if h, rest, _, err := readFrame(bytes.NewReader(long), nil); err != nil || h.kind != frControl || len(rest) != 1 {
+		t.Fatalf("one-byte control frame: head %+v rest %x err %v", h, rest, err)
 	}
 }
 
@@ -239,7 +289,7 @@ func TestParsePacketBodyCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := whole[5:] // strip length prefix + kind byte
+	body := whole[frameMetaOff:] // strip length prefix, kind byte and link word
 
 	if _, _, err := parsePacketBody(body[:packetFixed-1]); err == nil {
 		t.Fatal("short fixed section accepted")
@@ -268,7 +318,9 @@ func TestParsePacketBodyCorruption(t *testing.T) {
 
 // TestReadFrameScratchReuse proves the scratch buffer grows once and is
 // reused: the returned body aliases it, matching the documented contract
-// that callers consume the body before the next readFrame.
+// that callers consume the body before the next readFrame.  After the
+// first frame a read allocates nothing — the length prefix lands in the
+// scratch buffer too.
 func TestReadFrameScratchReuse(t *testing.T) {
 	var stream bytes.Buffer
 	var buf []byte
@@ -291,5 +343,17 @@ func TestReadFrameScratchReuse(t *testing.T) {
 			t.Fatalf("scratch reallocated on same-size frame: %d -> %d", lastCap, cap(s))
 		}
 		lastCap = cap(s)
+	}
+	if raceEnabled {
+		return // the detector's instrumentation allocates
+	}
+	r := bytes.NewReader(buf)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(buf)
+		if _, _, scratch, _ = readFrame(r, scratch); len(scratch) == 0 {
+			t.Fatal("readFrame lost the scratch buffer")
+		}
+	}); n != 0 {
+		t.Fatalf("readFrame allocates %v times per frame with a warm scratch buffer, want 0", n)
 	}
 }

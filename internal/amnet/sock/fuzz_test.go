@@ -28,6 +28,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		VT: 2.5, Seq: 77, Data: []float64{1, 2}}
 	seed2, _ := appendPacketFrame(nil, &p, []byte{0xCA, 0xFE})
 	f.Add(seed2)
+	f.Add(appendAckFrame(nil, 1<<31))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// Direction 1: bytes -> packet -> frame -> packet.
@@ -59,9 +60,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("framing a bounded packet failed: %v", err)
 		}
-		kind, body, _, err := readFrame(bytes.NewReader(frame), nil)
-		if err != nil || kind != frPacket {
-			t.Fatalf("reading own frame: kind %d err %v", kind, err)
+		seq, ack := unpackLink(word(8) ^ word(3))
+		stampLink(frame, seq, ack)
+		h, body, _, err := readFrame(bytes.NewReader(frame), nil)
+		if err != nil || h != (frameHead{frPacket, seq, ack}) {
+			t.Fatalf("reading own frame: head %+v err %v, want seq %d ack %d", h, err, seq, ack)
 		}
 		got, gotPayload, err := parsePacketBody(body)
 		if err != nil {
@@ -79,12 +82,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		r := bytes.NewReader(in)
 		var scratch []byte
 		for {
-			kind, body, s, err := readFrame(r, scratch)
+			h, body, s, err := readFrame(r, scratch)
 			if err != nil {
 				break
 			}
 			scratch = s
-			switch kind {
+			switch h.kind {
 			case frPacket:
 				if p, payload, err := parsePacketBody(body); err == nil {
 					_ = p

@@ -3,6 +3,7 @@ package sock
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -21,7 +22,7 @@ const (
 	kAssign                     // leader -> worker: index, layout, spec blob
 	kReady                      // worker -> leader: my listener address
 	kPeers                      // leader -> worker: everyone's addresses
-	kMesh                       // dialer -> acceptor: who this connection is from
+	kMesh                       // dialer <-> acceptor: who this is, and the last seq it delivered
 	kLinked                     // worker -> leader: full mesh established
 	kGo                         // leader -> worker: start
 )
@@ -38,8 +39,11 @@ type (
 	}
 	readyMsg struct{ Addr string }
 	peersMsg struct{ Addrs []string }
-	meshMsg  struct{ From int }
-	okMsg    struct{}
+	meshMsg  struct {
+		From int
+		Last uint32
+	}
+	okMsg struct{}
 )
 
 type closedError struct{}
@@ -47,6 +51,10 @@ type closedError struct{}
 func (closedError) Error() string { return "sock: transport closed" }
 
 var errClosed = closedError{}
+
+// errCtlBacklog refuses a control message when ctlBacklogCap are already
+// queued: the peer has been unreachable for a long time.
+var errCtlBacklog = errors.New("sock: control backlog full")
 
 // handshakeTimeout bounds every blocking step of machine boot; a worker
 // that never shows up fails the leader loudly instead of hanging CI.
@@ -85,6 +93,9 @@ type transportCounters struct {
 	redials      atomic.Uint64
 	ctlSent      atomic.Uint64
 	ctlRecvd     atomic.Uint64
+	replayed     atomic.Uint64
+	ackFrames    atomic.Uint64
+	dupFrames    atomic.Uint64
 }
 
 var _ amnet.Transport = (*Transport)(nil)
@@ -202,7 +213,7 @@ func Listen(cfg LeaderConfig) (*Transport, *names.Registry, error) {
 	for i := 1; i < procs; i++ {
 		t.links[i] = newLink(t, i, "", "")
 		conns[i].SetDeadline(time.Time{})
-		t.links[i].install(conns[i])
+		t.links[i].install(conns[i], seqBase)
 	}
 	t.startLoops()
 	return t, reg, nil
@@ -280,12 +291,13 @@ func Join(network, addr string) (*Transport, *names.Registry, []byte, error) {
 		if perr != nil {
 			return fail(fmt.Errorf("sock: dialing peer %d at %s: %w", p, peers.Addrs[p], perr))
 		}
-		if perr := writeCtl(pc, kMesh, mustGob(meshMsg{From: as.Idx})); perr != nil {
+		t.links[p] = newLink(t, p, network, peers.Addrs[p])
+		peerLast, perr := t.links[p].helloDial(pc)
+		if perr != nil {
 			pc.Close()
 			return fail(perr)
 		}
-		t.links[p] = newLink(t, p, network, peers.Addrs[p])
-		t.links[p].install(pc)
+		t.links[p].install(pc, peerLast)
 	}
 	// Accept every higher-indexed worker.
 	for k := as.Idx + 1; k < as.Procs; k++ {
@@ -302,7 +314,10 @@ func Join(network, addr string) (*Transport, *names.Registry, []byte, error) {
 			return fail(fmt.Errorf("sock: unexpected mesh hello from %d", mm.From))
 		}
 		t.links[mm.From] = newLink(t, mm.From, "", "")
-		t.links[mm.From].install(pc)
+		if perr := t.links[mm.From].helloAccept(pc, mm); perr != nil {
+			pc.Close()
+			return fail(perr)
+		}
 	}
 	if err := writeCtl(conn, kLinked, mustGob(okMsg{})); err != nil {
 		return fail(err)
@@ -311,7 +326,7 @@ func Join(network, addr string) (*Transport, *names.Registry, []byte, error) {
 		return fail(err)
 	}
 	conn.SetDeadline(time.Time{})
-	t.links[0].install(conn)
+	t.links[0].install(conn, seqBase)
 	t.startLoops()
 	return t, reg, as.Blob, nil
 }
@@ -371,14 +386,52 @@ func (t *Transport) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		conn.SetDeadline(time.Time{})
 		if mm.From < 0 || mm.From >= t.procs || t.links[mm.From] == nil {
 			conn.Close()
 			continue
 		}
+		if err := t.links[mm.From].helloAccept(conn, mm); err != nil {
+			conn.Close()
+			continue
+		}
 		t.stats.redials.Add(1)
-		t.links[mm.From].install(conn)
 	}
+}
+
+// The resync handshake.  Both ends of a new connection tell each other
+// the last sequence number they delivered; each installs the connection
+// with the peer's value, and its writer trims the window to it and
+// replays the rest before anything new.  A value read while an old
+// reader is still delivering can only be low, which costs a few replayed
+// frames the reader then drops.
+
+// helloDial runs the dialing side: identify, report, hear back.
+func (l *link) helloDial(conn net.Conn) (peerLast uint32, err error) {
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	defer conn.SetDeadline(time.Time{})
+	if err := writeCtl(conn, kMesh, mustGob(meshMsg{From: l.t.self, Last: l.delivered()})); err != nil {
+		return 0, err
+	}
+	var mm meshMsg
+	if err := expectCtlInto(conn, kMesh, &mm); err != nil {
+		return 0, err
+	}
+	if mm.From != l.peer {
+		return 0, fmt.Errorf("sock: dialed peer %d, reached %d", l.peer, mm.From)
+	}
+	return mm.Last, nil
+}
+
+// helloAccept answers the hello an acceptor just read from conn and
+// installs the connection.
+func (l *link) helloAccept(conn net.Conn, hello meshMsg) error {
+	err := writeCtl(conn, kMesh, mustGob(meshMsg{From: l.t.self, Last: l.delivered()}))
+	conn.SetDeadline(time.Time{})
+	if err != nil {
+		return err
+	}
+	l.install(conn, hello.Last)
+	return nil
 }
 
 // --- amnet.Transport ----------------------------------------------------
@@ -403,31 +456,35 @@ func (t *Transport) TrySend(p amnet.Packet, urgent bool) bool {
 	return l.offer(p, urgent)
 }
 
-// SendControl delivers an out-of-band control message to peer (or to
-// every peer when peer < 0), blocking for queue space.
+// SendControl queues an out-of-band control message for peer (or for
+// every peer when peer < 0).  It does not wait for the wire: the message
+// goes out ahead of queued packets, exactly once, after any redial.  An
+// error means this link did not take it (transport closed, or a backlog
+// of ctlBacklogCap behind a peer that is not coming back); a broadcast
+// still reaches the other peers and returns the first failure.
 func (t *Transport) SendControl(peer int, kind uint8, body []byte) error {
 	if kind >= kHello {
 		return fmt.Errorf("sock: control kind %#x collides with the transport-internal range", kind)
 	}
-	if peer < 0 {
-		for i, l := range t.links {
-			if l == nil {
-				continue
-			}
-			b := make([]byte, len(body))
-			copy(b, body)
-			if err := l.sendCtl(kind, b); err != nil {
-				return fmt.Errorf("sock: control to peer %d: %w", i, err)
-			}
+	if len(body) > maxFrameBody-frameHeadBytes-1 {
+		return fmt.Errorf("sock: control body %d exceeds the frame cap", len(body))
+	}
+	if peer >= 0 {
+		if peer >= t.procs || t.links[peer] == nil {
+			return fmt.Errorf("sock: no link to peer %d", peer)
 		}
-		return nil
+		return t.links[peer].sendCtl(kind, bytes.Clone(body))
 	}
-	if peer >= t.procs || t.links[peer] == nil {
-		return fmt.Errorf("sock: no link to peer %d", peer)
+	var first error
+	for i, l := range t.links {
+		if l == nil {
+			continue
+		}
+		if err := l.sendCtl(kind, bytes.Clone(body)); err != nil && first == nil {
+			first = fmt.Errorf("sock: control to peer %d: %w", i, err)
+		}
 	}
-	b := make([]byte, len(body))
-	copy(b, body)
-	return t.links[peer].sendCtl(kind, b)
+	return first
 }
 
 // OnControl installs the control receiver; must be called before Start.
@@ -462,13 +519,28 @@ func (t *Transport) TransportStats() amnet.TransportStats {
 		Redials:      t.stats.redials.Load(),
 		CtlSent:      t.stats.ctlSent.Load(),
 		CtlRecvd:     t.stats.ctlRecvd.Load(),
+		Replayed:     t.stats.replayed.Load(),
+		AckFrames:    t.stats.ackFrames.Load(),
+		DupFrames:    t.stats.dupFrames.Load(),
 	}
+}
+
+// LinkStates snapshots every link, by peer index.
+func (t *Transport) LinkStates() []amnet.LinkState {
+	var out []amnet.LinkState
+	for _, l := range t.links {
+		if l != nil {
+			out = append(out, l.state())
+		}
+	}
+	return out
 }
 
 func (t *Transport) isClosed() bool { return t.closed.Load() }
 
 // Close tears the mesh down: the listener and every connection close,
-// blocked sends and injects unwind, and all goroutines join.
+// blocked injects unwind, all goroutines join, and whatever was still
+// queued is discarded (counted in WireDropped).
 func (t *Transport) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -494,9 +566,8 @@ func (t *Transport) Close() error {
 }
 
 // Bounce force-closes the connection to peer, exercising the redial
-// path: in-flight frames are lost (a fault-plan event for the kernel's
-// reliable layer) and the dialing side re-establishes the link.  Test
-// hook; safe from any goroutine.
+// path: the dialing side re-establishes the link and both writers replay
+// whatever the cut took with it.  Test hook; safe from any goroutine.
 func (t *Transport) Bounce(peer int) {
 	if peer >= 0 && peer < len(t.links) && t.links[peer] != nil {
 		t.links[peer].bounce()
@@ -532,12 +603,12 @@ func writeCtl(conn net.Conn, kind uint8, body []byte) error {
 // expectCtl reads one frame and requires a control frame of the given
 // kind, returning its body.
 func expectCtl(conn net.Conn, want uint8) (uint8, []byte, error) {
-	kind, body, _, err := readFrame(conn, nil)
+	h, body, _, err := readFrame(conn, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	if kind != frControl {
-		return 0, nil, fmt.Errorf("sock: handshake expected a control frame, got kind %d", kind)
+	if h.kind != frControl {
+		return 0, nil, fmt.Errorf("sock: handshake expected a control frame, got kind %d", h.kind)
 	}
 	ck, rest, err := parseControlBody(body)
 	if err != nil {

@@ -348,13 +348,23 @@ func TestBounceRedialsAndRecovers(t *testing.T) {
 	llo, _ := m.regs[0].SpanOf(0)
 
 	// Kill the pair's connection mid-mesh several times; each time the
-	// worker (the dialing side) must re-establish it and traffic must
-	// flow again.  TrySend may drop while the link is down — that is the
-	// contract (reliable delivery is the kernel layer's job) — so send
-	// until one arrives.
+	// worker (the dialing side) must re-establish it, and a packet offered
+	// once — whether it lands before, during or after the redial — must
+	// arrive once, in both directions.
 	for round := 0; round < 3; round++ {
 		before := worker.TransportStats().Redials
 		leader.Bounce(1)
+		marker := uint64(1000 + round)
+		if !leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: marker}, true) ||
+			!worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: marker}, true) {
+			t.Fatalf("round %d: TrySend refused with a near-empty queue", round)
+		}
+		if p := recvPacket(t, wn); p.U0 != marker {
+			t.Fatalf("round %d: worker got U0 %d, want %d", round, p.U0, marker)
+		}
+		if p := recvPacket(t, ln); p.U0 != marker {
+			t.Fatalf("round %d: leader got U0 %d, want %d", round, p.U0, marker)
+		}
 		deadline := time.Now().Add(bootTimeout)
 		for worker.TransportStats().Redials == before {
 			if time.Now().After(deadline) {
@@ -362,36 +372,9 @@ func TestBounceRedialsAndRecovers(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		marker := uint64(1000 + round)
-		delivered := false
-		for !delivered && time.Now().Before(deadline) {
-			leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: marker}, true)
-			select {
-			case p := <-wn.got:
-				if p.U0 == marker {
-					delivered = true
-				}
-			case <-time.After(20 * time.Millisecond):
-			}
-		}
-		if !delivered {
-			t.Fatalf("round %d: no packet crossed the redialed link", round)
-		}
-		// The reverse direction heals too (the leader re-accepted).
-		delivered = false
-		for !delivered && time.Now().Before(deadline) {
-			worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: marker}, true)
-			select {
-			case p := <-ln.got:
-				if p.U0 == marker {
-					delivered = true
-				}
-			case <-time.After(20 * time.Millisecond):
-			}
-		}
-		if !delivered {
-			t.Fatalf("round %d: no packet crossed back after re-accept", round)
-		}
+	}
+	if d := leader.TransportStats().WireDropped + worker.TransportStats().WireDropped; d != 0 {
+		t.Errorf("WireDropped = %d across the bounces, want 0", d)
 	}
 }
 
@@ -439,27 +422,43 @@ func TestTCPMesh(t *testing.T) {
 	}
 }
 
-func TestCloseIsIdempotentAndDropsWhileDown(t *testing.T) {
-	const nodes = 4
-	addr := filepath.Join(t.TempDir(), "hal.sock")
-	m := bootMesh(t, "unix", addr, 1, nodes, nil)
-	leader := m.byIdx(0)
-	startWireNode(t, leader, m.regs[m.slotOf(leader)], nodes)
+// TestCloseIsIdempotentQueuedWhileDownReplayedOnInstall pins what a link
+// does with packets it cannot send yet.  Down: they queue, and go out —
+// once, in order — when a connection is installed.  Closed: they are
+// swallowed and counted, so a kernel mid-send never spins on a corpse.
+func TestCloseIsIdempotentQueuedWhileDownReplayedOnInstall(t *testing.T) {
+	p := newLonePeer(t)
+	// No connection yet: the link is down, and takes packets anyway.
+	for i := uint64(1); i <= 3; i++ {
+		if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1, U0: i}, false) {
+			t.Fatalf("TrySend %d refused while the link was down", i)
+		}
+	}
+	if d := p.tr.TransportStats().WireDropped; d != 0 {
+		t.Fatalf("WireDropped = %d while down, want 0 (queued, not dropped)", d)
+	}
+	far := p.connect(t, seqBase)
+	for i := uint64(1); i <= 3; i++ {
+		h, pkt := far.readPacket(t)
+		if h.seq != seqBase+uint32(i) || pkt.U0 != i {
+			t.Fatalf("frame %d after install: seq %d U0 %d", i, h.seq, pkt.U0)
+		}
+	}
 
-	if err := leader.Close(); err != nil {
+	if err := p.tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := leader.Close(); err != nil {
+	if err := p.tr.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	// After close the links are down: offers are swallowed (and counted)
-	// rather than refused, so a kernel mid-send never spins on a corpse.
-	wlo, _ := m.regs[0].SpanOf(1)
-	before := leader.TransportStats().WireDropped
-	if !leader.TrySend(amnet.Packet{Handler: hEcho, Dst: wlo}, false) {
+	before := p.tr.TransportStats().WireDropped
+	if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1}, false) {
 		t.Error("TrySend on a closed transport should accept-and-drop, not refuse")
 	}
-	if got := leader.TransportStats().WireDropped; got != before+1 {
+	if got := p.tr.TransportStats().WireDropped; got != before+1 {
 		t.Errorf("WireDropped = %d, want %d", got, before+1)
+	}
+	if err := p.tr.SendControl(1, 0x21, nil); err == nil {
+		t.Error("SendControl on a closed transport succeeded")
 	}
 }

@@ -39,10 +39,9 @@ type Transport interface {
 	TrySend(p Packet, urgent bool) bool
 	// SendControl delivers an out-of-band control message to one peer
 	// process (peer < 0 broadcasts to all others).  Control messages
-	// bypass packet framing and the payload codec; the kernel's
-	// distributed termination protocol rides here.  Unlike TrySend it
-	// may block for backpressure and must not be called from node
-	// kernel goroutines.
+	// bypass packet framing, the payload codec and packet backpressure;
+	// the kernel's distributed termination protocol rides here.  It may
+	// take locks and must not be called from node kernel goroutines.
 	SendControl(peer int, kind uint8, body []byte) error
 	// OnControl installs the control-message receiver, called on
 	// transport reader goroutines.  Must be set before Start.
@@ -57,6 +56,9 @@ type Transport interface {
 	Start(nw *Network) error
 	// TransportStats returns a snapshot of wire counters.
 	TransportStats() TransportStats
+	// LinkStates describes each link to a peer process, for flight
+	// records; nil when there are none.
+	LinkStates() []LinkState
 	// Close tears the transport down; blocked TrySend retry loops and
 	// Inject calls unwind.
 	Close() error
@@ -78,14 +80,28 @@ type PayloadCodec interface {
 // TransportStats counts wire traffic.  All counters are cumulative since
 // Start.
 type TransportStats struct {
-	WireSent     uint64 // packet frames written
+	WireSent     uint64 // non-control frames written: packets, replays of them, standalone acks
 	WireRecvd    uint64 // packet frames delivered to local endpoints
 	WireBytesOut uint64 // frame bytes written, length prefixes included
 	WireBytesIn  uint64 // frame bytes read
-	WireDropped  uint64 // outbound packets dropped while a link was down
+	WireDropped  uint64 // outbound packets discarded because the transport was closed
 	Redials      uint64 // connections re-established after a failure
 	CtlSent      uint64 // control messages written
 	CtlRecvd     uint64 // control messages delivered
+	Replayed     uint64 // frames re-sent after a redial
+	AckFrames    uint64 // standalone ack frames written (no reverse traffic to ride on)
+	DupFrames    uint64 // replayed frames the reader had already delivered, and dropped
+}
+
+// LinkState is one process-pair link as a flight record shows it.
+type LinkState struct {
+	Peer     int
+	Up       bool
+	Gen      int    // connections this link has been given so far
+	Unacked  uint32 // frames written that the peer has not acknowledged
+	SentSeq  uint32 // sequence number of the last frame written
+	AckedSeq uint32 // highest sequence number the peer has acknowledged
+	RecvSeq  uint32 // highest sequence number delivered from the peer
 }
 
 // --- the in-memory fabric as the first Transport ------------------------
@@ -134,6 +150,9 @@ func (nw *Network) Start(attached *Network) error { return nil }
 
 // TransportStats is all zeros: ring traffic is counted per-endpoint.
 func (nw *Network) TransportStats() TransportStats { return TransportStats{} }
+
+// LinkStates is nil: there are no peer processes.
+func (nw *Network) LinkStates() []LinkState { return nil }
 
 // Close is a no-op.
 func (nw *Network) Close() error { return nil }

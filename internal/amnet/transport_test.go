@@ -147,6 +147,7 @@ func (f *fakeWire) Start(nw *Network) error {
 }
 
 func (f *fakeWire) TransportStats() TransportStats { return TransportStats{} }
+func (f *fakeWire) LinkStates() []LinkState        { return nil }
 
 func (f *fakeWire) Close() error {
 	select {
@@ -320,6 +321,37 @@ func TestSendRemoteStallsAndRecovers(t *testing.T) {
 	}
 	if sa := na.Endpoint(0).Stats(); sa.SendStalls == 0 {
 		t.Error("a 2-slot wire under a 64-packet burst should record SendStalls")
+	}
+}
+
+// TestSendRemoteGivesUpWhenDiscarding is the other way out of the stall
+// loop: a transport may hold packets for a peer that never comes back
+// (a socket link that is down queues, and refuses when full), so once
+// the machine is shutting down a stalled sender drops its packet and
+// returns instead of polling forever.
+func TestSendRemoteGivesUpWhenDiscarding(t *testing.T) {
+	wa, _ := newFakePair(1, 2) // nobody ever drains the 2-slot wire
+	na, err := NewNetwork(Config{Nodes: 2, Remote: wa})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 8; i++ {
+			na.Endpoint(0).Send(Packet{Handler: 9, Dst: 1})
+		}
+	}()
+	select {
+	case <-done:
+		t.Fatal("8 sends fit a 2-slot wire")
+	case <-time.After(10 * time.Millisecond):
+	}
+	na.SetInjectDiscard(true)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a stalled sender outlived the machine's shutdown")
 	}
 }
 

@@ -94,9 +94,9 @@ type Config struct {
 	Faults *amnet.FaultPlan
 
 	// RetryMax caps the exponential backoff between retransmits of an
-	// unacknowledged control packet (fault injection and dist machines
-	// only; the first timeout is retryBase).  Default 10ms, 250ms on a
-	// dist machine.
+	// unacknowledged control packet (only with Faults set — a dist
+	// machine without them retries nothing; the first timeout is
+	// retryBase).  Default 10ms, 250ms on a dist machine.
 	RetryMax time.Duration
 	// RetryBudget is how many retransmissions a control packet gets
 	// before it is abandoned and dead-lettered.  Default 24.
@@ -185,9 +185,9 @@ func (d *DistConfig) validate(nodes int) error {
 const stealBackoffBase = 20 * time.Microsecond
 
 // retryBase is the first retransmit timeout of an unacknowledged control
-// packet.  A wire ack pays two socket hops plus both kernels' poll
-// boundaries; the in-memory value sits below that RTT and would
-// retransmit almost every packet.  Worse, a budget of patient-for-230ms
+// packet, under fault injection.  A wire ack pays two socket hops plus
+// both kernels' poll boundaries; the in-memory value sits below that RTT
+// and would retransmit almost every packet.  Worse, a budget of patient-for-230ms
 // can exhaust on a DELIVERED packet whose acks are merely slow, and
 // escalation then retires units the receiver also consumed — the
 // cross-process counters go negative and the run stalls instead of

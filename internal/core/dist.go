@@ -10,9 +10,9 @@ import (
 
 // The cross-process control plane of a machine spanning several OS
 // processes (Config.Dist).  Kernel packets travel the transport's packet
-// lane and stay on the node kernels' reliable-delivery path; this file is
-// the out-of-band lane: distributed termination detection, result
-// collection, and the shutdown handshake.
+// lane, which delivers them exactly once and in order on its own; this
+// file is the out-of-band lane: distributed termination detection,
+// result collection, and the shutdown handshake.
 //
 // Termination uses Mattern's four-counter method.  Each process keeps two
 // cumulative counters per program — units created and units consumed
@@ -215,13 +215,7 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 			lastChange = time.Now()
 		}
 		if st := d.m.cfg.StallTimeout; st > 0 && anyLive && time.Since(lastChange) > st {
-			detail := fmt.Sprintf("cross-process counters stable for %v with %d unit(s) outstanding", st, outstanding)
-			err := fmt.Errorf("%w: %s", ErrStalled, detail)
-			if d.m.relExhausted.Load() {
-				err = fmt.Errorf("%w (control-plane retry budget exhausted; see NodeStats.RetryExhausted)", err)
-			}
-			d.broadcastShutdown(true, detail)
-			d.m.finish(err)
+			d.stall(fmt.Sprintf("cross-process counters stable for %v with %d unit(s) outstanding", st, outstanding))
 			return
 		}
 
@@ -235,10 +229,28 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 	}
 }
 
+// stall ends the run as stalled: the flight record is written while the
+// kernels and links still show why (a peer that never came back reads
+// there as a down link with frames unacknowledged), the workers are
+// told, and the machine stops with ErrStalled.
+func (d *distState) stall(detail string) {
+	if d.m.cfg.FlightPath != "" {
+		d.m.writeFlightFile()
+	}
+	err := fmt.Errorf("%w: %s", ErrStalled, detail)
+	if d.m.relExhausted.Load() {
+		err = fmt.Errorf("%w (control-plane retry budget exhausted; see NodeStats.RetryExhausted)", err)
+	}
+	d.broadcastShutdown(true, detail)
+	d.m.finish(err)
+}
+
 // collectWave broadcasts a probe and blocks until every worker has
-// answered for this wave.  Probes and reports can be lost when a
-// connection dies mid-frame, so the probe is re-broadcast periodically;
-// workers answer every copy (reports are idempotent snapshots).
+// answered for this wave.  The transport delivers control messages
+// exactly once but may refuse one (a long backlog behind a dead peer),
+// so the probe is re-broadcast periodically; workers answer every copy
+// (reports are idempotent snapshots).  A worker that stays silent past
+// the deadline is a stall like any other.
 //
 //halvet:allowwallclock probe retransmission and the worker-silence deadline pace on the host clock — lost control frames leave no VT signal
 func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]reportMsg, bool) {
@@ -277,9 +289,7 @@ func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]repo
 			resent = time.Now()
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			err := fmt.Errorf("core: worker process stopped answering termination probes (wave %d)", wave)
-			d.broadcastShutdown(false, err.Error())
-			d.m.finish(err)
+			d.stall(fmt.Sprintf("a worker process stopped answering termination probes (wave %d)", wave))
 			return nil, false
 		}
 	}
@@ -320,8 +330,9 @@ func (d *distState) broadcastShutdown(stalled bool, msg string) {
 }
 
 // awaitByes blocks (bounded) until every worker acknowledged the
-// shutdown, re-broadcasting it against control-frame loss.  Workers that
-// already died simply time the wait out.
+// shutdown, re-broadcasting it for workers that were not listening yet.
+// Workers that already died simply time the wait out; a transport that
+// no longer takes the message ends it at once.
 //
 //halvet:allowwallclock the shutdown handshake is host-side teardown, after the simulation stopped
 func (d *distState) awaitByes() {
@@ -334,7 +345,9 @@ func (d *distState) awaitByes() {
 		if n >= d.procs-1 || time.Now().After(deadline) {
 			return
 		}
-		d.t.SendControl(-1, dcShutdown, sm.encode())
+		if d.t.SendControl(-1, dcShutdown, sm.encode()) != nil {
+			return
+		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +20,7 @@ import (
 // "process" is a Machine + sock.Transport pair inside this test binary,
 // talking over real unix-domain sockets in a temp directory.  Everything
 // but the OS process boundary is the production path — handshake, frame
-// codec, payload codec, reliable delivery, the termination control plane
+// codec, payload codec, the link protocol, the termination control plane
 // — and the race detector sees all sides at once.
 
 // distRig is one multi-process machine: machines[0] is the leader.
@@ -325,19 +328,14 @@ func TestDistExitNow(t *testing.T) {
 }
 
 // TestDistChaosBounce runs the spawn-everywhere workload while killing
-// every wire link mid-run: the reliable layer (sequencing, dedup,
-// retries) must absorb the lost frames and still converge to the right
-// answer.
+// every wire link mid-run.  The kernel's reliable layer is off (no
+// FaultPlan): the socket links alone must replay what each cut took and
+// drop what they replay twice, so the runs converge to the right answer
+// with not one kernel retry, dedup or dead letter.
 func TestDistChaosBounce(t *testing.T) {
 	const nodes = 8
 	rig := startDistRig(t, nodes, 3, func(cfg *Config) {
 		cfg.StallTimeout = 30 * time.Second
-		// The chaos keeps links down a large fraction of the time; the
-		// default retry budget (tuned for transient FaultPlan drops) would
-		// legitimately exhaust and dead-letter, so give the reliable layer
-		// room to outlast the bouncing.
-		cfg.RetryBudget = 1 << 20
-		cfg.RetryMax = 5 * time.Millisecond
 	}, registerDistTypes)
 	typ := rig.leader().TypeByName("dist-counter")
 
@@ -387,6 +385,87 @@ func TestDistChaosBounce(t *testing.T) {
 		t.Fatalf("chaos total = %d, want %d", total, want)
 	}
 	rig.shutdown(t)
+	redials := uint64(0)
+	for i, m := range rig.machines {
+		if m.relOn {
+			t.Errorf("process %d: the reliable layer is on without a FaultPlan", i)
+		}
+		st := m.Stats()
+		if tot := st.Total; tot.Retries != 0 || tot.DupsFiltered != 0 || tot.DeadLetters != 0 {
+			t.Errorf("process %d: retries=%d dedup=%d deadletters=%d, want all 0",
+				i, tot.Retries, tot.DupsFiltered, tot.DeadLetters)
+		}
+		if st.Wire.WireDropped != 0 {
+			t.Errorf("process %d: WireDropped = %d, want 0", i, st.Wire.WireDropped)
+		}
+		redials += st.Wire.Redials
+	}
+	if redials == 0 {
+		t.Error("the chaos never bounced a link")
+	}
+}
+
+// TestDistNoReliableLayerWithoutFaults pins which machines run
+// reliable.go: one with a FaultPlan, spanning processes or not, and no
+// other.
+func TestDistNoReliableLayerWithoutFaults(t *testing.T) {
+	for _, faults := range []*amnet.FaultPlan{nil, {Drop: 0.01}} {
+		rig := startDistRig(t, 4, 2, func(cfg *Config) { cfg.Faults = faults }, registerDistTypes)
+		for i, m := range rig.machines {
+			if m.relOn != (faults != nil) {
+				t.Errorf("Faults=%v, process %d: relOn = %v", faults != nil, i, m.relOn)
+			}
+		}
+		rig.shutdown(t)
+	}
+}
+
+// TestDistPeerGoneStalls closes a worker's transport in the middle of a
+// program.  Nothing retries and nothing dead-letters: the leader's links
+// hold what they could not deliver, its stall monitor ends the run with
+// ErrStalled, and the flight record shows the link down with frames
+// unacknowledged.
+func TestDistPeerGoneStalls(t *testing.T) {
+	const nodes = 4
+	flight := filepath.Join(t.TempDir(), "flight.txt")
+	rig := startDistRig(t, nodes, 2, func(cfg *Config) {
+		cfg.StallTimeout = 100 * time.Millisecond
+		cfg.FlightPath = flight
+	}, func(m *Machine) {
+		m.RegisterType("pinger", func(args []any) Behavior {
+			return BehaviorFunc(func(ctx *Context, msg *Message) {
+				ctx.Send(msg.Args[0].(Addr), 1, ctx.Self()) // back and forth, forever
+			})
+		})
+	})
+	typ := rig.leader().TypeByName("pinger")
+	prog, err := rig.leader().Launch(func(ctx *Context) {
+		near, far := ctx.NewOn(0, typ), ctx.NewOn(nodes-1, typ)
+		ctx.Send(far, 1, near)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rig.trans[1].TransportStats().WireRecvd < 100 {
+		time.Sleep(time.Millisecond) // the ping-pong is crossing the wire
+	}
+	rig.trans[1].Close()
+
+	if _, err := prog.Wait(); !errors.Is(err, ErrStalled) {
+		t.Fatalf("Wait returned %v, want ErrStalled", err)
+	}
+	rec, err := os.ReadFile(flight)
+	if err != nil {
+		t.Fatalf("the stall left no flight record: %v", err)
+	}
+	if !strings.Contains(string(rec), "link to process 1: down") {
+		t.Errorf("flight record does not show the dead link:\n%s", rec)
+	}
+	st := rig.leader().StatsNow()
+	if tot := st.Total; tot.Retries != 0 || tot.DeadLetters != 0 {
+		t.Errorf("retries=%d deadletters=%d on the leader, want 0: nothing above the link retries", tot.Retries, tot.DeadLetters)
+	}
+	rig.trans[0].Close() // or the leader's Shutdown waits out its bye timeout on a worker that cannot answer
 }
 
 // TestDistFaultPlan layers the deterministic fault injector on top of

@@ -17,8 +17,8 @@ import (
 // returns.
 
 // WriteFlightRecord writes a human-readable flight record to w: machine
-// gauges, the aggregate stats snapshot, and the newest perNode events per
-// node (perNode <= 0 selects Config.FlightEvents).  Requires
+// gauges, the aggregate stats snapshot, one line per link to another
+// process, and the newest perNode events per node (perNode <= 0 selects Config.FlightEvents).  Requires
 // Config.TraceBuffer > 0 for the event section to be non-empty.
 func (m *Machine) WriteFlightRecord(w io.Writer, perNode int) error {
 	if perNode <= 0 {
@@ -30,6 +30,16 @@ func (m *Machine) WriteFlightRecord(w io.Writer, perNode int) error {
 	fmt.Fprintf(bw, "nodes=%d live=%d parked=%d beat=%d running=%v\n",
 		len(m.nodes), m.live.sum(), m.parked.sum(), m.beat.sum(), m.running.Load())
 	bw.WriteString(st.String())
+	if m.dist != nil {
+		for _, l := range m.dist.t.LinkStates() {
+			state := "down"
+			if l.Up {
+				state = "up"
+			}
+			fmt.Fprintf(bw, "link to process %d: %s gen=%d unacked=%d sent-seq=%d acked-seq=%d recv-seq=%d\n",
+				l.Peer, state, l.Gen, l.Unacked, l.SentSeq, l.AckedSeq, l.RecvSeq)
+		}
+	}
 	for i, n := range m.nodes {
 		evs := n.events.newest(perNode)
 		s := &st.PerNode[i]

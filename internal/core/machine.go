@@ -39,8 +39,10 @@ type Machine struct {
 	costs      CostModel
 	pace       pacer
 
-	// relOn is set when cfg.Faults is non-nil: kernel packets are
-	// sequenced and retried (reliable.go).
+	// relOn is set when cfg.Faults is non-nil, and only then: kernel
+	// packets are sequenced and retried (reliable.go).  A machine that
+	// spans processes does not need it for the wire — the socket link
+	// delivers exactly once across redials on its own.
 	relOn bool
 	// relExhausted latches when any node abandoned a control packet
 	// after its retry budget; it turns a subsequent stall into a clear
@@ -137,10 +139,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Dist != nil {
 		m.local = m.nodes[cfg.Dist.Lo:cfg.Dist.Hi]
 		m.dist = newDistState(m, cfg.Dist)
-		// A dropped connection loses in-flight frames; the reliable layer
-		// (sequencing, acks, retries) makes that just another fault event
-		// even with no FaultPlan injecting any.
-		m.relOn = true
 		cfg.Dist.Transport.SetPayloadCodec(&payloadCodec{m: m})
 		cfg.Dist.Transport.OnControl(m.dist.onCtl)
 	}
@@ -352,6 +350,9 @@ func (m *Machine) Stats() MachineStats {
 		out.PerNode[i] = s
 		out.Total.add(s)
 	}
+	if m.dist != nil {
+		out.Wire = m.dist.t.TransportStats()
+	}
 	return out
 }
 
@@ -372,6 +373,9 @@ func (m *Machine) StatsNow() MachineStats {
 		n.snapMu.Unlock()
 		out.PerNode[i] = s
 		out.Total.add(s)
+	}
+	if m.dist != nil {
+		out.Wire = m.dist.t.TransportStats()
 	}
 	return out
 }

@@ -32,6 +32,15 @@ package core
 // receiving node's goroutine, sends on the sender's), so the layer adds
 // no locks.  With Faults unset none of this state is consulted beyond
 // one branch per send and one per receive.
+//
+// That holds for a machine spanning several processes too.  The socket
+// link between two processes delivers exactly once and in order by
+// itself (amnet/sock/link.go), as CMAM did for the paper's kernel, so a
+// dist machine without a FaultPlan runs none of this.  With one, the
+// injected drops, dups and delays happen where a packet enters the
+// destination endpoint — above the link, after it was delivered — and
+// this layer recovers them exactly as it does in memory, with the laxer
+// timers Config.retryBase explains.
 
 import (
 	"time"

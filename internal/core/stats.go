@@ -117,6 +117,9 @@ func (s *NodeStats) add(o NodeStats) {
 type MachineStats struct {
 	PerNode []NodeStats
 	Total   NodeStats
+	// Wire is this process's socket-transport counters; all zero on a
+	// single-process machine.
+	Wire amnet.TransportStats
 }
 
 // String formats the totals compactly for reports.
@@ -137,10 +140,21 @@ func (m MachineStats) String() string {
 	fmt.Fprintf(&b, "net:     pkts=%d/%d stalls=%d bulk=%d/%d words=%d queued=%d\n",
 		t.Net.Sent, t.Net.Received, t.Net.SendStalls,
 		t.Net.BulkSends, t.Net.BulkRecvs, t.Net.BulkWords, t.Net.BulkQueued)
+	w := m.Wire
+	wired := w.WireSent+w.WireRecvd+w.CtlSent+w.CtlRecvd > 0
 	if t.Dropped+t.Duplicated+t.Delayed+t.Retries+t.DupsFiltered+t.RetryExhausted > 0 {
 		fmt.Fprintf(&b, "faults:  dropped=%d dup=%d delayed=%d pauses=%d dedup=%d retries=%d exhausted=%d bulkretry=%d\n",
 			t.Dropped, t.Duplicated, t.Delayed, t.Net.Pauses,
 			t.DupsFiltered, t.Retries, t.RetryExhausted, t.Net.BulkRetries)
+	} else if wired {
+		// Said out loud on a multi-process machine: the links carried
+		// delivery and the kernel's reliable layer had nothing to do.
+		b.WriteString("recover: retries=0 dedup=0 exhausted=0\n")
+	}
+	if wired {
+		fmt.Fprintf(&b, "wire:    sent=%d recvd=%d out=%dB in=%dB dropped=%d redials=%d ctl-sent=%d ctl-recvd=%d replayed=%d ackframes=%d dupframes=%d\n",
+			w.WireSent, w.WireRecvd, w.WireBytesOut, w.WireBytesIn, w.WireDropped, w.Redials,
+			w.CtlSent, w.CtlRecvd, w.Replayed, w.AckFrames, w.DupFrames)
 	}
 	if t.FIRRepair.N+t.StealWait.N+t.Net.GrantWait.N > 0 {
 		fmt.Fprintf(&b, "lat:     fir(n=%d p50=%.0fµs p99=%.0fµs) steal(n=%d p50=%.0fµs p99=%.0fµs) grant(n=%d p50=%.0fµs p99=%.0fµs) flushocc(n=%d p50=%.0f max=%.0f)\n",
