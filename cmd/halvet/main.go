@@ -1,6 +1,6 @@
 // Command halvet is the HAL runtime's invariant checker: a multichecker
-// driving the six analyzers in internal/analysis (handlernoblock,
-// poolowner, repairplane, endpointaffinity, vtclock, ringowner), plus the
+// driving the five analyzers in internal/analysis (handlernoblock,
+// poolowner, endpointaffinity, vtclock, ringowner), plus the
 // driver's staleness sweep over suppression comments.
 //
 // Two ways to run it:

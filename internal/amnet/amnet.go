@@ -18,17 +18,20 @@
 // waits, which guarantees freedom from deadlock as long as handlers do not
 // block.
 //
-// Small control packets can additionally be COALESCED per destination link
-// (SendBatched): packets accumulate in a per-(src,dst) staging buffer and
-// are injected as one inbox item when the buffer fills, the virtual-time
-// spread exceeds a window, or the endpoint reaches a poll boundary.  A
-// batch costs one channel operation instead of N, but counts as N packets
-// against the destination's InboxCap (capacity is tracked by an atomic
-// packet-token counter, not channel slots), preserves per-(src,dst) FIFO
-// (packets within a batch are delivered in append order, and a flush always
-// drains the staging buffer before any direct Send to the same peer), and
-// runs the fault filter once per PACKET on arrival, so a fault plan's
-// drop/dup/delay decisions are identical with batching on or off.
+// Send is the one way to put a packet on a link: in order, and now.  A
+// caller that knows a packet can wait for its next poll boundary may
+// instead STAGE it (SendBatched): staged packets accumulate in a
+// per-(src,dst) buffer and are injected as one inbox item when the buffer
+// reaches Config.BatchMax or the endpoint reaches a poll boundary
+// (PollAll, RecvBlock).  A batch costs one ring operation instead of N,
+// but counts as N packets against the destination's InboxCap (capacity is
+// tracked by an atomic packet-token counter, not ring slots), preserves
+// per-(src,dst) FIFO (packets within a batch are delivered in append
+// order, and every Send drains the link's staging buffer before it
+// injects), and runs the fault filter once per PACKET on arrival, so a
+// fault plan's drop/dup/delay decisions are identical staged or not.
+// What may be staged is the caller's decision alone; nothing here looks
+// inside a packet to second-guess it.
 //
 // Bulk data does not fit in an active message, so it moves through the
 // three-phase transfer protocol in bulk.go (request, acknowledgment, data
@@ -119,17 +122,6 @@ type Config struct {
 // defaultBatchMax is the per-link coalescing limit when Config.BatchMax
 // is unset.
 const defaultBatchMax = 32
-
-// batchBypassFactor scales the backlog threshold above which SendBatched
-// stops coalescing to a destination: once the inbox already holds this
-// many batches' worth of packets, the receiver's channel is not the
-// bottleneck and detached buffers would only strand there.
-const batchBypassFactor = 4
-
-// batchVTWindow is the largest virtual-time spread (µs) a staging buffer
-// may accumulate before it is flushed: coalescing must not hold a packet
-// past the point where its virtual arrival time is long gone.
-const batchVTWindow = 50.0
 
 func (c *Config) applyDefaults() error {
 	if c.Nodes < 1 {
@@ -303,7 +295,7 @@ func (nw *Network) freeBatch(b *[]Packet) {
 	for i := range s {
 		s[i] = Packet{}
 	}
-	if cap(s) > nw.cfg.BatchMax*batchBypassFactor {
+	if cap(s) > 2*nw.cfg.BatchMax {
 		// Grown by reentrant staging during a parked flush; pooling it
 		// would let one pathological drain bloat every later batch.
 		return
@@ -315,8 +307,6 @@ func (nw *Network) freeBatch(b *[]Packet) {
 // outBuf is one destination link's staging buffer for SendBatched.
 type outBuf struct {
 	buf *[]Packet
-	// firstVT is the VT of the oldest staged packet, for the window flush.
-	firstVT float64
 	// dirty marks membership in the endpoint's dirty list.
 	dirty bool
 	// flushing guards against reentrant flushes of the same link: a
@@ -441,9 +431,9 @@ func (ep *Endpoint) enqueue(q qItem) {
 
 // parkRecvOrSpace blocks until either a packet is published into this
 // endpoint's ring or dst releases inbox space.  The rsleep flag is set
-// before the final emptiness re-check (check-then-block, mirroring
-// reserveBounded's lost-wakeup fix) so a producer publishing between the
-// re-check and the select is guaranteed to see the flag and signal
+// before the final emptiness re-check (check-then-block, like stall's
+// re-test after registering as a waiter) so a producer publishing between
+// the re-check and the select is guaranteed to see the flag and signal
 // recvWake.
 //
 //halvet:allowblock bounded by the CMAM cycle argument: the caller loops draining its own inbox, and either wake source ends this one wait
@@ -460,43 +450,47 @@ func (ep *Endpoint) parkRecvOrSpace(dst *Endpoint) {
 	ep.rsleep.Store(0)
 }
 
-// reserveOrStall claims k tokens of dst capacity, blocking until they are
-// available.  While waiting below the recursion limit the sender polls its
-// own inbox (the CMAM discipline), so handlers may run reentrantly.
+// stall claims k tokens of dst capacity, waiting while the link is full.
+// While waiting below the recursion limit the sender polls its own inbox
+// (the CMAM discipline), so handlers may run reentrantly.  With rounds > 0
+// it gives up after that many failed waits and reports false; rounds == 0
+// waits until the claim succeeds.
 //
 // A k>1 reservation acquires all k tokens atomically or none, so under a
 // sustained stream of single-packet reservations from other senders it can
-// starve waiting for k contiguous tokens.  Batch injection therefore uses
-// reserveBounded, which gives up after a bounded number of rounds and lets
-// the caller split the batch into fair k=1 sends; reserveOrStall itself is
-// only used for single-token claims, which cannot starve (every release
-// wakes a waiter and any one token satisfies the claim).
+// starve waiting for k contiguous tokens.  Batch injection therefore passes
+// a round bound and splits the batch into fair k=1 sends when it runs out;
+// only single-token claims wait unbounded, and those cannot starve (every
+// release wakes a waiter and any one token satisfies the claim).
 //
-//halvet:allowblock the CMAM poll-while-stalled discipline: the stall loop drains this endpoint's own inbox (or, at depth, relies on the cycle argument above), so a handler reaching this wait still makes progress
-func (ep *Endpoint) reserveOrStall(dst *Endpoint, k int64) {
+//halvet:allowblock the CMAM poll-while-stalled discipline: the stall loop drains this endpoint's own inbox (or, at depth, relies on the cycle argument below), so a handler reaching this wait still makes progress
+func (ep *Endpoint) stall(dst *Endpoint, k int64, rounds int) bool {
 	if dst.reserve(k) {
-		return
+		return true
 	}
-	// Destination link full: poll while waiting.
 	ep.stats.SendStalls++
 	dst.waiters.Add(1)
-	for !dst.reserve(k) {
+	// Re-test before the first wait: release only signals spaceWake when a
+	// waiter is registered, so a release landing between the failed reserve
+	// above and the waiters.Add(1) would otherwise be lost and this sender
+	// could park forever.
+	ok := dst.reserve(k)
+	for i := 0; !ok && (rounds == 0 || i < rounds); i++ {
 		if ep.depth >= maxPollDepth {
 			// Too deep to keep draining reentrantly; block outright.  The
 			// destination PE polls on its own sends, so this cannot
 			// deadlock: some PE in any wait cycle is below the depth
 			// limit or has inbox room.
 			<-dst.spaceWake
-			continue
-		}
-		if q, ok := ep.ring.pop(); ok {
+		} else if q, okq := ep.ring.pop(); okq {
 			// The drain runs the fault filter too, but ignores pause
 			// windows: a paused node that refused to drain while blocked
 			// on a full link could deadlock against its peer.
 			ep.consume(q)
-			continue
+		} else {
+			ep.parkRecvOrSpace(dst)
 		}
-		ep.parkRecvOrSpace(dst)
+		ok = dst.reserve(k)
 	}
 	dst.waiters.Add(-1)
 	if dst.waiters.Load() > 0 {
@@ -506,30 +500,62 @@ func (ep *Endpoint) reserveOrStall(dst *Endpoint, k int64) {
 		default:
 		}
 	}
+	return ok
 }
 
-// Send injects p into the network, stamping p.Src.  If the destination
+// Send injects p into the network, stamping p.Src, after anything staged
+// for the same destination: per-(src,dst) delivery order is call order
+// whichever of Send and SendBatched each packet took.  If the destination
 // inbox is full the sender polls its own inbox while waiting (the CMAM
 // discipline), so Send may execute handlers reentrantly.  Send never
 // fails; it blocks until the packet is accepted.
-func (ep *Endpoint) Send(p Packet) {
+func (ep *Endpoint) Send(p Packet) { ep.send(p, false) }
+
+// SendNow is Send under the name it had while staging was the default;
+// halbench's ladder still calls it.
+func (ep *Endpoint) SendNow(p Packet) { ep.Send(p) }
+
+// SendBatched stages p for its destination instead of injecting it: the
+// caller asserts that p can wait for this endpoint's next poll boundary.
+// Delivery order per (src,dst) pair is identical to Send; only the
+// ring-operation count changes.  The staged packets are injected when the
+// buffer reaches Config.BatchMax, at the next Send to the same destination,
+// or at the next poll boundary (PollAll/RecvBlock) — staged packets are
+// never held across a blocking wait.
+func (ep *Endpoint) SendBatched(p Packet) { ep.send(p, true) }
+
+func (ep *Endpoint) send(p Packet, stage bool) {
 	ep.net.sealed.Store(true)
 	p.Src = ep.id
-	ep.sendStamped(p)
-}
-
-// sendStamped injects an already-stamped packet as a single inbox item.
-func (ep *Endpoint) sendStamped(p Packet) {
-	if ep.net.isRemote(p.Dst) {
-		ep.sendRemote(p, false)
-		return
+	b := &ep.out[p.Dst]
+	if !stage {
+		// Drain the link first so this packet cannot overtake staged
+		// traffic, then inject by value.
+		ep.flushDst(p.Dst)
+		if !b.flushing {
+			ep.inject(&p)
+			return
+		}
+		// A flush below us is parked mid-injection on this link with
+		// older packets not yet in the inbox; stage behind them so
+		// per-link FIFO holds.
 	}
-	dst := ep.net.eps[p.Dst]
-	ep.stats.Sent++
-	ep.reserveOrStall(dst, 1)
-	// Tokens are released only when the receiver dequeues the item, so a
-	// successful reservation guarantees a free ring slot.
-	dst.enqueue(qItem{pkt: p})
+	if b.buf == nil {
+		b.buf = ep.net.newBatch()
+	}
+	// Register for the next flush pass whenever the link is not already
+	// registered — NOT only when the buffer transitions from empty.  A
+	// reentrant stage during flushOut lands after the pass cleared this
+	// link's dirty flag; registering again is what makes the pass's index
+	// loop revisit it instead of stranding the packet.
+	if !b.dirty {
+		b.dirty = true
+		ep.dirtyList = append(ep.dirtyList, p.Dst)
+	}
+	*b.buf = append(*b.buf, p)
+	if len(*b.buf) >= ep.net.cfg.BatchMax {
+		ep.flushDst(p.Dst)
+	}
 }
 
 // remoteStallPause paces the retry loop when the wire transport's
@@ -537,22 +563,34 @@ func (ep *Endpoint) sendStamped(p Packet) {
 // is nothing to drain locally, so progress depends on the peer process.
 const remoteStallPause = 50 * time.Microsecond
 
-// sendRemote hands an already-stamped packet to the wire transport,
-// applying the CMAM poll-while-stalled discipline when the transport
-// refuses: the sender drains its own inbox between retries, so a wait
-// cycle across processes resolves exactly like one across full in-memory
-// links (every stalled PE keeps consuming, which frees its peers).
+// inject puts an already-stamped packet on its link as a single item: a
+// token claim and a ring push for a resident destination, the wire
+// transport otherwise.  A refusing transport gets the same CMAM
+// discipline as a full ring: the sender drains its own inbox between
+// retries, so a wait cycle across processes resolves exactly like one
+// across full in-memory links (every stalled PE keeps consuming, which
+// frees its peers).  The packet comes by pointer, and is not retained,
+// because one more 104-byte copy here is measurable (3 % of the unloaded
+// send/poll round: EXPERIMENTS.md, "The send path, collapsed").
 //
-//halvet:allowblock the sanctioned poll-while-stalled discipline: the retry loop drains this endpoint's own ring between TrySend attempts, exactly like reserveOrStall on a full in-memory link
+//halvet:allowblock the sanctioned poll-while-stalled discipline: the retry loop drains this endpoint's own ring between TrySend attempts, exactly like stall on a full in-memory link
 //halvet:allowwallclock remote-link backpressure pacing is host-time: the peer process's drain rate is invisible to virtual time, and a parked sender's VT is frozen
-func (ep *Endpoint) sendRemote(p Packet, urgent bool) {
+func (ep *Endpoint) inject(p *Packet) {
 	ep.stats.Sent++
+	if !ep.net.isRemote(p.Dst) {
+		dst := ep.net.eps[p.Dst]
+		ep.stall(dst, 1, 0)
+		// Tokens are released only when the receiver dequeues the item, so
+		// a successful reservation guarantees a free ring slot.
+		dst.enqueue(qItem{pkt: *p})
+		return
+	}
 	r := ep.net.remote
-	if r.TrySend(p, urgent) {
+	if r.TrySend(*p) {
 		return
 	}
 	ep.stats.SendStalls++
-	for !r.TrySend(p, urgent) {
+	for !r.TrySend(*p) {
 		if ep.net.injectDiscard.Load() {
 			// The machine is shutting down.  A transport holds packets
 			// for a peer that may never come back, and nothing here would
@@ -568,83 +606,6 @@ func (ep *Endpoint) sendRemote(p Packet, urgent bool) {
 		time.Sleep(remoteStallPause)
 	}
 }
-
-// SendBatched injects p like Send, but may coalesce it with other packets
-// to the same destination into a single inbox operation.  Delivery order
-// per (src,dst) pair is identical to Send; only the channel-operation
-// count changes.  The staged packets are injected when the buffer reaches
-// Config.BatchMax, when the staged virtual-time spread exceeds the batch
-// window, or at the next poll boundary (PollAll/RecvBlock/Flush) —
-// coalesced packets are never held across a blocking wait.
-func (ep *Endpoint) SendBatched(p Packet) { ep.sendCoalesced(p, false) }
-
-// SendNow injects p immediately instead of staging it, while keeping
-// per-(src,dst) FIFO with any coalesced traffic.  For latency-critical
-// control packets (location repair) whose usefulness decays while they
-// sit in a staging buffer waiting for the sender's next poll boundary.
-func (ep *Endpoint) SendNow(p Packet) { ep.sendCoalesced(p, true) }
-
-func (ep *Endpoint) sendCoalesced(p Packet, urgent bool) {
-	ep.net.sealed.Store(true)
-	p.Src = ep.id
-	b := &ep.out[p.Dst]
-	direct := urgent || p.Payload != nil
-	if !direct && !ep.net.isRemote(p.Dst) {
-		// The backlog bypass reads the destination's inbox depth, which
-		// only exists for resident nodes; remote links coalesce purely by
-		// batch size and VT window and let the wire writer pace itself.
-		direct = int(ep.net.eps[p.Dst].inq.Load()) >= ep.net.cfg.BatchMax*batchBypassFactor
-	}
-	if direct {
-		// Three cases ride the direct path.  Urgent packets by contract.
-		// Boxed payloads do not coalesce: they are the high-volume
-		// message traffic, and every detached buffer holding them sits
-		// stranded in a deep inbox, defeating the buffer pool.  And a
-		// destination already backlogged by several batches' worth of
-		// packets gains nothing from coalescing (its channel is not the
-		// bottleneck) while paying the same stranded-buffer cost.  Flush
-		// the link first so this packet cannot overtake staged traffic,
-		// then inject by value.
-		ep.flushDst(p.Dst)
-		if !b.flushing {
-			if ep.net.isRemote(p.Dst) {
-				// Preserve the urgency bit across the wire: the link
-				// writer flushes urgent frames immediately.
-				ep.sendRemote(p, urgent)
-				return
-			}
-			ep.sendStamped(p)
-			return
-		}
-		// A flush below us is parked mid-injection on this link with
-		// older packets not yet in the inbox; fall through and stage
-		// behind them so per-link FIFO holds.
-	}
-	if b.buf == nil {
-		b.buf = ep.net.newBatch()
-	}
-	if len(*b.buf) == 0 {
-		b.firstVT = p.VT
-	}
-	// Register for the next flush pass whenever the link is not already
-	// registered — NOT only when the buffer transitions from empty.  A
-	// reentrant stage during flushOut lands after the pass cleared this
-	// link's dirty flag; registering again is what makes the pass's index
-	// loop revisit it instead of stranding the packet.
-	if !b.dirty {
-		b.dirty = true
-		ep.dirtyList = append(ep.dirtyList, p.Dst)
-	}
-	*b.buf = append(*b.buf, p)
-	if len(*b.buf) >= ep.net.cfg.BatchMax ||
-		(p.VT > 0 && b.firstVT > 0 && p.VT-b.firstVT > batchVTWindow) {
-		ep.flushDst(p.Dst)
-	}
-}
-
-// Flush injects every staged SendBatched packet.  Called automatically at
-// poll boundaries; exported for callers with their own blocking points.
-func (ep *Endpoint) Flush() { ep.flushOut() }
 
 func (ep *Endpoint) flushOut() {
 	if len(ep.dirtyList) == 0 || ep.flushingOut {
@@ -685,16 +646,14 @@ func (ep *Endpoint) flushDst(dst NodeID) {
 			p := (*b.buf)[0]
 			(*b.buf)[0] = Packet{}
 			*b.buf = (*b.buf)[:0]
-			b.firstVT = 0
 			ep.stats.FlushOcc.Observe(1)
-			ep.sendStamped(p)
+			ep.inject(&p)
 			continue
 		}
 		// Ownership of the slice transfers to the receiver; detach it so
 		// reentrant stages start a fresh buffer.
 		buf := b.buf
 		b.buf = nil
-		b.firstVT = 0
 		ep.injectBatch(dst, buf)
 	}
 	b.flushing = false
@@ -723,66 +682,21 @@ func (ep *Endpoint) injectBatch(dst NodeID, buf *[]Packet) {
 		// these packets back-to-back.
 		ep.stats.Batches++
 		ep.stats.BatchedPkts += uint64(k)
-		for _, p := range *buf {
-			ep.sendRemote(p, false)
+	} else {
+		d := ep.net.eps[dst]
+		if k <= ep.net.cfg.InboxCap && ep.stall(d, int64(k), batchReserveRounds) {
+			ep.stats.Sent += uint64(k)
+			ep.stats.Batches++
+			ep.stats.BatchedPkts += uint64(k)
+			d.enqueue(qItem{batch: buf})
+			return
 		}
-		ep.net.freeBatch(buf)
-		return
+		ep.stats.BatchSplits++
 	}
-	d := ep.net.eps[dst]
-	if k <= ep.net.cfg.InboxCap && ep.reserveBounded(d, int64(k), batchReserveRounds) {
-		ep.stats.Sent += uint64(k)
-		ep.stats.Batches++
-		ep.stats.BatchedPkts += uint64(k)
-		d.enqueue(qItem{batch: buf})
-		return
-	}
-	ep.stats.BatchSplits++
-	for _, p := range *buf {
-		ep.sendStamped(p)
+	for i := range *buf {
+		ep.inject(&(*buf)[i])
 	}
 	ep.net.freeBatch(buf)
-}
-
-// reserveBounded claims k tokens of dst capacity like reserveOrStall but
-// gives up after rounds failed wakeups, reporting whether the claim
-// succeeded.  Single-token callers should use reserveOrStall, which never
-// fails.
-//
-//halvet:allowblock the CMAM poll-while-stalled discipline with a bounded round count: each wait ends at the next capacity release, and the caller falls back to per-packet injection when the rounds run out
-func (ep *Endpoint) reserveBounded(dst *Endpoint, k int64, rounds int) bool {
-	if dst.reserve(k) {
-		return true
-	}
-	ep.stats.SendStalls++
-	dst.waiters.Add(1)
-	// Re-test before the first wait: release only signals spaceWake when a
-	// waiter is registered, so a release landing between the failed reserve
-	// above and the waiters.Add(1) would otherwise be lost and this sender
-	// could park forever.  reserveOrStall closes the same window via its
-	// loop condition.
-	ok := dst.reserve(k)
-	for i := 0; !ok && i < rounds; i++ {
-		if ep.depth >= maxPollDepth {
-			// Too deep to drain reentrantly; wait for a release outright
-			// (same cycle argument as reserveOrStall).
-			<-dst.spaceWake
-		} else if q, okq := ep.ring.pop(); okq {
-			ep.consume(q)
-		} else {
-			ep.parkRecvOrSpace(dst)
-		}
-		ok = dst.reserve(k)
-	}
-	dst.waiters.Add(-1)
-	if dst.waiters.Load() > 0 {
-		// Pass a possibly-consumed baton on to the next waiter.
-		select {
-		case dst.spaceWake <- struct{}{}:
-		default:
-		}
-	}
-	return ok
 }
 
 // DiscardOutbound drops every staged SendBatched packet without injecting
@@ -797,7 +711,6 @@ func (ep *Endpoint) DiscardOutbound() {
 			ep.net.freeBatch(b.buf)
 			b.buf = nil
 		}
-		b.firstVT = 0
 		b.dirty = false
 	}
 	ep.dirtyList = ep.dirtyList[:0]
@@ -811,7 +724,7 @@ func (ep *Endpoint) TrySend(p Packet) bool {
 	ep.net.sealed.Store(true)
 	p.Src = ep.id
 	if ep.net.isRemote(p.Dst) {
-		if !ep.net.remote.TrySend(p, false) {
+		if !ep.net.remote.TrySend(p) {
 			ep.stats.TryStalls++
 			return false
 		}
@@ -1012,7 +925,7 @@ const injectRecheck = 2 * time.Millisecond
 
 // Inject publishes a transport-delivered packet into this endpoint's
 // inbox, blocking until inbox capacity frees.  It is the wire analog of
-// a peer's reserveOrStall — same token reservation, same wake baton —
+// a peer's stall — same token reservation, same wake baton —
 // except the caller is a transport reader goroutine with no inbox of its
 // own to drain, so backpressure propagates to the peer process through
 // the blocked read instead of through reentrant polling.  The packet
@@ -1044,7 +957,7 @@ func (ep *Endpoint) Inject(p Packet, stop <-chan struct{}) bool {
 		}
 	}()
 	// Re-test before the first wait: release only signals spaceWake when
-	// a waiter is registered (see reserveBounded's lost-wakeup argument).
+	// a waiter is registered (see stall's lost-wakeup argument).
 	ok := ep.reserve(1)
 	for !ok {
 		t := time.NewTimer(injectRecheck)

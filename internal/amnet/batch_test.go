@@ -17,10 +17,10 @@ func TestSendBatchedFIFO(t *testing.T) {
 	for i := uint64(0); i < total; i++ {
 		src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: i})
 		if i == 10 {
-			src.Flush() // mid-stream explicit flush must not reorder
+			src.flushOut() // mid-stream explicit flush must not reorder
 		}
 	}
-	src.Flush()
+	src.flushOut()
 	for dst.Pending() > 0 {
 		dst.PollAll()
 	}
@@ -69,57 +69,11 @@ func TestSendBatchedCountsAgainstInboxCap(t *testing.T) {
 	}
 }
 
-// TestSendBatchedVTWindowFlush checks that a staged buffer flushes once
-// the staged virtual-time spread exceeds the batch window, so coalescing
-// cannot hold a packet far past its virtual arrival time.
-func TestSendBatchedVTWindowFlush(t *testing.T) {
-	nw := newTestNet(t, Config{Nodes: 2}, map[HandlerID]Handler{
-		hCount: func(*Endpoint, Packet) {},
-	})
-	src, dst := nw.Endpoint(0), nw.Endpoint(1)
-	src.SendBatched(Packet{Handler: hCount, Dst: 1, VT: 100})
-	if dst.Pending() != 0 {
-		t.Fatal("buffer flushed before any threshold was reached")
-	}
-	src.SendBatched(Packet{Handler: hCount, Dst: 1, VT: 100 + batchVTWindow + 1})
-	if got := dst.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d after VT-window flush, want 2", got)
-	}
-}
-
-// TestSendBatchedBoxedPayloadBypass checks that a boxed (non-word-
-// encoded) payload never sits in the staging buffer: it flushes the link
-// so it cannot overtake staged traffic, then injects immediately.
-func TestSendBatchedBoxedPayloadBypass(t *testing.T) {
-	var got []uint64
-	nw := newTestNet(t, Config{Nodes: 2, BatchMax: 8}, map[HandlerID]Handler{
-		hCount: func(_ *Endpoint, p Packet) { got = append(got, p.U0) },
-	})
-	src, dst := nw.Endpoint(0), nw.Endpoint(1)
-	src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 0})
-	src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 1})
-	if dst.Pending() != 0 {
-		t.Fatal("word-encoded packets flushed below BatchMax")
-	}
-	src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 2, Payload: "boxed"})
-	if got := dst.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d after boxed send, want 3 (staged flushed + direct inject)", got)
-	}
-	for dst.Pending() > 0 {
-		dst.PollAll()
-	}
-	for i, v := range got {
-		if v != uint64(i) {
-			t.Fatalf("packet %d out of order: got %d", i, v)
-		}
-	}
-}
-
-// TestSendNowBypassesStaging checks the urgent path: a SendNow packet
-// never waits in the staging buffer (it is visible to the destination
+// TestSendBypassesStaging checks the default verb: a Send packet never
+// waits in the staging buffer (it is visible to the destination
 // immediately), and staged traffic to the same link flushes ahead of it
 // so per-(src,dst) FIFO holds.
-func TestSendNowBypassesStaging(t *testing.T) {
+func TestSendBypassesStaging(t *testing.T) {
 	var got []uint64
 	nw := newTestNet(t, Config{Nodes: 2, BatchMax: 8}, map[HandlerID]Handler{
 		hCount: func(_ *Endpoint, p Packet) { got = append(got, p.U0) },
@@ -128,18 +82,16 @@ func TestSendNowBypassesStaging(t *testing.T) {
 	src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 0})
 	src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 1})
 	if dst.Pending() != 0 {
-		t.Fatal("word-encoded packets flushed below BatchMax")
+		t.Fatal("staged packets flushed below BatchMax")
 	}
-	//lint:ignore halvet-repairplane this test exercises the urgent path's flush-ahead semantics themselves
-	src.SendNow(Packet{Handler: hCount, Dst: 1, U0: 2})
+	src.Send(Packet{Handler: hCount, Dst: 1, U0: 2})
 	if got := dst.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d after SendNow, want 3 (staged flushed + urgent injected)", got)
+		t.Fatalf("Pending() = %d after Send, want 3 (staged flushed + packet injected)", got)
 	}
-	// With nothing staged, SendNow is a plain immediate send.
-	//lint:ignore halvet-repairplane this test exercises the urgent path's flush-ahead semantics themselves
-	src.SendNow(Packet{Handler: hCount, Dst: 1, U0: 3})
+	// With nothing staged, Send is a plain immediate send.
+	src.Send(Packet{Handler: hCount, Dst: 1, U0: 3})
 	if got := dst.Pending(); got != 4 {
-		t.Fatalf("Pending() = %d after bare SendNow, want 4", got)
+		t.Fatalf("Pending() = %d after bare Send, want 4", got)
 	}
 	for dst.Pending() > 0 {
 		dst.PollAll()
@@ -148,6 +100,55 @@ func TestSendNowBypassesStaging(t *testing.T) {
 		if v != uint64(i) {
 			t.Fatalf("packet %d out of order: got %d", i, v)
 		}
+	}
+}
+
+// TestSendKeepsLinkFIFOWithStaged checks the package doc's promise that
+// call order is delivery order per (src,dst) pair whichever verb each
+// packet took: two staged packets then a Send arrive [1 2 3], on a ring
+// and across a wire.  (Send used to inject without draining the staging
+// buffer, delivering [3 1 2].)
+func TestSendKeepsLinkFIFOWithStaged(t *testing.T) {
+	for _, wire := range []bool{false, true} {
+		name := "memory"
+		if wire {
+			name = "wire"
+		}
+		t.Run(name, func(t *testing.T) {
+			var got []uint64
+			handlers := map[HandlerID]Handler{
+				hCount: func(_ *Endpoint, p Packet) { got = append(got, p.U0) },
+			}
+			var src, dst *Endpoint
+			if wire {
+				wa, wb := newFakePair(1, 8)
+				na := newTestNet(t, Config{Nodes: 2, Remote: wa}, handlers)
+				nb := newTestNet(t, Config{Nodes: 2, Remote: wb}, handlers)
+				for _, nw := range []*Network{na, nb} {
+					if err := nw.StartTransport(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				defer wa.Close()
+				defer wb.Close()
+				src, dst = na.Endpoint(0), nb.Endpoint(1)
+			} else {
+				nw := newTestNet(t, Config{Nodes: 2}, handlers)
+				src, dst = nw.Endpoint(0), nw.Endpoint(1)
+			}
+			src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 1})
+			src.SendBatched(Packet{Handler: hCount, Dst: 1, U0: 2})
+			src.Send(Packet{Handler: hCount, Dst: 1, U0: 3})
+			for deadline := time.Now().Add(5 * time.Second); len(got) < 3; {
+				if time.Now().After(deadline) {
+					t.Fatalf("delivered %v, want three packets", got)
+				}
+				dst.RecvBlock(nil, time.Millisecond)
+			}
+			if got[0] != 1 || got[1] != 2 || got[2] != 3 {
+				t.Fatalf("delivered %v, want [1 2 3]", got)
+			}
+		})
 	}
 }
 
@@ -161,12 +162,12 @@ func TestDiscardOutboundDropsStaged(t *testing.T) {
 	src.SendBatched(Packet{Handler: hCount, Dst: 1})
 	src.SendBatched(Packet{Handler: hCount, Dst: 1})
 	src.DiscardOutbound()
-	src.Flush()
+	src.flushOut()
 	if got := dst.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after DiscardOutbound, want 0", got)
 	}
 	src.SendBatched(Packet{Handler: hCount, Dst: 1})
-	src.Flush()
+	src.flushOut()
 	if got := dst.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d after re-staging, want 1", got)
 	}
@@ -257,9 +258,9 @@ func TestFlushReentrantRestageNotStranded(t *testing.T) {
 		<-sig
 		ep2.PollOne()
 	}()
-	ep0.Flush()
+	ep0.flushOut()
 	<-done
-	// The single Flush must have delivered BOTH packets to node 1's
+	// The single flush pass must have delivered BOTH packets to node 1's
 	// inbox, in staging order.
 	ep1.PollAll()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -325,7 +326,7 @@ func TestBatchFaultDrawsPerPacket(t *testing.T) {
 				src.Send(Packet{Handler: hCount, Dst: 1, U0: i})
 			}
 		}
-		src.Flush()
+		src.flushOut()
 		for dst.Pending() > 0 {
 			dst.PollAll()
 		}

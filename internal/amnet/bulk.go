@@ -124,10 +124,9 @@ func (ep *Endpoint) BulkSend(dst NodeID, data []float64, fin Packet) {
 		// flow control replaces the grant protocol.
 		panic("amnet: BulkSend to a non-resident node; frame the data in one packet instead")
 	}
-	// Control packets staged for this link must hit the wire before the
-	// transfer's request/segments, or a small-then-bulk sequence to the
-	// same peer would reorder.
-	ep.flushDst(dst)
+	// Every branch below opens with a Send, which drains what is staged for
+	// this link first: a small-then-bulk sequence to one peer cannot
+	// reorder.
 	ep.stats.BulkSends++
 	fin.Dst = dst
 	b := &ep.bulk

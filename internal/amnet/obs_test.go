@@ -27,13 +27,13 @@ func TestFlushOccupancyObserved(t *testing.T) {
 	for i := 0; i < total; i++ {
 		src.SendBatched(Packet{Handler: hCount, Dst: 1})
 		if i == 10 {
-			src.Flush()
+			src.flushOut()
 		}
 		// Keep the destination drained: a backlogged inbox engages the
 		// direct-path bypass, which injects without ever staging.
 		dst.PollAll()
 	}
-	src.Flush()
+	src.flushOut()
 	for dst.Pending() > 0 {
 		dst.PollAll()
 	}

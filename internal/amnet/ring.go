@@ -31,7 +31,7 @@
 //
 // Empty↔non-empty edge.  The consumer parks on recvWake (a one-token
 // channel) only after (a) setting rsleep and (b) re-checking the ring —
-// the same check-then-block order as reserveBounded's lost-wakeup fix.  A
+// the same check-then-block order as stall's lost-wakeup fix.  A
 // producer signals recvWake only when it observes rsleep after
 // publishing.  Sequential consistency rules out the lost wakeup: if the
 // consumer's re-check missed the item, the re-check ordered before the

@@ -186,17 +186,16 @@ func TestRingParkUnparkEdges(t *testing.T) {
 }
 
 // TestRingBatchedStress drives the coalescing path (SendBatched with a
-// periodic SendNow barrier) through the ring; batches and singletons
+// periodic Send barrier) through the ring; batches and singletons
 // must interleave FIFO per pair and conserve tokens exactly.
 func TestRingBatchedStress(t *testing.T) {
 	stressRing(t, Config{Nodes: 5, InboxCap: 32}, 3000, func(ep *Endpoint, j uint64) {
 		if j%64 == 0 {
-			//lint:ignore halvet-repairplane the test exercises the urgent path's ring ordering on purpose
-			ep.SendNow(Packet{Handler: hCount, Dst: 4, U0: j})
+			ep.Send(Packet{Handler: hCount, Dst: 4, U0: j})
 		} else {
 			ep.SendBatched(Packet{Handler: hCount, Dst: 4, U0: j})
 		}
-	}, func(ep *Endpoint) { ep.Flush() })
+	}, func(ep *Endpoint) { ep.flushOut() })
 }
 
 // TestRingCleanDrainAfterStop checks that an inbox abandoned mid-burst

@@ -37,12 +37,6 @@ import (
 // is retransmitted on a timer: a connection either delivers in order or
 // fails, and failure is the only trigger for replay.
 
-// outFrame is one queued packet.
-type outFrame struct {
-	pkt    amnet.Packet
-	urgent bool
-}
-
 // ctlFrame is one queued control message.
 type ctlFrame struct {
 	kind uint8
@@ -157,7 +151,7 @@ type link struct {
 	// side waits for its listener to install a replacement connection.
 	network, raddr string
 
-	outq chan outFrame
+	outq chan amnet.Packet
 	// kick wakes the writer for everything that is not a queued packet:
 	// a new connection, a control message, an ack falling due, room in a
 	// full window.  One slot: the writer re-examines all of them.
@@ -193,7 +187,7 @@ type link struct {
 
 func newLink(t *Transport, peer int, network, raddr string) *link {
 	l := &link{t: t, peer: peer, network: network, raddr: raddr,
-		outq: make(chan outFrame, outqCap), kick: make(chan struct{}, 1)}
+		outq: make(chan amnet.Packet, outqCap), kick: make(chan struct{}, 1)}
 	l.cond = sync.NewCond(&l.mu)
 	l.win.next.Store(seqBase + 1)
 	l.acked.Store(seqBase)
@@ -218,13 +212,13 @@ func (l *link) wake() {
 // what was in flight), a full queue refuses, and the sender polls.  Only
 // a closed transport swallows the packet, so a kernel mid-send never
 // spins on a corpse.
-func (l *link) offer(p amnet.Packet, urgent bool) bool {
+func (l *link) offer(p amnet.Packet) bool {
 	if l.t.isClosed() {
 		l.t.stats.wireDropped.Add(1)
 		return true
 	}
 	select {
-	case l.outq <- outFrame{pkt: p, urgent: urgent}:
+	case l.outq <- p:
 		return true
 	default:
 		return false
@@ -459,11 +453,11 @@ func (l *link) replay(bw *bufio.Writer, peerLast uint32) error {
 
 // serve drains the outbound queue into one connection, coalescing frames
 // while the queue is non-empty (the wire analog of SendBatched's
-// staging) and flushing when the queue empties, a frame is urgent, or
-// flushBatchFrames accumulate.
+// staging) and flushing when the queue empties or flushBatchFrames
+// accumulate.
 func (l *link) serve(bw *bufio.Writer, gen int) error {
 	w := &l.win
-	var f outFrame // outside the loop: encode takes its address
+	var f amnet.Packet // outside the loop: encode takes its address
 	unflushed, waiting := 0, false
 	// Whatever kicked the previous connection's turn may not have been
 	// served there; look at everything once on the way in.
@@ -511,7 +505,7 @@ func (l *link) serve(bw *bufio.Writer, gen int) error {
 		if err := l.writePacket(bw, &f); err != nil {
 			return err
 		}
-		if unflushed++; f.urgent || unflushed >= flushBatchFrames {
+		if unflushed++; unflushed >= flushBatchFrames {
 			if err := bw.Flush(); err != nil {
 				return err
 			}
@@ -522,18 +516,18 @@ func (l *link) serve(bw *bufio.Writer, gen int) error {
 
 // writePacket encodes f straight into the window and writes it from
 // there.
-func (l *link) writePacket(bw *bufio.Writer, f *outFrame) error {
+func (l *link) writePacket(bw *bufio.Writer, f *amnet.Packet) error {
 	w := &l.win
 	w.compact()
 	start := len(w.buf)
-	buf, err := l.encode(w.buf, &f.pkt)
+	buf, err := l.encode(w.buf, f)
 	if err != nil {
 		// Unencodable payload is a kernel bug, not a wire condition;
 		// surface it loudly.
 		panic(err)
 	}
 	w.buf = buf
-	f.pkt.Payload, f.pkt.Data = nil, nil // f outlives the frame; its payload should not
+	f.Payload, f.Data = nil, nil // f outlives the frame; its payload should not
 	l.t.stats.wireSent.Add(1)
 	return l.write(bw, start)
 }

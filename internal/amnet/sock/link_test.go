@@ -85,7 +85,7 @@ func startSeqMesh(t *testing.T, inboxCap int, poll bool) (leader, worker *seqSid
 // the link refuses.
 func (s *seqSide) stream(n uint64) {
 	for i := uint64(1); i <= n; i++ {
-		for !s.tr.TrySend(amnet.Packet{Handler: hSeq, Src: s.src, Dst: s.dst, U0: i}, false) {
+		for !s.tr.TrySend(amnet.Packet{Handler: hSeq, Src: s.src, Dst: s.dst, U0: i}) {
 			runtime.Gosched()
 		}
 	}
@@ -437,7 +437,7 @@ func TestReplayOutboundFrameCutMidBody(t *testing.T) {
 	far := p.connect(t, seqBase)
 	for i := uint64(1); i <= 3; i++ {
 		pkt := amnet.Packet{Handler: hEcho, Dst: 1, U0: i, Data: make([]float64, 512)}
-		if !p.tr.TrySend(pkt, false) {
+		if !p.tr.TrySend(pkt) {
 			t.Fatalf("TrySend %d refused", i)
 		}
 	}
@@ -449,7 +449,7 @@ func TestReplayOutboundFrameCutMidBody(t *testing.T) {
 	}
 	far.conn.Close()
 	p.awaitDown(t)
-	if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1, U0: 4}, false) {
+	if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1, U0: 4}) {
 		t.Fatal("TrySend refused while the link was down")
 	}
 
@@ -537,12 +537,12 @@ func TestAllocLinkWriterSteadyState(t *testing.T) {
 	}
 	l := newLink(newTransport(reg, 0, 2), 1, "", "")
 	bw := bufio.NewWriter(io.Discard)
-	f := outFrame{pkt: amnet.Packet{Handler: hEcho, Dst: 1, U0: 7, Data: make([]float64, 8)}}
+	f := amnet.Packet{Handler: hEcho, Dst: 1, U0: 7, Data: make([]float64, 8)}
 	send := func() {
 		w := &l.win
 		w.compact()
 		start := len(w.buf)
-		if w.buf, err = l.encode(w.buf, &f.pkt); err != nil {
+		if w.buf, err = l.encode(w.buf, &f); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.write(bw, start); err != nil {

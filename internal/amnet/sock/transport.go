@@ -448,12 +448,12 @@ func (t *Transport) Resident(id amnet.NodeID) bool {
 }
 
 // TrySend offers a stamped packet to the link owning p.Dst.
-func (t *Transport) TrySend(p amnet.Packet, urgent bool) bool {
+func (t *Transport) TrySend(p amnet.Packet) bool {
 	l := t.links[t.reg.Owner(p.Dst)]
 	if l == nil {
 		panic(fmt.Sprintf("sock: packet for resident node %d routed to the transport", p.Dst))
 	}
-	return l.offer(p, urgent)
+	return l.offer(p)
 }
 
 // SendControl queues an out-of-band control message for peer (or for

@@ -238,7 +238,7 @@ func TestPacketsCrossTheMesh(t *testing.T) {
 		Payload: "ping",
 		Data:    []float64{1, 2.5, -3},
 	}
-	if !leader.TrySend(sent, false) {
+	if !leader.TrySend(sent) {
 		t.Fatal("TrySend refused with an empty queue")
 	}
 	got := recvPacket(t, wn)
@@ -253,12 +253,12 @@ func TestPacketsCrossTheMesh(t *testing.T) {
 		t.Fatalf("data = %v, want [1 2.5 -3]", got.Data)
 	}
 
-	// Worker -> leader, urgent (forces an immediate flush).
-	if !worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: 77}, true) {
-		t.Fatal("urgent TrySend refused")
+	// Worker -> leader.
+	if !worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: 77}) {
+		t.Fatal("worker TrySend refused")
 	}
 	if got := recvPacket(t, ln); got.U0 != 77 {
-		t.Fatalf("urgent packet U0 = %d, want 77", got.U0)
+		t.Fatalf("worker packet U0 = %d, want 77", got.U0)
 	}
 
 	ls, ws := leader.TransportStats(), worker.TransportStats()
@@ -355,8 +355,8 @@ func TestBounceRedialsAndRecovers(t *testing.T) {
 		before := worker.TransportStats().Redials
 		leader.Bounce(1)
 		marker := uint64(1000 + round)
-		if !leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: marker}, true) ||
-			!worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: marker}, true) {
+		if !leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: marker}) ||
+			!worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: marker}) {
 			t.Fatalf("round %d: TrySend refused with a near-empty queue", round)
 		}
 		if p := recvPacket(t, wn); p.U0 != marker {
@@ -408,13 +408,13 @@ func TestTCPMesh(t *testing.T) {
 	wn := startWireNode(t, worker, m.regs[m.slotOf(worker)], nodes)
 	wlo, _ := m.regs[0].SpanOf(1)
 	llo, _ := m.regs[0].SpanOf(0)
-	if !leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: 5}, true) {
+	if !leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: 5}) {
 		t.Fatal("TrySend refused")
 	}
 	if got := recvPacket(t, wn); got.U0 != 5 {
 		t.Fatalf("U0 = %d, want 5", got.U0)
 	}
-	if !worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: 6}, true) {
+	if !worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: 6}) {
 		t.Fatal("TrySend refused")
 	}
 	if got := recvPacket(t, ln); got.U0 != 6 {
@@ -430,7 +430,7 @@ func TestCloseIsIdempotentQueuedWhileDownReplayedOnInstall(t *testing.T) {
 	p := newLonePeer(t)
 	// No connection yet: the link is down, and takes packets anyway.
 	for i := uint64(1); i <= 3; i++ {
-		if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1, U0: i}, false) {
+		if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1, U0: i}) {
 			t.Fatalf("TrySend %d refused while the link was down", i)
 		}
 	}
@@ -452,7 +452,7 @@ func TestCloseIsIdempotentQueuedWhileDownReplayedOnInstall(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	before := p.tr.TransportStats().WireDropped
-	if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1}, false) {
+	if !p.tr.TrySend(amnet.Packet{Handler: hEcho, Dst: 1}) {
 		t.Error("TrySend on a closed transport should accept-and-drop, not refuse")
 	}
 	if got := p.tr.TransportStats().WireDropped; got != before+1 {

@@ -12,7 +12,7 @@ import (
 // capacity tokens — the inbox must be empty at the instant of the CAS —
 // while a competing sender refills the destination with single-packet
 // TrySend traffic the moment each token frees, so the whole-batch claim
-// never succeeds.  reserveBounded must give up after its round budget and
+// never succeeds.  stall must give up after its round budget and
 // split the batch into fair k=1 sends; before the fix this flush could
 // stall for as long as the competing stream lasted.
 func TestBatchReservationStarvation(t *testing.T) {
@@ -70,7 +70,7 @@ func TestBatchReservationStarvation(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			ep.SendBatched(Packet{Handler: hCount, Dst: 2, U0: uint64(i)})
 		}
-		ep.Flush()
+		ep.flushOut()
 	}()
 
 	select {

@@ -2,10 +2,9 @@ package amnet
 
 // The transport seam: everything below the endpoint API that moves a
 // packet between processing elements is an interconnect implementation.
-// The in-memory MPSC-ring fabric in this package is the first Transport
-// (a *Network trivially transports packets between its own endpoints);
-// package amnet/sock provides the second, carrying packets between OS
-// processes over unix-domain or TCP sockets.
+// The in-memory MPSC-ring fabric in this package moves them between the
+// endpoints of one process; a Transport (package amnet/sock provides one)
+// carries them between OS processes over unix-domain or TCP sockets.
 //
 // A Network with Config.Remote set spans several processes: endpoints
 // whose node ids the transport reports non-resident have no local kernel
@@ -31,12 +30,11 @@ type Transport interface {
 	// leader.
 	Resident(id NodeID) bool
 	// TrySend offers an already-stamped packet for delivery to the
-	// process owning p.Dst, without blocking.  It reports acceptance;
-	// urgent requests an immediate wire flush (location-repair traffic).
-	// A refusal means the outbound queue is momentarily full — the
-	// caller polls its own inbox and retries, exactly as for a full
-	// in-memory link.
-	TrySend(p Packet, urgent bool) bool
+	// process owning p.Dst, without blocking.  It reports acceptance; a
+	// refusal means the outbound queue is momentarily full — the caller
+	// polls its own inbox and retries, exactly as for a full in-memory
+	// link.
+	TrySend(p Packet) bool
 	// SendControl delivers an out-of-band control message to one peer
 	// process (peer < 0 broadcasts to all others).  Control messages
 	// bypass packet framing, the payload codec and packet backpressure;
@@ -103,64 +101,3 @@ type LinkState struct {
 	AckedSeq uint32 // highest sequence number the peer has acknowledged
 	RecvSeq  uint32 // highest sequence number delivered from the peer
 }
-
-// --- the in-memory fabric as the first Transport ------------------------
-//
-// A Network transports packets between its own endpoints: every node is
-// resident, TrySend is a reservation plus a ring push, and there is no
-// wire.  This is the degenerate single-process case the interface is
-// extracted from; it exists so transport-generic code (and tests) can
-// treat "in-memory" and "socket" uniformly.
-
-var _ Transport = (*Network)(nil)
-
-// Self returns 0: a single-process network is its own leader.
-func (nw *Network) Self() int { return 0 }
-
-// Procs returns 1.
-func (nw *Network) Procs() int { return 1 }
-
-// Resident reports true for every node: the whole machine lives here.
-func (nw *Network) Resident(id NodeID) bool { return true }
-
-// TrySend enqueues an already-stamped packet directly on the destination
-// ring, reporting false when the inbox lacks capacity.
-func (nw *Network) TrySend(p Packet, urgent bool) bool {
-	dst := nw.eps[p.Dst]
-	if !dst.reserve(1) {
-		return false
-	}
-	dst.enqueue(qItem{pkt: p})
-	return true
-}
-
-// SendControl fails: a single-process machine has no peers.
-func (nw *Network) SendControl(peer int, kind uint8, body []byte) error {
-	return errNoPeers
-}
-
-// OnControl is a no-op: no peer ever sends control traffic.
-func (nw *Network) OnControl(fn func(peer int, kind uint8, body []byte)) {}
-
-// SetPayloadCodec is a no-op: in-memory payloads move by reference.
-func (nw *Network) SetPayloadCodec(c PayloadCodec) {}
-
-// Start is a no-op; the ring fabric needs no reader goroutines.
-func (nw *Network) Start(attached *Network) error { return nil }
-
-// TransportStats is all zeros: ring traffic is counted per-endpoint.
-func (nw *Network) TransportStats() TransportStats { return TransportStats{} }
-
-// LinkStates is nil: there are no peer processes.
-func (nw *Network) LinkStates() []LinkState { return nil }
-
-// Close is a no-op.
-func (nw *Network) Close() error { return nil }
-
-type noPeersError struct{}
-
-func (noPeersError) Error() string {
-	return "amnet: single-process network has no peer processes"
-}
-
-var errNoPeers = noPeersError{}

@@ -6,58 +6,6 @@ import (
 	"time"
 )
 
-// TestNetworkIsItsOwnTransport pins the degenerate in-memory Transport:
-// a *Network transports packets between its own endpoints, every node is
-// resident, and the peer-facing surface is inert.
-func TestNetworkIsItsOwnTransport(t *testing.T) {
-	nw, err := NewNetwork(Config{Nodes: 2, InboxCap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr Transport = nw
-	if tr.Self() != 0 || tr.Procs() != 1 {
-		t.Errorf("Self/Procs = %d/%d, want 0/1", tr.Self(), tr.Procs())
-	}
-	if !tr.Resident(0) || !tr.Resident(1) {
-		t.Error("every node of a single-process network is resident")
-	}
-	if err := tr.SendControl(0, 1, nil); err == nil {
-		t.Error("SendControl on a single-process network should fail: no peers")
-	}
-	tr.OnControl(func(int, uint8, []byte) {})
-	tr.SetPayloadCodec(nil)
-	if err := tr.Start(nw); err != nil {
-		t.Errorf("Start: %v", err)
-	}
-	if s := tr.TransportStats(); s != (TransportStats{}) {
-		t.Errorf("stats = %+v, want zeros (ring traffic counts per-endpoint)", s)
-	}
-	if err := tr.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
-
-	const h HandlerID = 9
-	got := 0
-	nw.Register(h, func(ep *Endpoint, p Packet) { got++ })
-	// TrySend lands straight on the destination ring...
-	if !tr.TrySend(Packet{Handler: h, Dst: 1}, false) {
-		t.Fatal("TrySend refused with an empty inbox")
-	}
-	// ...and refuses once the inbox is full, without blocking.
-	filled := 1
-	for tr.TrySend(Packet{Handler: h, Dst: 1}, false) {
-		if filled++; filled > 100 {
-			t.Fatal("TrySend never refused on a capacity-4 inbox")
-		}
-	}
-	if n := nw.Endpoint(1).PollAll(); n != filled {
-		t.Errorf("PollAll handled %d, want the %d accepted packets", n, filled)
-	}
-	if got != filled {
-		t.Errorf("handler ran %d times, want %d", got, filled)
-	}
-}
-
 // fakeWire is a test Transport splitting a node set between two Networks
 // in one process: indexes below split live on side 0, the rest on side 1.
 // Packets cross through a bounded queue drained by a deliverer goroutine
@@ -100,7 +48,7 @@ func (f *fakeWire) Resident(id NodeID) bool {
 	return id >= f.split
 }
 
-func (f *fakeWire) TrySend(p Packet, urgent bool) bool {
+func (f *fakeWire) TrySend(p Packet) bool {
 	select {
 	case f.peer.q <- p:
 		return true
@@ -237,13 +185,12 @@ func TestRemoteSeamRoutesBySplit(t *testing.T) {
 		t.Fatalf("remote packet = %+v, want Src 0 U0 41", p)
 	}
 
-	// The urgent path (SendNow) takes the same seam.
-	//lint:ignore halvet-repairplane this test covers the urgent remote path itself; no repair traffic exists to overtake
-	nb.Endpoint(3).SendNow(Packet{Handler: h, Dst: 0, U0: 42})
+	// The other direction takes the same seam.
+	nb.Endpoint(3).Send(Packet{Handler: h, Dst: 0, U0: 42})
 	for {
 		select {
 		case <-deadline:
-			t.Fatal("urgent remote packet never arrived")
+			t.Fatal("returning remote packet never arrived")
 		default:
 		}
 		if na.Endpoint(0).PollAll() > 0 {
@@ -252,12 +199,12 @@ func TestRemoteSeamRoutesBySplit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if p := <-gota; p.U0 != 42 {
-		t.Fatalf("urgent remote packet = %+v, want U0 42", p)
+		t.Fatalf("returning remote packet = %+v, want U0 42", p)
 	}
 }
 
 // TestSendRemoteStallsAndRecovers fills the transport's outbound queue
-// so sendRemote runs its poll-while-stalled retry loop: the sender keeps
+// so inject runs its poll-while-stalled retry loop: the sender keeps
 // draining its own inbox while the wire refuses, and every packet still
 // crosses once the deliverer catches up.
 func TestSendRemoteStallsAndRecovers(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package analysis is `halvet`: a static-analysis suite that mechanically
 // enforces the runtime invariants the rest of this repository states only
 // in prose — handlers never block (amnet package comment), pooled values
-// are consumer-freed exactly once (core/wire.go), the location-repair
-// plane is always urgent (core/reliable.go sendCtlNow), and an Endpoint's
+// are consumer-freed exactly once (core/wire.go), and an Endpoint's
 // receive side belongs to one goroutine (amnet.Endpoint doc).
 //
 // The framework below is a deliberately small, dependency-free mirror of
@@ -22,7 +21,7 @@
 //	    a blocking operation as sanctioned, stopping handlernoblock's
 //	    reachability propagation through it.  Reserved for patterns whose
 //	    progress argument lives outside the type system, like the CMAM
-//	    poll-while-stalled discipline in amnet.reserveOrStall.
+//	    poll-while-stalled discipline in amnet's Endpoint.stall.
 //
 //	//halvet:allowwallclock <reason>
 //	    on a function declaration (or immediately above a statement)

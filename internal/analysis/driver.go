@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// Suite returns the six halvet analyzers in their canonical order.
+// Suite returns the five halvet analyzers in their canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		HandlerNoBlock,
 		PoolOwner,
-		RepairPlane,
 		EndpointAffinity,
 		VTClock,
 		RingOwner,

@@ -22,9 +22,7 @@ import (
 //     and select statements without a default clause;
 //   - known-blocking standard library calls (time.Sleep, sync.Mutex.Lock
 //     and friends, WaitGroup.Wait, Cond.Wait, Once.Do);
-//   - amnet contract hazards: Endpoint.RecvBlock (parks by contract) and
-//     Endpoint.Flush (re-enters the flush pass from handler context — the
-//     PR 2 stranded-staging bug class).
+//   - the amnet contract hazard Endpoint.RecvBlock (parks by contract).
 //
 // Propagation crosses package boundaries through facts; indirect calls
 // (function values, actor behaviors) are not followed — the analyzer
@@ -35,7 +33,7 @@ import (
 // static graph.  Keep sync.Map iteration out of handler paths (or flag a
 // new hazard entry here if one ever appears in the kernel).
 // Sanctioned blocking (the poll-while-stalled discipline in
-// amnet.reserveOrStall) is marked //halvet:allowblock with justification.
+// amnet's Endpoint.stall) is marked //halvet:allowblock with justification.
 var HandlerNoBlock = &Analyzer{
 	Name: "handlernoblock",
 	Doc:  "flag blocking operations reachable from amnet handlers",
@@ -73,11 +71,8 @@ func nbContractHazard(fn *types.Func) string {
 	if !isAmnetEndpointMethod(fn) {
 		return ""
 	}
-	switch fn.Name() {
-	case "RecvBlock":
+	if fn.Name() == "RecvBlock" {
 		return "Endpoint.RecvBlock parks the PE by contract"
-	case "Flush":
-		return "Endpoint.Flush from handler context re-enters the flush pass (stranded-staging hazard)"
 	}
 	return ""
 }

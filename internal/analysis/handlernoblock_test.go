@@ -2,8 +2,6 @@ package analysis
 
 import "testing"
 
-// The fixture's true positives include the PR 2 stranded-staging bug
-// class: a handler calling Endpoint.Flush re-enters the flush pass.
 func TestHandlerNoBlockFixture(t *testing.T) {
 	runFixture(t, HandlerNoBlock, "handlernoblock")
 }

@@ -11,7 +11,6 @@ import (
 
 const (
 	hEcho amnet.HandlerID = 1 + iota
-	hFlushy
 	hSleepy
 	hChain
 	hPoll
@@ -31,14 +30,6 @@ var (
 	wake   = make(chan struct{}, 1)
 	events []uint64
 )
-
-// True positive, the PR 2 stranded-staging bug class: a handler that
-// re-enters the flush pass mid-flush corrupts the staging buffers.
-func registerFlushy() {
-	install(hFlushy, func(ep *amnet.Endpoint, p amnet.Packet) { // want `amnet handler must never block: Endpoint\.Flush from handler context re-enters the flush pass`
-		ep.Flush()
-	})
-}
 
 // True positive: blocking reached through a named-function call chain.
 func registerChain() {
@@ -68,11 +59,11 @@ var table = map[amnet.HandlerID]amnet.Handler{
 	},
 }
 
-// Negative: handlers may send — SendNow and TrySend never park the PE
-// (capacity is reserved, or the send is refused).
+// Negative: handlers may send — Send stalls only under the sanctioned
+// poll-while-stalled discipline, and TrySend is refused instead.
 func registerUrgent() {
 	install(hUrgent, func(ep *amnet.Endpoint, p amnet.Packet) {
-		ep.SendNow(amnet.Packet{Handler: hEcho, Dst: p.Src, U0: p.U0})
+		ep.Send(amnet.Packet{Handler: hEcho, Dst: p.Src, U0: p.U0})
 		ep.TrySend(amnet.Packet{Handler: hEcho, Dst: p.Src})
 	})
 }

@@ -39,14 +39,14 @@ func doubleFree() {
 // True positive: once the value rides a packet the consumer owns it.
 func useAfterSend(ep *amnet.Endpoint, dst amnet.NodeID) {
 	p := newPath()
-	ep.SendNow(amnet.Packet{Handler: hFIR, Dst: dst, Payload: p})
+	ep.Send(amnet.Packet{Handler: hFIR, Dst: dst, Payload: p})
 	p.vt = 9 // want `pooled FIR path "p" used after ownership transfer`
 }
 
 // True positive: the producer must not also free after handing off.
 func freeAfterSend(ep *amnet.Endpoint, dst amnet.NodeID) {
 	p := newPath()
-	ep.SendNow(amnet.Packet{Handler: hFIR, Dst: dst, Payload: p})
+	ep.Send(amnet.Packet{Handler: hFIR, Dst: dst, Payload: p})
 	freePath(p) // want `freed after its ownership transferred`
 }
 
@@ -64,7 +64,7 @@ func consumerFrees(p amnet.Packet) float64 {
 func sendReadsFields(ep *amnet.Endpoint, dst amnet.NodeID) {
 	p := newPath()
 	p.vt = 4
-	ep.SendNow(amnet.Packet{Handler: hFIR, Dst: dst, VT: p.vt, Payload: p})
+	ep.Send(amnet.Packet{Handler: hFIR, Dst: dst, VT: p.vt, Payload: p})
 }
 
 // Negative: the boxed-payload fallback — storing into a non-Packet

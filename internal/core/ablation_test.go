@@ -259,3 +259,46 @@ func TestHeterogeneousLoadBalancing(t *testing.T) {
 			perNode[0], slowMax, perNode)
 	}
 }
+
+// TestRepairTrafficNeverStaged: the kernel stages two things — a
+// word-encoded reply (sendReply) and an ack under faults (ackCtl) — so a
+// workload that migrates an actor and chases it with stale sends, but
+// never Requests, must leave every staging buffer untouched: creation,
+// migration bundles, acks of them, FIRs and cache updates all went out
+// in order and at once.  This is the property the retired repairplane
+// analyzer guarded; a repair packet that reached SendBatched would show
+// here as a flush.
+func TestRepairTrafficNeverStaged(t *testing.T) {
+	m := testMachine(t, Config{Nodes: 4})
+	dumpFlightOnFailure(t, m)
+	p := &probe{}
+	wanderer := m.RegisterType("wanderer", func(args []any) Behavior {
+		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			switch msg.Sel {
+			case selPing:
+				ctx.Migrate(msg.Int(0))
+			case selWork:
+				p.add(ctx.Node())
+			}
+		}}
+	})
+	const chasers = 8
+	run(t, m, func(ctx *Context) {
+		w := ctx.NewOn(1, wanderer)
+		ctx.Send(w, selPing, 2)
+		ctx.Send(w, selPing, 3)
+		for i := 0; i < chasers; i++ {
+			ctx.Send(w, selWork) // lands on a forwarder more often than not
+		}
+	})
+	if p.len() != chasers {
+		t.Fatalf("%d of %d chasing messages delivered", p.len(), chasers)
+	}
+	s := m.Stats().Total
+	if s.Migrations != 2 || s.CacheUpdates == 0 {
+		t.Fatalf("workload carried no repair traffic: migrations=%d cache updates=%d", s.Migrations, s.CacheUpdates)
+	}
+	if s.Net.Batches != 0 || s.Net.FlushOcc.N != 0 {
+		t.Fatalf("staging engaged without a Request: %d batches, %d staged-buffer flushes", s.Net.Batches, s.Net.FlushOcc.N)
+	}
+}

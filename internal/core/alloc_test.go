@@ -103,7 +103,7 @@ func TestAllocPooledLocalDelivery(t *testing.T) {
 }
 
 // TestAllocWordEncodedCacheUpdate: a cache update crossing the
-// interconnect — word-encoded send, coalesced injection, receive, decode,
+// interconnect — word-encoded send, injection, receive, decode,
 // apply — must not allocate on either endpoint.
 func TestAllocWordEncodedCacheUpdate(t *testing.T) {
 	m, _ := allocMachine(t, 2)
@@ -114,7 +114,6 @@ func TestAllocWordEncodedCacheUpdate(t *testing.T) {
 	addr := Addr{Birth: 0, Hint: 0, Seq: 7}
 	requireZeroAllocs(t, "cache update", func() {
 		n0.sendCacheUpdate(1, addr, 0, 7)
-		n0.ep.Flush()
 		if n1.ep.PollAll() != 1 {
 			t.Fatal("cache update not delivered")
 		}
@@ -131,7 +130,7 @@ func TestAllocWordEncodedReply(t *testing.T) {
 	rt := ReplyTo{Node: 1, JC: j.seq, Slot: 0}
 	requireZeroAllocs(t, "scalar reply", func() {
 		n0.sendReply(rt, 7, prog)
-		n0.ep.Flush()
+		n0.ep.PollAll() // the reply is staged until the sender's next poll boundary
 		if n1.ep.PollAll() != 1 {
 			t.Fatal("reply not delivered")
 		}
@@ -147,11 +146,9 @@ func TestAllocWordEncodedFIR(t *testing.T) {
 	addr := Addr{Birth: 0, Hint: 0, Seq: 9}
 	requireZeroAllocs(t, "FIR round trip", func() {
 		n0.sendFIR(1, firReq{addr: addr, path: append(n0.newPath(), n0.id)})
-		n0.ep.Flush()
 		if n1.ep.PollAll() != 1 {
 			t.Fatal("FIR not delivered")
 		}
-		n1.ep.Flush() // the hFIRFound answer back to node 0
 		if n0.ep.PollAll() != 1 {
 			t.Fatal("FIR answer not delivered")
 		}
@@ -215,11 +212,9 @@ func TestAllocTracedFIRRoundTrip(t *testing.T) {
 		ld.RNode, ld.RSeq = 1, 0
 		ld.FIRSent = false
 		n0.maybeSendFIR(ld, addr)
-		n0.ep.Flush()
 		if n1.ep.PollAll() != 1 {
 			t.Fatal("FIR not delivered")
 		}
-		n1.ep.Flush()
 		if n0.ep.PollAll() != 1 {
 			t.Fatal("FIR answer not delivered")
 		}

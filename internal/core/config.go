@@ -72,12 +72,6 @@ type Config struct {
 	// (2.0 = twice as fast, 0.5 = half speed).  Empty means uniform.
 	NodeSpeed []float64
 
-	// PaceWindow bounds how far (in virtual time) a node may run ahead
-	// of the slowest busy node before pausing (see pace.go).  Zero
-	// selects the default: 500µs when LoadBalance is on, disabled
-	// otherwise.  Negative disables pacing explicitly.
-	PaceWindow time.Duration
-
 	// Seed seeds the per-node RNGs (placement, steal victims).  A zero
 	// seed selects a fixed default, keeping runs reproducible.
 	Seed int64
@@ -86,21 +80,12 @@ type Config struct {
 	// duplication, delay, node pauses — see amnet.FaultPlan) and arms
 	// the kernel's reliable-delivery layer (reliable.go): control
 	// packets are sequenced, deduplicated, acknowledged, and retried
-	// with backoff, escalating to dead letters when RetryBudget runs
-	// out.  Nil (the default) keeps the fault-free fast path: no
+	// with backoff (retryBase doubling up to retryMax), escalating to
+	// dead letters after retryBudget attempts.  Nil (the default) keeps the fault-free fast path: no
 	// sequencing, no acks, no retry state.  A zero Faults.Seed inherits
 	// Seed.  The plan is normalized in place and may be shared across
 	// machines.
 	Faults *amnet.FaultPlan
-
-	// RetryMax caps the exponential backoff between retransmits of an
-	// unacknowledged control packet (only with Faults set — a dist
-	// machine without them retries nothing; the first timeout is
-	// retryBase).  Default 10ms, 250ms on a dist machine.
-	RetryMax time.Duration
-	// RetryBudget is how many retransmissions a control packet gets
-	// before it is abandoned and dead-lettered.  Default 24.
-	RetryBudget int
 
 	// Out receives front-end output (ctx.Printf).  Default os.Stdout.
 	Out io.Writer
@@ -202,6 +187,19 @@ func (c *Config) retryBase() time.Duration {
 	return 500 * time.Microsecond
 }
 
+// retryMax caps the exponential backoff between retransmits (only with
+// Faults set — a dist machine without them retries nothing).
+func (c *Config) retryMax() time.Duration {
+	if c.Dist != nil {
+		return 250 * time.Millisecond
+	}
+	return 10 * time.Millisecond
+}
+
+// retryBudget is how many retransmissions a control packet gets before it
+// is abandoned and dead-lettered.
+const retryBudget = 24
+
 // DefaultConfig returns a configuration for nodes PEs with the paper's
 // defaults (flow control on, LD caching on, collective scheduling on, no
 // load balancing).
@@ -244,15 +242,6 @@ func (c *Config) applyDefaults() error {
 	if c.Faults != nil && c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed
 	}
-	if c.RetryMax < c.retryBase() {
-		c.RetryMax = 10 * time.Millisecond
-		if c.Dist != nil {
-			c.RetryMax = 250 * time.Millisecond
-		}
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 24
-	}
 	if c.Out == nil {
 		c.Out = os.Stdout
 	}
@@ -260,13 +249,6 @@ func (c *Config) applyDefaults() error {
 		c.FlightEvents = 64
 	}
 	c.Costs.applyDefaults()
-	if c.PaceWindow == 0 {
-		if c.LoadBalance {
-			c.PaceWindow = 500 * time.Microsecond
-		} else {
-			c.PaceWindow = -1
-		}
-	}
 	if c.Dist != nil {
 		if err := c.Dist.validate(c.Nodes); err != nil {
 			return err

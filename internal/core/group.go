@@ -84,16 +84,12 @@ func (n *node) handleGroupCreate(gc groupCreate, vt float64) {
 			// A lost fan-out packet strands one accounted creation per
 			// member homed anywhere in the child's subtree.
 			cnt := subtreeMembers(gc.g, gc.g.Birth, c, p)
-			n.sendCtlUnits(pkt, relUnit{prog: gc.prog, live: cnt, letters: uint64(cnt)}, nil)
-		} else {
-			n.ep.SendBatched(pkt)
+			n.sequence(&pkt, relUnit{prog: gc.prog, live: cnt, letters: uint64(cnt)}, nil)
 		}
+		n.ep.Send(pkt)
 	}
 	e := &groupEntry{g: gc.g}
-	for i := 0; i < gc.g.N; i++ {
-		if gc.g.home(i) != n.id {
-			continue
-		}
+	for i := gc.g.firstOn(n.id); i < gc.g.N; i += gc.g.Nodes {
 		alias := gc.g.Member(i)
 		args := make([]any, 0, len(gc.args)+2)
 		args = append(args, i, gc.g)
@@ -142,10 +138,9 @@ func (n *node) handleBcast(bw *bcastWork, vt float64) {
 		if n.m.relOn {
 			// One accounted delivery per member in the child's subtree.
 			cnt := subtreeMembers(bw.g, bw.root, c, p)
-			n.sendCtlUnits(pkt, relUnit{prog: bw.msg.prog, live: cnt, letters: uint64(cnt)}, nil)
-		} else {
-			n.ep.SendBatched(pkt)
+			n.sequence(&pkt, relUnit{prog: bw.msg.prog, live: cnt, letters: uint64(cnt)}, nil)
 		}
+		n.ep.Send(pkt)
 	}
 	if _, known := n.groups[bw.g.ID]; !known {
 		n.pendingCasts[bw.g.ID] = append(n.pendingCasts[bw.g.ID], pendingCast{bw: bw, vt: vt})

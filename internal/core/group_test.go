@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+
+	"hal/internal/amnet"
 )
 
 // memberProbe records (memberIndex, node) pairs.
@@ -331,5 +334,56 @@ func TestCollectiveSchedulingOrder(t *testing.T) {
 	}
 	if len(ints) != 8 {
 		t.Errorf("deliveries=%d want 8", len(ints))
+	}
+}
+
+// TestGroupMemberArithmetic compares the closed forms handleGroupCreate
+// and subtreeMembers use (a node's members stride by Nodes from firstOn;
+// a subtree's count sums membersOn over its contiguous relative range)
+// with the scan over all N members they replaced.
+func TestGroupMemberArithmetic(t *testing.T) {
+	scanSubtree := func(g Group, root, child amnet.NodeID, p int) int64 {
+		var cnt int64
+		for i := 0; i < g.N; i++ {
+			for x := g.home(i); x != amnet.NoNode; x = amnet.TreeParent(root, x, p) {
+				if x == child {
+					cnt++
+					break
+				}
+			}
+		}
+		return cnt
+	}
+	for _, p := range []int{1, 2, 5, 8} {
+		for _, n := range []int{1, p - 1, p, p + 1, 10*p + 3} {
+			if n < 1 {
+				continue
+			}
+			for base := 0; base < p; base++ {
+				g := Group{N: n, Base: amnet.NodeID(base), Nodes: p}
+				for x := amnet.NodeID(0); int(x) < p; x++ {
+					var want []int
+					for i := 0; i < n; i++ {
+						if g.home(i) == x {
+							want = append(want, i)
+						}
+					}
+					var got []int
+					for i := g.firstOn(x); i < n; i += p {
+						got = append(got, i)
+					}
+					if !slices.Equal(got, want) || g.membersOn(x) != int64(len(want)) {
+						t.Fatalf("P=%d N=%d Base=%d node %d: stride %v (membersOn %d), scan %v",
+							p, n, base, x, got, g.membersOn(x), want)
+					}
+					for root := amnet.NodeID(0); int(root) < p; root++ {
+						if got, want := subtreeMembers(g, root, x, p), scanSubtree(g, root, x, p); got != want {
+							t.Fatalf("P=%d N=%d Base=%d root %d child %d: subtreeMembers %d, scan %d",
+								p, n, base, root, x, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -147,14 +147,16 @@ func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
 		U1:      uint64(uint32(rt.Slot)),
 		VT:      n.stamp(0),
 	}
-	if tag, bits, ok := encodeReplyValue(v); ok {
-		pkt.U1 |= tag << 32
-		pkt.U2 = bits
-		if prog != nil {
-			pkt.U3 = prog.id
-		}
-	} else {
+	tag, bits, ok := encodeReplyValue(v)
+	if !ok {
 		pkt.Payload = replyEnvelope{v: v, prog: prog}
+		n.sendCtl(pkt, prog, 1, 1)
+		return
 	}
-	n.sendCtl(pkt, prog, 1, 1)
+	pkt.U1 |= tag << 32
+	pkt.U2 = bits
+	if prog != nil {
+		pkt.U3 = prog.id
+	}
+	n.sendCtlStaged(pkt, prog, 1, 1)
 }

@@ -126,7 +126,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		typeByName: make(map[string]TypeID),
 		types:      []typeEntry{{name: "<invalid>"}}, // TypeID 0 reserved
 	}
-	m.pace.init(cfg.Nodes, float64(cfg.PaceWindow)/float64(time.Microsecond))
+	m.pace.init(cfg.Nodes, cfg.LoadBalance)
 	m.live = newSharded(cfg.Nodes + 1) // one slot per node + the front end
 	m.beat = newSharded(cfg.Nodes)
 	m.parked = newSharded(cfg.Nodes)

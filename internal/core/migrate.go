@@ -70,21 +70,20 @@ func (n *node) startMigration(a *Actor) {
 
 	n.incLive(a.prog, 1)
 	pkt := amnet.Packet{Handler: hMigrate, Dst: dst, VT: n.stamp(0), Payload: bundle}
-	if !n.m.relOn {
-		n.ep.SendBatched(pkt)
-		return
+	if n.m.relOn {
+		// A lost bundle strands the bundle unit AND every queued message;
+		// the receiver recycles messages after dispatch, so capture their
+		// accounting now rather than chase pointers at escalation time.
+		extra := make([]relUnit, 0, len(bundle.msgs)+len(bundle.pending))
+		for _, ms := range bundle.msgs {
+			extra = append(extra, relUnit{prog: ms.prog, live: 1, letters: 1})
+		}
+		for _, ms := range bundle.pending {
+			extra = append(extra, relUnit{prog: ms.prog, live: 1, letters: 1})
+		}
+		n.sequence(&pkt, relUnit{prog: a.prog, live: 1, letters: 0}, extra)
 	}
-	// A lost bundle strands the bundle unit AND every queued message; the
-	// receiver recycles messages after dispatch, so capture their
-	// accounting now rather than chase pointers at escalation time.
-	extra := make([]relUnit, 0, len(bundle.msgs)+len(bundle.pending))
-	for _, ms := range bundle.msgs {
-		extra = append(extra, relUnit{prog: ms.prog, live: 1, letters: 1})
-	}
-	for _, ms := range bundle.pending {
-		extra = append(extra, relUnit{prog: ms.prog, live: 1, letters: 1})
-	}
-	n.sendCtlUnits(pkt, relUnit{prog: a.prog, live: 1, letters: 0}, extra)
+	n.ep.Send(pkt)
 }
 
 // handleMigrate installs a migrated-in actor, re-registers its addresses,

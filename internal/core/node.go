@@ -243,7 +243,7 @@ func (n *node) idle() {
 	polling := n.m.cfg.LoadBalance && n.m.live.sum() > 0 && n.spawnq.Empty()
 	if polling {
 		//halvet:allowwallclock lost-steal watchdog: an idle PE's VT is frozen, so fault recovery must pace on the host clock
-		if n.stealOut && n.m.relOn && !n.stealSent.IsZero() && time.Since(n.stealSent) > n.m.cfg.RetryMax*8 {
+		if n.stealOut && n.m.relOn && !n.stealSent.IsZero() && time.Since(n.stealSent) > n.m.cfg.retryMax()*8 {
 			// The request or its grant exceeded any plausible recovery
 			// time (lost victim escalation, or a grant dead-lettered on
 			// the victim).  Poll anew; a late grant still lands safely.

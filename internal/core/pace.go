@@ -20,7 +20,7 @@ import (
 //	                  stamps of all deferred creations awaiting pickup )
 //
 //	While any node is idle-polling for work, a node may only START new
-//	work if its clock is within PaceWindow of F.  A node paused by the
+//	work if its clock is within paceWindow of F.  A node paused by the
 //	rule keeps serving its network (steal requests, name service), so
 //	the stealable record defining the frontier is claimed within a real
 //	round trip and F advances.
@@ -56,8 +56,16 @@ type pacer struct {
 	slots   []paceSlot
 }
 
-func (p *pacer) init(nodes int, window float64) {
-	p.window = window
+// paceWindow bounds how far (in virtual µs) a node may run ahead of the
+// frontier before pausing.
+const paceWindow = 500.0
+
+// init arms the window only with load balancing on: without steals no node
+// ever idle-polls, so the rule could never engage.
+func (p *pacer) init(nodes int, loadBalance bool) {
+	if loadBalance {
+		p.window = paceWindow
+	}
 	p.slots = make([]paceSlot, nodes)
 }
 

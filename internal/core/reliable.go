@@ -14,12 +14,13 @@ package core
 //   - Senders stamp each control packet with a per-(src,dst) sequence
 //     number (Packet.Seq; 0 means unsequenced) and keep it in a retry
 //     table until the receiver acknowledges it (hCtlAck).
-//   - Receivers acknowledge every sequenced packet and suppress
+//   - Receivers acknowledge every sequenced packet (acks are one of the
+//     two things the kernel stages, see sendCtlStaged) and suppress
 //     duplicates (retransmits, fault dups) before the handler runs, so
 //     every handler behaves exactly-once without being individually
 //     idempotent.
 //   - Unacknowledged packets are re-sent with exponential backoff plus
-//     jitter; after Config.RetryBudget attempts the packet is abandoned
+//     jitter; after retryBudget attempts the packet is abandoned
 //     and ESCALATED: the live-work units it carried (captured eagerly at
 //     send time — payloads may be recycled by the receiver) retire as
 //     dead letters so the program can still quiesce, and protocol state
@@ -31,7 +32,10 @@ package core
 // and the retry map are touched only by the owner (handlers run on the
 // receiving node's goroutine, sends on the sender's), so the layer adds
 // no locks.  With Faults unset none of this state is consulted beyond
-// one branch per send and one per receive.
+// one branch per send and one per receive.  The send-side branch lives
+// in the kernel's two send verbs below, sendCtl (in order and now) and
+// sendCtlStaged (may wait for the next poll boundary); packets carrying
+// several units call sequence themselves and then ep.Send.
 //
 // That holds for a machine spanning several processes too.  The socket
 // link between two processes delivers exactly once and in order by
@@ -156,34 +160,36 @@ func (r *relState) accept(src amnet.NodeID, seq uint64) bool {
 	return true
 }
 
-// sendCtl injects a kernel control packet carrying (at most) one
-// live-work unit.  With fault injection off this is a plain Send.
+// sendCtl sends a kernel control packet carrying (at most) one live-work
+// unit, in order and now.  With fault injection off this is a plain Send.
 func (n *node) sendCtl(p amnet.Packet, prog *Program, live int64, letters uint64) {
-	if !n.m.relOn {
-		n.ep.SendBatched(p)
-		return
+	if n.m.relOn {
+		n.sequence(&p, relUnit{prog: prog, live: live, letters: letters}, nil)
 	}
-	n.sendCtlUnits(p, relUnit{prog: prog, live: live, letters: letters}, nil)
+	n.ep.Send(p)
 }
 
-// sendCtlNow is sendCtl for the location-repair plane (cache updates,
-// FIRs and their answers, migration acks, alias binds): single-word
-// packets whose whole point is to shorten forwarding chains, so they
-// skip output coalescing — a repair that waits in a staging buffer for
-// the sender's next poll boundary lets routed traffic keep paying the
-// chain in the meantime.  Under fault injection the sequenced retry path
-// takes over and urgency is moot.
-func (n *node) sendCtlNow(p amnet.Packet) {
-	if !n.m.relOn {
-		n.ep.SendNow(p)
-		return
+// sendCtlStaged is sendCtl for a packet that may wait in the link's
+// staging buffer for this node's next poll boundary (amnet.SendBatched).
+// The kernel stages exactly two things: a word-encoded reply (sendReply) —
+// a burst of them leaves one node for one requester when a barrier or a
+// join releases, and nothing routes by what a reply says — and the
+// reliable layer's acks (ackCtl).  Everything else, location repair above
+// all, goes through sendCtl: a repair that sat in a staging buffer would
+// let routed traffic keep paying the forwarding chain it shortens.
+func (n *node) sendCtlStaged(p amnet.Packet, prog *Program, live int64, letters uint64) {
+	if n.m.relOn {
+		n.sequence(&p, relUnit{prog: prog, live: live, letters: letters}, nil)
 	}
-	n.sendCtlUnits(p, relUnit{}, nil)
+	n.ep.SendBatched(p)
 }
 
-// sendCtlUnits is sendCtl for packets carrying several units (reliable
-// path only; callers must check m.relOn before building the slice).
-func (n *node) sendCtlUnits(p amnet.Packet, unit relUnit, extra []relUnit) {
+// sequence stamps p with the next sequence number to its destination and
+// files it in the retry table with the live-work units it carries (extra
+// for packets carrying several: migration bundles).  Reliable path only;
+// callers test m.relOn first, and take p by pointer so the fault-free
+// path never copies a Packet it does not send.
+func (n *node) sequence(p *amnet.Packet, unit relUnit, extra []relUnit) {
 	r := &n.rel
 	r.nextSeq[p.Dst]++
 	p.Seq = r.nextSeq[p.Dst]
@@ -191,19 +197,19 @@ func (n *node) sendCtlUnits(p amnet.Packet, unit relUnit, extra []relUnit) {
 	//halvet:allowwallclock retransmit timers model host-time recovery, not simulated cost; the sender's VT does not advance while it waits
 	due := time.Now().Add(base)
 	r.pending[relKey{dst: p.Dst, seq: p.Seq}] = &relEntry{
-		pkt:      p,
+		pkt:      *p,
 		due:      due,
 		interval: base,
 		unit:     unit,
 		extra:    extra,
 	}
 	r.noteDue(due)
-	n.ep.SendBatched(p)
 }
 
 // ackCtl acknowledges receipt of sequenced packet seq from src.  Acks
 // are unsequenced (an ack of an ack would never terminate); a lost ack
-// just costs one retransmission, which the receiver dedups.
+// just costs one retransmission, which the receiver dedups.  They are
+// staged: one handler burst acknowledges many packets from one peer.
 func (n *node) ackCtl(src amnet.NodeID, seq uint64) {
 	n.ep.SendBatched(amnet.Packet{Handler: hCtlAck, Dst: src, U0: seq})
 }
@@ -227,13 +233,13 @@ func (n *node) pumpRetries() {
 		return
 	}
 	r.nextDue = time.Time{}
-	budget := n.m.cfg.RetryBudget
+	maxIv := n.m.cfg.retryMax()
 	for k, e := range r.pending {
 		if now.Before(e.due) {
 			r.noteDue(e.due)
 			continue
 		}
-		if e.tries >= budget {
+		if e.tries >= retryBudget {
 			delete(r.pending, k)
 			n.escalate(e)
 			continue
@@ -242,8 +248,8 @@ func (n *node) pumpRetries() {
 		n.stats.Retries++
 		n.trace(EvRetry, Nil, k.dst)
 		iv := e.interval * 2
-		if iv > n.m.cfg.RetryMax {
-			iv = n.m.cfg.RetryMax
+		if iv > maxIv {
+			iv = maxIv
 		}
 		e.interval = iv
 		// +-25% jitter so retransmit storms from many nodes decorrelate.
@@ -326,19 +332,10 @@ func (n *node) abandonFIR(addr Addr) {
 // subtree of the broadcast tree rooted at root — the work units a lost
 // tree fan-out packet strands.
 func subtreeMembers(g Group, root, child amnet.NodeID, p int) int64 {
+	lo, size := amnet.TreeSubtree(root, child, p)
 	var cnt int64
-	for i := 0; i < g.N; i++ {
-		x := g.home(i)
-		for {
-			if x == child {
-				cnt++
-				break
-			}
-			if x == root || x == amnet.NoNode {
-				break
-			}
-			x = amnet.TreeParent(root, x, p)
-		}
+	for rel := lo; rel < lo+size; rel++ {
+		cnt += g.membersOn(amnet.NodeID((int(root) + rel) % p))
 	}
 	return cnt
 }

@@ -195,6 +195,21 @@ func (g Group) Member(i int) Addr {
 
 func (g Group) home(i int) amnet.NodeID { return amnet.NodeID((int(g.Base) + i) % g.Nodes) }
 
+// firstOn inverts home: node x is home to members firstOn(x),
+// firstOn(x)+Nodes, … below N (to none when firstOn(x) >= N).
+func (g Group) firstOn(x amnet.NodeID) int {
+	return (int(x) - int(g.Base) + g.Nodes) % g.Nodes
+}
+
+// membersOn counts the members homed on node x.
+func (g Group) membersOn(x amnet.NodeID) int64 {
+	i0 := g.firstOn(x)
+	if i0 >= g.N {
+		return 0
+	}
+	return int64((g.N - i0 + g.Nodes - 1) / g.Nodes)
+}
+
 // spawnRecord is a deferred (load-balanceable) or remote creation request.
 type spawnRecord struct {
 	alias Addr

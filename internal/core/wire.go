@@ -61,10 +61,9 @@ func decodeLoc(p amnet.Packet) (addr Addr, node amnet.NodeID, seq uint64) {
 }
 
 // sendLoc transmits a word-encoded location triple as an unaccounted
-// control packet.  Location repair is latency-critical: it bypasses
-// output coalescing (see sendCtlNow).
+// control packet.
 func (n *node) sendLoc(h amnet.HandlerID, dst amnet.NodeID, addr Addr, node amnet.NodeID, seq uint64) {
-	n.sendCtlNow(locPacket(h, dst, addr, node, seq))
+	n.sendCtl(locPacket(h, dst, addr, node, seq), nil, 0, 0)
 }
 
 // sendCacheUpdate tells dst that addr lives on node under descriptor slot
@@ -185,11 +184,11 @@ func (n *node) decodeFIR(p amnet.Packet) firReq {
 // packet (and on to the receiver).
 func (n *node) sendFIR(dst amnet.NodeID, req firReq) {
 	if p, ok := encodeFIRPacket(dst, req.addr, req.path); ok {
-		n.sendCtlNow(p)
+		n.sendCtl(p, nil, 0, 0)
 		n.freePath(req.path)
 		return
 	}
-	n.sendCtlNow(amnet.Packet{Handler: hFIR, Dst: dst, Payload: req})
+	n.sendCtl(amnet.Packet{Handler: hFIR, Dst: dst, Payload: req}, nil, 0, 0)
 }
 
 // --- per-node control-plane arenas --------------------------------------
