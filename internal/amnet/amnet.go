@@ -23,7 +23,7 @@
 // instead STAGE it (SendBatched): staged packets accumulate in a
 // per-(src,dst) buffer and are injected as one inbox item when the buffer
 // reaches Config.BatchMax or the endpoint reaches a poll boundary
-// (PollAll, RecvBlock).  A batch costs one ring operation instead of N,
+// (PollAll, Wait).  A batch costs one ring operation instead of N,
 // but counts as N packets against the destination's InboxCap (capacity is
 // tracked by an atomic packet-token counter, not ring slots), preserves
 // per-(src,dst) FIFO (packets within a batch are delivered in append
@@ -171,6 +171,18 @@ type Network struct {
 	// and its node goroutines have stopped draining rings, so a blocked
 	// transport reader must not wedge a peer process's writer.
 	injectDiscard atomic.Bool
+
+	// awake counts the resident endpoints whose owner is waiting on the
+	// network (has called Wait or RecvBlock and not left by stop) and is
+	// not parked right now: the number of goroutines that can still
+	// produce a packet.  A parking endpoint takes itself out, whoever
+	// ends its sleep puts it back — the waker, not the woken, because on
+	// one P the woken goroutine does not run before the waker next waits,
+	// and that wait is the one that must see it (wait.go).  On its own
+	// line: every park and every wake writes it.
+	_     [64]byte
+	awake atomic.Int32
+	_     [60]byte
 }
 
 // NewNetwork builds a network with the given configuration.  Handlers must
@@ -317,7 +329,7 @@ type outBuf struct {
 }
 
 // Endpoint is one PE's attachment to the network.  All receive-side calls
-// (PollOne, PollAll, RecvBlock) and all Send calls must come from the
+// (PollOne, PollAll, Wait, RecvBlock) and all Send calls must come from the
 // single goroutine that owns the node.
 type Endpoint struct {
 	id  NodeID
@@ -343,9 +355,10 @@ type Endpoint struct {
 	inq     atomic.Int64
 	waiters atomic.Int32
 	// rsleep flags that the consumer is parked (or about to park) on
-	// recvWake; producers signal the one-token recvWake channel only when
-	// they observe it set.  Written only by the consumer, read by
-	// producers; see ring.go's lost-wakeup argument.
+	// recvWake.  The consumer sets it; whoever swaps it back to 0 — a
+	// producer that published, Wake, or the consumer itself — ends that
+	// sleep, and a waker that wins the swap sends the one-token recvWake
+	// channel its token.  See ring.go's lost-wakeup argument and wait.go.
 	rsleep atomic.Int32
 	_      [44]byte
 
@@ -355,7 +368,18 @@ type Endpoint struct {
 	// before re-checking capacity, so wake-ups cannot be lost.
 	spaceWake chan struct{}
 	// recvWake is the empty↔non-empty edge: the consumer's park channel.
+	// It carries at most one token, the one a claimed sleep is owed.
 	recvWake chan struct{}
+
+	// waiting marks this endpoint as counted in Network.awake: set by its
+	// owner's first wait, cleared when a wait ends on stop.  onPark, if
+	// set, runs on the owner's goroutine before a wait really parks.
+	waiting bool
+	onPark  func()
+	// yielded is how long the owner has yielded sub-millisecond deadlines
+	// away since stats.Received last read yieldedAt (wait.go).
+	yielded   time.Duration
+	yieldedAt uint64
 
 	// Send-side coalescing state (owned by the endpoint's goroutine).
 	out       []outBuf
@@ -422,10 +446,7 @@ func (ep *Endpoint) release(k int64) {
 func (ep *Endpoint) enqueue(q qItem) {
 	ep.ring.push(q)
 	if ep.rsleep.Load() != 0 {
-		select {
-		case ep.recvWake <- struct{}{}:
-		default:
-		}
+		ep.Wake()
 	}
 }
 
@@ -435,19 +456,13 @@ func (ep *Endpoint) enqueue(q qItem) {
 // re-test after registering as a waiter) so a producer publishing between
 // the re-check and the select is guaranteed to see the flag and signal
 // recvWake.
-//
-//halvet:allowblock bounded by the CMAM cycle argument: the caller loops draining its own inbox, and either wake source ends this one wait
 func (ep *Endpoint) parkRecvOrSpace(dst *Endpoint) {
-	ep.rsleep.Store(1)
+	ep.declare()
 	if !ep.ring.empty() {
-		ep.rsleep.Store(0)
+		ep.undeclare()
 		return
 	}
-	select {
-	case <-dst.spaceWake:
-	case <-ep.recvWake:
-	}
-	ep.rsleep.Store(0)
+	ep.park(dst.spaceWake, nil)
 }
 
 // stall claims k tokens of dst capacity, waiting while the link is full.
@@ -520,7 +535,7 @@ func (ep *Endpoint) SendNow(p Packet) { ep.Send(p) }
 // Delivery order per (src,dst) pair is identical to Send; only the
 // ring-operation count changes.  The staged packets are injected when the
 // buffer reaches Config.BatchMax, at the next Send to the same destination,
-// or at the next poll boundary (PollAll/RecvBlock) — staged packets are
+// or at the next poll boundary (PollAll/Wait) — staged packets are
 // never held across a blocking wait.
 func (ep *Endpoint) SendBatched(p Packet) { ep.send(p, true) }
 
@@ -793,11 +808,7 @@ func (ep *Endpoint) PollOne() bool {
 	if f := ep.faults; f != nil && f.pausedNow(ep) {
 		return false
 	}
-	if q, ok := ep.ring.pop(); ok {
-		ep.consume(q)
-		return true
-	}
-	return false
+	return ep.popOne()
 }
 
 // PollAll drains and handles every packet currently queued, returning the
@@ -828,71 +839,6 @@ func (ep *Endpoint) PollAll() int {
 			return n
 		}
 		n += ep.consume(q)
-	}
-}
-
-// RecvBlock waits for one inbox item, handles it, and returns true.  It
-// returns false if stop closes or the timeout (if positive) expires first.
-// A zero or negative timeout means wait indefinitely.  Staged SendBatched
-// packets are flushed before blocking, and packets the fault plan delayed
-// on an earlier poll are re-injected (counting as a delivery) rather than
-// stranded while the node sleeps.
-//
-//halvet:allowwallclock idle-park timers are host-time: a parked PE's VT is frozen, and its wake-up pacing (steal polls, pause windows) is a host concern
-func (ep *Endpoint) RecvBlock(stop <-chan struct{}, timeout time.Duration) bool {
-	ep.flushOut()
-	if f := ep.faults; f != nil {
-		if rem := f.pauseRemaining(ep); rem > 0 {
-			// Paused: sleep out the window (or the caller's timeout,
-			// whichever is shorter) without consuming the inbox.
-			if timeout > 0 && timeout < rem {
-				rem = timeout
-			}
-			t := time.NewTimer(rem)
-			defer t.Stop()
-			select {
-			case <-stop:
-			case <-t.C:
-			}
-			return false
-		}
-		if ep.drainDelayed() > 0 {
-			return true
-		}
-	}
-	if q, ok := ep.ring.pop(); ok {
-		ep.consume(q)
-		return true
-	}
-	var timerC <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timerC = t.C
-	}
-	for {
-		// Park protocol: declare the sleep, re-check, then block — a
-		// producer publishing after the re-check is guaranteed to see
-		// rsleep and hand over the recvWake token (ring.go).
-		ep.rsleep.Store(1)
-		if q, ok := ep.ring.pop(); ok {
-			ep.rsleep.Store(0)
-			ep.consume(q)
-			return true
-		}
-		select {
-		case <-ep.recvWake:
-			// A publish (or a stale token from an earlier race); loop and
-			// re-pop.  The timer keeps running, so the caller's timeout
-			// budget is shared across spurious wake-ups, not reset.
-			ep.rsleep.Store(0)
-		case <-stop:
-			ep.rsleep.Store(0)
-			return false
-		case <-timerC:
-			ep.rsleep.Store(0)
-			return false
-		}
 	}
 }
 
@@ -994,6 +940,8 @@ type Stats struct {
 	BulkRecvs   uint64 // bulk transfers completed (receive side)
 	BulkWords   uint64 // float64 words received in bulk segments
 	BulkQueued  uint64 // bulk requests that waited for a grant
+	WaitYields  uint64 // waits a yield, not a park, ended with a packet (wait.go)
+	WaitParks   uint64 // waits that really parked the goroutine
 
 	// Fault injection (zero unless Config.Faults is set).
 	Dropped     uint64 // packets discarded by the fault plan
@@ -1022,6 +970,8 @@ func (s *Stats) Add(other Stats) {
 	s.BulkRecvs += other.BulkRecvs
 	s.BulkWords += other.BulkWords
 	s.BulkQueued += other.BulkQueued
+	s.WaitYields += other.WaitYields
+	s.WaitParks += other.WaitParks
 	s.Dropped += other.Dropped
 	s.Duplicated += other.Duplicated
 	s.Delayed += other.Delayed

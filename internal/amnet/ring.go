@@ -31,15 +31,31 @@
 //
 // Empty↔non-empty edge.  The consumer parks on recvWake (a one-token
 // channel) only after (a) setting rsleep and (b) re-checking the ring —
-// the same check-then-block order as stall's lost-wakeup fix.  A
-// producer signals recvWake only when it observes rsleep after
-// publishing.  Sequential consistency rules out the lost wakeup: if the
-// consumer's re-check missed the item, the re-check ordered before the
-// publish, hence the rsleep store ordered before the producer's rsleep
-// load, which therefore sees it and sends the token.  At most one stale
-// token can sit in the channel (a producer racing a successful re-check);
-// it costs the consumer one spurious loop iteration, never a missed
-// packet.
+// the same check-then-block order as stall's lost-wakeup fix.  A producer
+// that observes rsleep set after publishing swaps it back to 0, and the
+// one producer whose swap succeeds sends the token.  Sequential
+// consistency rules out the lost wakeup: if the consumer's re-check
+// missed the item, the re-check ordered before the publish, hence the
+// rsleep store ordered before the producer's rsleep load, which therefore
+// sees it.  A consumer that ends its own sleep (the re-check found an
+// item, a timer, stop) swaps rsleep back itself; if a producer's swap won
+// that race, the consumer takes the token that is coming before it goes
+// on, so no token is ever left for a later sleep (wait.go).
+//
+// Two more orderings ride on that one.  Yield before park: during its
+// yield phase the consumer has not set rsleep, so a producer publishing
+// then sends no token — and needs none: the consumer pops after every
+// Gosched, and if the yields run out it goes through the unchanged
+// declare / re-check / block sequence, whose re-check finds whatever was
+// published while rsleep read 0.  Stop: the kernel's park does not select
+// on a stop channel.  The stopper closes stop and THEN calls Wake on
+// every endpoint; the waiter checks stop (without blocking) after setting
+// rsleep and re-checking the ring, and then blocks on recvWake alone.
+// Close-then-wake against check-then-block: a Wake that found rsleep
+// clear ordered before the waiter's rsleep store, and the close before
+// that, so the waiter's check sees stop closed; a Wake that found it set
+// sends the token, which a buffered channel keeps for a waiter that has
+// not blocked yet.
 package amnet
 
 import (

@@ -22,7 +22,8 @@ import (
 //     and select statements without a default clause;
 //   - known-blocking standard library calls (time.Sleep, sync.Mutex.Lock
 //     and friends, WaitGroup.Wait, Cond.Wait, Once.Do);
-//   - the amnet contract hazard Endpoint.RecvBlock (parks by contract).
+//   - the amnet contract hazards Endpoint.Wait and Endpoint.RecvBlock
+//     (they park by contract).
 //
 // Propagation crosses package boundaries through facts; indirect calls
 // (function values, actor behaviors) are not followed — the analyzer
@@ -71,8 +72,8 @@ func nbContractHazard(fn *types.Func) string {
 	if !isAmnetEndpointMethod(fn) {
 		return ""
 	}
-	if fn.Name() == "RecvBlock" {
-		return "Endpoint.RecvBlock parks the PE by contract"
+	if name := fn.Name(); name == "Wait" || name == "RecvBlock" {
+		return "Endpoint." + name + " parks the PE by contract"
 	}
 	return ""
 }

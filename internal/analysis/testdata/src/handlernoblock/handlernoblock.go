@@ -19,6 +19,7 @@ const (
 	hRLocker
 	hDrain
 	hDrainPoll
+	hWait
 )
 
 // install mirrors the kernel's reg wrapper: any argument in a parameter
@@ -109,5 +110,13 @@ func registerDrainPoll(t *time.Timer) {
 			default:
 			}
 		}
+	})
+}
+
+// True positive: the runtime's wait parks by contract, whatever its
+// sanctioned internals say.
+func registerWait(stop chan struct{}) {
+	install(hWait, func(ep *amnet.Endpoint, p amnet.Packet) { // want `Endpoint\.Wait parks the PE by contract`
+		ep.Wait(stop, 0)
 	})
 }

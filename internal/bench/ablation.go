@@ -85,6 +85,17 @@ func AblateLDCache() (AblationResult, error) {
 // AblateFIR measures FIR-based chasing (§ 4.3) against naive hop-by-hop
 // forwarding of whole messages, using bulk payloads sent to an actor that
 // has migrated down a chain.
+//
+// Every step waits for the message that makes it true, so the result does
+// not depend on which node the host runs first: the driver walks the actor
+// on only once the stale sender has had its answer from the node-3 home
+// (and with it, FIR on, that home's descriptor address), and the sender
+// fires one message, waits for the actor to have it, and only then fires
+// the other nineteen.  With FIR the first message is held at node 3 while
+// a request chases the chain, goes straight to the actor's home, and
+// repairs the sender's cache on arrival, so the rest cross the network
+// once.  Naive forwarding repairs nothing: all twenty go by the
+// birthplace's forwarding entry and cross twice.
 func AblateFIR() (AblationResult, error) {
 	const payloadWords = 4096
 	runOne := func(naive bool) (time.Duration, error) {
@@ -102,7 +113,7 @@ func AblateFIR() (AblationResult, error) {
 				case selAblEcho:
 					ctx.Reply(msg, 0)
 				case selAblWork:
-					// consume the payload
+					ctx.Reply(msg, 0) // consume the payload; acknowledge if asked
 				}
 			})
 		})
@@ -110,14 +121,18 @@ func AblateFIR() (AblationResult, error) {
 			var w hal.Addr
 			return hal.BehaviorFunc(func(ctx *hal.Context, msg *hal.Message) {
 				switch msg.Sel {
-				case 10: // cache the wanderer's current location
+				case 10: // cache the wanderer's current location, then tell the driver
 					w = msg.Addr(0)
-					j := ctx.NewJoin(1, func(ctx *hal.Context, _ []any) {})
+					d := msg.Addr(1)
+					j := ctx.NewJoin(1, func(ctx *hal.Context, _ []any) { ctx.Send(d, 11) })
 					ctx.Request(w, selAblEcho, j, 0)
-				case 11: // fire the bulk messages at the stale location
-					for i := 0; i < 20; i++ {
-						ctx.SendData(w, selAblWork, make([]float64, payloadWords))
-					}
+				case 11: // fire at the stale location: one message, and the rest once it has landed
+					j := ctx.NewJoin(1, func(ctx *hal.Context, _ []any) {
+						for i := 1; i < 20; i++ {
+							ctx.SendData(w, selAblWork, make([]float64, payloadWords))
+						}
+					})
+					ctx.RequestData(w, selAblWork, j, 0, make([]float64, payloadWords))
 				}
 			})
 		})
@@ -140,9 +155,7 @@ func AblateFIR() (AblationResult, error) {
 						j := ctx.NewJoin(1, func(ctx *hal.Context, _ []any) { ctx.Send(ctx.Self(), 11) })
 						ctx.Request(w, selAblEcho, j, 0)
 					case 2:
-						ctx.Send(s, 10, w) // stale caches the node-3 home
-						j := ctx.NewJoin(1, func(ctx *hal.Context, _ []any) { ctx.Send(ctx.Self(), 11) })
-						ctx.Request(w, selAblEcho, j, 0)
+						ctx.Send(s, 10, w, ctx.Self()) // stale caches the node-3 home and sends the next 11
 					case 3:
 						// Walk on: 3 -> 4 -> 5.  Node 3 learns only the
 						// next hop; node 4 the one after; the birthplace

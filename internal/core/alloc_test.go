@@ -155,6 +155,28 @@ func TestAllocWordEncodedFIR(t *testing.T) {
 	})
 }
 
+// TestAllocIdleWait: an idle node polling for work waits out its steal
+// back-off (20 µs) by yielding, so the wait arms no timer and allocates
+// nothing.  The victim's kernel is not running, so the one steal request
+// stays outstanding; a cache update arrives before each idle, as traffic
+// does on a machine that has work, because a node that has yielded a
+// millisecond away with nothing arriving goes back to the timer.
+func TestAllocIdleWait(t *testing.T) {
+	m, _ := allocMachineCfg(t, Config{Nodes: 2, LoadBalance: true})
+	n0, n1 := m.nodes[0], m.nodes[1]
+	addr := Addr{Birth: 1, Hint: 1, Seq: 7}
+	requireZeroAllocs(t, "idle wait with load balancing", func() {
+		n1.sendCacheUpdate(0, addr, 1, 7)
+		if n0.ep.PollAll() != 1 {
+			t.Fatal("cache update not delivered")
+		}
+		n0.idle()
+	})
+	if st := n0.ep.Stats(); n0.stats.StealReqs != 1 || st.WaitParks != 0 {
+		t.Fatalf("StealReqs = %d, WaitParks = %d: want the one outstanding poll and no park", n0.stats.StealReqs, st.WaitParks)
+	}
+}
+
 // countSink counts streamed events without retaining them.  The alloc
 // guards drive kernels single-threaded, so no locking is needed here;
 // live sinks must satisfy the concurrent TraceSink contract.

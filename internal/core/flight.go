@@ -43,8 +43,8 @@ func (m *Machine) WriteFlightRecord(w io.Writer, perNode int) error {
 	for i, n := range m.nodes {
 		evs := n.events.newest(perNode)
 		s := &st.PerNode[i]
-		fmt.Fprintf(bw, "--- node %d: delivered=%d sent=%d recv=%d idleparks=%d events=%d (showing newest %d of %d recorded)\n",
-			i, s.Delivered, s.Net.Sent, s.Net.Received, s.IdleParks, len(evs), len(evs), n.events.total)
+		fmt.Fprintf(bw, "--- node %d: delivered=%d sent=%d recv=%d idleyields=%d idleparks=%d events=%d (showing newest %d of %d recorded)\n",
+			i, s.Delivered, s.Net.Sent, s.Net.Received, s.IdleYields, s.IdleParks, len(evs), len(evs), n.events.total)
 		for _, e := range evs {
 			fmt.Fprintln(bw, e)
 		}

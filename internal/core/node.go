@@ -75,9 +75,10 @@ type node struct {
 
 	// snap is the epoch-published mirror of stats that Machine.StatsNow
 	// reads mid-run.  The node copies its counters into it under snapMu
-	// from the run loop between tasks, before an idle park, and at drain
-	// — never from a handler — so the mutex stays off the hot paths and
-	// every published snapshot is internally consistent.
+	// from the run loop's 64-iteration epoch, before a real park
+	// (Endpoint.OnPark) and at drain — never from a handler, and not on
+	// the yield that hands a hop over — so the mutex stays off the hot
+	// paths and every published snapshot is internally consistent.
 	//
 	// The mirror region is padded on both sides: snapMu is locked by
 	// StatsNow readers on other goroutines, and without the pads its line
@@ -144,13 +145,14 @@ func newNode(m *Machine, id amnet.NodeID) *node {
 	// Peers include the front-end endpoint (index cfg.Nodes).
 	n.rel.init(m.cfg.Nodes + 1)
 	n.ctx = Context{n: n}
+	n.ep.OnPark(n.publishStats)
 	return n
 }
 
 // run is the node kernel main loop.  It polls the network (handlers run
 // node-manager work), executes one dispatcher task at a time, serves
 // deferred creations, and when idle either steals work (load balancing)
-// or parks on the inbox.
+// or waits on the inbox.
 func (n *node) run() {
 	defer n.m.wg.Done()
 	for iter := 0; ; iter++ {
@@ -195,31 +197,36 @@ func (n *node) run() {
 			continue
 		}
 		n.publish()
-		n.publishStats()
 		n.idle()
 	}
 }
 
-// publishStats copies the node's counters into the snapshot mirror that
-// Machine.StatsNow reads.  Called only between task executions (run loop
-// epoch, pre-idle, drain) so the snapshot never exposes a half-updated
-// protocol step; the mutex is uncontended except against a concurrent
-// StatsNow reader.
-func (n *node) publishStats() {
-	s := n.stats
+// snapshot fills *s with the node's counters and the network layer's:
+// amnet's fault and wait counters are mirrored into the node's own fields
+// so MachineStats.Total reports them directly.
+func (n *node) snapshot(s *NodeStats) {
+	*s = n.stats
 	s.Net = n.ep.Stats()
-	// Mirror the network-layer fault counters the way Machine.Stats does,
-	// so live and post-run figures line up field for field.
 	s.Dropped = s.Net.Dropped
 	s.Duplicated = s.Net.Duplicated
 	s.Delayed = s.Net.Delayed
+	s.IdleYields = s.Net.WaitYields
+	s.IdleParks = s.Net.WaitParks
+}
+
+// publishStats copies the node's counters into the snapshot mirror that
+// Machine.StatsNow reads.  Called only between task executions (run loop
+// epoch, before a real park, drain) so the snapshot never exposes a
+// half-updated protocol step; the mutex is uncontended except against a
+// concurrent StatsNow reader.
+func (n *node) publishStats() {
 	n.snapMu.Lock()
-	n.snap = s
+	n.snapshot(&n.snap)
 	n.snapMu.Unlock()
 }
 
-// idle parks the node until a packet, the stop signal, or a retry timeout
-// (for steals and stalled bulk pumps) wakes it.
+// idle waits (amnet's Wait: yield, then park) until a packet, the stop
+// signal, or a retry deadline (for steals and stalled bulk pumps) ends it.
 func (n *node) idle() {
 	timeout := time.Duration(0)
 	if n.ep.BulkBacklog() > 0 {
@@ -257,9 +264,8 @@ func (n *node) idle() {
 		}
 		n.m.pace.polling.Add(1)
 	}
-	n.stats.IdleParks++
 	n.m.parked.add(int(n.id), 1)
-	n.ep.RecvBlock(n.m.stop, timeout)
+	n.ep.Wait(n.m.stop, timeout)
 	n.m.parked.add(int(n.id), -1)
 	if polling {
 		n.m.pace.polling.Add(-1)
@@ -276,8 +282,7 @@ func (n *node) drainAndExit() {
 	for n.m.draining.Load() < total {
 		for n.ep.PollDiscard() {
 		}
-		//halvet:allowwallclock shutdown drain pacing: VT has already halted at drain; the microsleep only throttles the discard loop
-		time.Sleep(10 * time.Microsecond)
+		runtime.Gosched() // the nodes still on their way here need the processor
 	}
 	for n.ep.PollDiscard() {
 	}

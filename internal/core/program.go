@@ -135,6 +135,7 @@ func (m *Machine) Start() error {
 		return fmt.Errorf("core: machine already running")
 	}
 	m.stop = make(chan struct{})
+	m.stopping.Store(false)
 	m.stopOnce = new(sync.Once)
 	m.draining.Store(0)
 	m.parked.reset()

@@ -47,7 +47,8 @@ type NodeStats struct {
 	StealHits   uint64 // steals that returned work
 	StealMisses uint64 // steals denied
 	StolenFrom  uint64 // creations handed to a thief
-	IdleParks   uint64 // idle blocks on the inbox
+	IdleYields  uint64 // waits a yield ended with a packet (mirrors Net.WaitYields)
+	IdleParks   uint64 // waits that really parked the node (mirrors Net.WaitParks)
 	PaceStalls  uint64 // pace-gate pauses (conservative window engaged)
 
 	// Fault injection & recovery (zero unless Config.Faults is set).
@@ -100,6 +101,7 @@ func (s *NodeStats) add(o NodeStats) {
 	s.StealHits += o.StealHits
 	s.StealMisses += o.StealMisses
 	s.StolenFrom += o.StolenFrom
+	s.IdleYields += o.IdleYields
 	s.IdleParks += o.IdleParks
 	s.PaceStalls += o.PaceStalls
 	s.Dropped += o.Dropped
@@ -140,6 +142,7 @@ func (m MachineStats) String() string {
 	fmt.Fprintf(&b, "net:     pkts=%d/%d stalls=%d bulk=%d/%d words=%d queued=%d\n",
 		t.Net.Sent, t.Net.Received, t.Net.SendStalls,
 		t.Net.BulkSends, t.Net.BulkRecvs, t.Net.BulkWords, t.Net.BulkQueued)
+	fmt.Fprintf(&b, "wait:    yields=%d parks=%d pacestalls=%d\n", t.IdleYields, t.IdleParks, t.PaceStalls)
 	w := m.Wire
 	wired := w.WireSent+w.WireRecvd+w.CtlSent+w.CtlRecvd > 0
 	if t.Dropped+t.Duplicated+t.Delayed+t.Retries+t.DupsFiltered+t.RetryExhausted > 0 {
