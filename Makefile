@@ -1,5 +1,4 @@
 GO ?= go
-HALVET := $(CURDIR)/bin/halvet
 
 # Statement-coverage floor over ./internal/... — the runtime packages
 # AND the analyzer suite (internal/analysis), so unexercised checker
@@ -23,21 +22,13 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The project's own analyzer suite, both ways the lint CI job runs it:
-# the standard vettool protocol, then the standalone module driver with
-# SARIF emitted next to the binary (CI uploads it to code scanning).
-# The standalone run prints per-analyzer wall time and fails if any
-# single analyzer spends over a minute on the module — the interprocedural
-# summary layer runs fixed points, and a divergence should surface as a
-# red lint run, not a hung CI job.
-lint: $(HALVET)
-	$(GO) vet -vettool=$(HALVET) ./...
-	$(GO) run ./cmd/halvet -sarif bin/halvet.sarif -timing -timing-budget 60s ./...
-
-$(HALVET): FORCE
-	$(GO) build -o $(HALVET) ./cmd/halvet
-
-FORCE:
+# The project's own analyzer suite, as the lint CI job runs it: SARIF
+# emitted beside it (CI uploads it to code scanning), per-analyzer wall
+# time printed, and a failure if any single analyzer spends over a minute
+# on the module — the interprocedural summary layer runs fixed points, and
+# a divergence should surface as a red lint run, not a hung CI job.
+lint:
+	$(GO) run ./cmd/halvet -sarif halvet.sarif -timing -timing-budget 60s ./...
 
 tables:
 	$(GO) run ./cmd/haltables
@@ -60,4 +51,4 @@ ci: build lint test-race cover-check
 	$(GO) test ./internal/core -run 'TestAlloc' -count=2
 
 clean:
-	rm -rf bin cover.out
+	rm -f cover.out halvet.sarif

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"hal"
 	"hal/internal/amnet"
@@ -70,6 +71,53 @@ func usage() {
 	os.Exit(2)
 }
 
+// appRun runs one workload on cfg and returns its result lines, the
+// machine's statistics and the wall time (both also when err is set and
+// the machine ran).
+type appRun func(cfg hal.Config) (summary string, stats hal.MachineStats, wall time.Duration, err error)
+
+// shell is what every workload subcommand shares: it adds -stats and the
+// fault and observability flags to the subcommand's own fs and parses
+// args, asks configure for the machine configuration (and the validation
+// of the subcommand's options), applies the shared flags to it, runs the
+// workload, and reports: summary, statistics, observability errors, and
+// the recovery line under -faults.
+func shell(fs *flag.FlagSet, args []string, configure func() (hal.Config, error), run appRun) error {
+	stats := fs.Bool("stats", false, "print runtime statistics")
+	applyFaults := faultFlags(fs)
+	applyObs, finishObs := obsFlags(fs)
+	_ = fs.Parse(args)
+
+	cfg, err := configure()
+	if err != nil {
+		return err
+	}
+	faulty, err := applyFaults(&cfg)
+	if err != nil {
+		return err
+	}
+	if err := applyObs(&cfg); err != nil {
+		return err
+	}
+	summary, st, wall, err := run(cfg)
+	obsErr := finishObs()
+	if err != nil {
+		reportRecoveryOnError(faulty, st, wall)
+		return err
+	}
+	fmt.Print(summary)
+	if *stats {
+		fmt.Print(st)
+	}
+	if obsErr != nil {
+		return obsErr
+	}
+	if faulty {
+		return reportRecovery(st)
+	}
+	return nil
+}
+
 func runFib(args []string) error {
 	fs := flag.NewFlagSet("fib", flag.ExitOnError)
 	n := fs.Int("n", 20, "fibonacci index")
@@ -77,49 +125,27 @@ func runFib(args []string) error {
 	lb := fs.Bool("lb", true, "dynamic load balancing")
 	place := fs.String("place", "dynamic", "child placement: dynamic, local, random")
 	grain := fs.Float64("grain", 1, "per-call compute in µs")
-	stats := fs.Bool("stats", false, "print runtime statistics")
-	applyFaults := faultFlags(fs)
-	applyObs, finishObs := obsFlags(fs)
-	_ = fs.Parse(args)
 
 	var p fib.Placement
-	switch *place {
-	case "dynamic":
-		p = fib.PlaceAuto
-	case "local":
-		p = fib.PlaceLocal
-	case "random":
-		p = fib.PlaceRandom
-	default:
-		return fmt.Errorf("unknown placement %q", *place)
-	}
-	cfg := hal.DefaultConfig(*nodes)
-	cfg.LoadBalance = *lb
-	faulty, err := applyFaults(&cfg)
-	if err != nil {
-		return err
-	}
-	if err := applyObs(&cfg); err != nil {
-		return err
-	}
-	res, err := fib.Run(cfg, fib.Config{N: *n, GrainUS: *grain, Place: p})
-	obsErr := finishObs()
-	if err != nil {
-		reportRecoveryOnError(faulty, res.Stats, res.Wall)
-		return err
-	}
-	fmt.Printf("fib(%d) = %d  (%d actor calls)\n", *n, res.Value, res.Calls)
-	fmt.Printf("nodes=%d lb=%v place=%s: virtual %v, wall %v\n", *nodes, *lb, p, res.Virtual, res.Wall)
-	if *stats {
-		fmt.Print(res.Stats)
-	}
-	if obsErr != nil {
-		return obsErr
-	}
-	if faulty {
-		return reportRecovery(res.Stats)
-	}
-	return nil
+	return shell(fs, args, func() (hal.Config, error) {
+		switch *place {
+		case "dynamic":
+			p = fib.PlaceAuto
+		case "local":
+			p = fib.PlaceLocal
+		case "random":
+			p = fib.PlaceRandom
+		default:
+			return hal.Config{}, fmt.Errorf("unknown placement %q", *place)
+		}
+		cfg := hal.DefaultConfig(*nodes)
+		cfg.LoadBalance = *lb
+		return cfg, nil
+	}, func(cfg hal.Config) (string, hal.MachineStats, time.Duration, error) {
+		res, err := fib.Run(cfg, fib.Config{N: *n, GrainUS: *grain, Place: p})
+		return fmt.Sprintf("fib(%d) = %d  (%d actor calls)\nnodes=%d lb=%v place=%s: virtual %v, wall %v\n",
+			*n, res.Value, res.Calls, *nodes, *lb, p, res.Virtual, res.Wall), res.Stats, res.Wall, err
+	})
 }
 
 func runQuad(args []string) error {
@@ -127,50 +153,28 @@ func runQuad(args []string) error {
 	eps := fs.Float64("eps", 1e-6, "integration tolerance")
 	nodes := fs.Int("nodes", 4, "simulated nodes")
 	place := fs.String("place", "dynamic", "refinement placement: dynamic, partitioned, random")
-	stats := fs.Bool("stats", false, "print runtime statistics")
-	applyFaults := faultFlags(fs)
-	applyObs, finishObs := obsFlags(fs)
-	_ = fs.Parse(args)
 
 	var p quad.Placement
-	lb := false
-	switch *place {
-	case "dynamic":
-		p, lb = quad.PlaceDynamic, true
-	case "partitioned":
-		p = quad.PlacePartitioned
-	case "random":
-		p = quad.PlaceRandom
-	default:
-		return fmt.Errorf("unknown placement %q", *place)
-	}
-	cfg := hal.DefaultConfig(*nodes)
-	cfg.LoadBalance = lb
-	faulty, err := applyFaults(&cfg)
-	if err != nil {
-		return err
-	}
-	if err := applyObs(&cfg); err != nil {
-		return err
-	}
-	res, err := quad.Run(cfg, quad.Config{Eps: *eps, Place: p})
-	obsErr := finishObs()
-	if err != nil {
-		reportRecoveryOnError(faulty, res.Stats, res.Wall)
-		return err
-	}
-	fmt.Printf("∫ sin(1/(x+1e-3)) dx over [0,1] = %.9f  (error vs reference %.2g)\n", res.Value, res.Err)
-	fmt.Printf("nodes=%d place=%s: virtual %v, wall %v\n", *nodes, p, res.Virtual, res.Wall)
-	if *stats {
-		fmt.Print(res.Stats)
-	}
-	if obsErr != nil {
-		return obsErr
-	}
-	if faulty {
-		return reportRecovery(res.Stats)
-	}
-	return nil
+	return shell(fs, args, func() (hal.Config, error) {
+		lb := false
+		switch *place {
+		case "dynamic":
+			p, lb = quad.PlaceDynamic, true
+		case "partitioned":
+			p = quad.PlacePartitioned
+		case "random":
+			p = quad.PlaceRandom
+		default:
+			return hal.Config{}, fmt.Errorf("unknown placement %q", *place)
+		}
+		cfg := hal.DefaultConfig(*nodes)
+		cfg.LoadBalance = lb
+		return cfg, nil
+	}, func(cfg hal.Config) (string, hal.MachineStats, time.Duration, error) {
+		res, err := quad.Run(cfg, quad.Config{Eps: *eps, Place: p})
+		return fmt.Sprintf("∫ sin(1/(x+1e-3)) dx over [0,1] = %.9f  (error vs reference %.2g)\nnodes=%d place=%s: virtual %v, wall %v\n",
+			res.Value, res.Err, *nodes, p, res.Virtual, res.Wall), res.Stats, res.Wall, err
+	})
 }
 
 func runPagerank(args []string) error {
@@ -180,47 +184,24 @@ func runPagerank(args []string) error {
 	iters := fs.Int("iters", 20, "power iterations")
 	nodes := fs.Int("nodes", 4, "simulated nodes (= graph parts)")
 	verify := fs.Bool("verify", false, "check ranks against the sequential reference")
-	stats := fs.Bool("stats", false, "print runtime statistics")
-	applyFaults := faultFlags(fs)
-	applyObs, finishObs := obsFlags(fs)
-	_ = fs.Parse(args)
 
-	cfg := hal.DefaultConfig(*nodes)
-	faulty, err := applyFaults(&cfg)
-	if err != nil {
-		return err
-	}
-	if err := applyObs(&cfg); err != nil {
-		return err
-	}
-	res, err := pagerank.Run(cfg, pagerank.Config{N: *n, AvgDeg: *deg, Iters: *iters}, *verify)
-	obsErr := finishObs()
-	if err != nil {
-		reportRecoveryOnError(faulty, res.Stats, res.Wall)
-		return err
-	}
-	top, topRank := 0, 0.0
-	for i, r := range res.Ranks {
-		if r > topRank {
-			top, topRank = i, r
+	return shell(fs, args, func() (hal.Config, error) {
+		return hal.DefaultConfig(*nodes), nil
+	}, func(cfg hal.Config) (string, hal.MachineStats, time.Duration, error) {
+		res, err := pagerank.Run(cfg, pagerank.Config{N: *n, AvgDeg: *deg, Iters: *iters}, *verify)
+		top, topRank := 0, 0.0
+		for i, r := range res.Ranks {
+			if r > topRank {
+				top, topRank = i, r
+			}
 		}
-	}
-	fmt.Printf("pagerank: %d vertices, %d iterations on %d parts: virtual %v, wall %v\n",
-		*n, *iters, *nodes, res.Virtual, res.Wall)
-	fmt.Printf("top vertex %d with rank %.6f\n", top, topRank)
-	if *verify {
-		fmt.Printf("max |rank - reference| = %g\n", res.MaxErr)
-	}
-	if *stats {
-		fmt.Print(res.Stats)
-	}
-	if obsErr != nil {
-		return obsErr
-	}
-	if faulty {
-		return reportRecovery(res.Stats)
-	}
-	return nil
+		summary := fmt.Sprintf("pagerank: %d vertices, %d iterations on %d parts: virtual %v, wall %v\ntop vertex %d with rank %.6f\n",
+			*n, *iters, *nodes, res.Virtual, res.Wall, top, topRank)
+		if *verify {
+			summary += fmt.Sprintf("max |rank - reference| = %g\n", res.MaxErr)
+		}
+		return summary, res.Stats, res.Wall, err
+	})
 }
 
 func runCannon(args []string) error {
@@ -228,40 +209,18 @@ func runCannon(args []string) error {
 	n := fs.Int("n", 240, "matrix dimension")
 	grid := fs.Int("grid", 4, "grid edge p (p*p nodes)")
 	verify := fs.Bool("verify", false, "check the product against the sequential reference")
-	stats := fs.Bool("stats", false, "print runtime statistics")
-	applyFaults := faultFlags(fs)
-	applyObs, finishObs := obsFlags(fs)
-	_ = fs.Parse(args)
 
-	cfg := hal.DefaultConfig(*grid * *grid)
-	faulty, err := applyFaults(&cfg)
-	if err != nil {
-		return err
-	}
-	if err := applyObs(&cfg); err != nil {
-		return err
-	}
-	res, err := cannon.Run(cfg, cannon.Config{N: *n, P: *grid}, *verify)
-	obsErr := finishObs()
-	if err != nil {
-		reportRecoveryOnError(faulty, res.Stats, res.Wall)
-		return err
-	}
-	fmt.Printf("cannon %dx%d on %dx%d grid: virtual %v (%.1f MFLOPS), wall %v\n",
-		*n, *n, *grid, *grid, res.Virtual, res.MFlops, res.Wall)
-	if *verify {
-		fmt.Printf("max |C - A*B| = %g\n", res.MaxErr)
-	}
-	if *stats {
-		fmt.Print(res.Stats)
-	}
-	if obsErr != nil {
-		return obsErr
-	}
-	if faulty {
-		return reportRecovery(res.Stats)
-	}
-	return nil
+	return shell(fs, args, func() (hal.Config, error) {
+		return hal.DefaultConfig(*grid * *grid), nil
+	}, func(cfg hal.Config) (string, hal.MachineStats, time.Duration, error) {
+		res, err := cannon.Run(cfg, cannon.Config{N: *n, P: *grid}, *verify)
+		summary := fmt.Sprintf("cannon %dx%d on %dx%d grid: virtual %v (%.1f MFLOPS), wall %v\n",
+			*n, *n, *grid, *grid, res.Virtual, res.MFlops, res.Wall)
+		if *verify {
+			summary += fmt.Sprintf("max |C - A*B| = %g\n", res.MaxErr)
+		}
+		return summary, res.Stats, res.Wall, err
+	})
 }
 
 func runCholesky(args []string) error {
@@ -273,68 +232,47 @@ func runCholesky(args []string) error {
 	mapName := fs.String("map", "cyclic", "panel mapping: cyclic, block")
 	flowName := fs.String("flow", "one-active", "bulk flow control: one-active, ack-all, eager")
 	verify := fs.Bool("verify", false, "check L*Lt against the input")
-	stats := fs.Bool("stats", false, "print runtime statistics")
-	applyFaults := faultFlags(fs)
-	applyObs, finishObs := obsFlags(fs)
-	_ = fs.Parse(args)
 
 	var sync cholesky.Sync
-	switch *syncName {
-	case "pipelined":
-		sync = cholesky.Pipelined
-	case "seq":
-		sync = cholesky.GlobalSeq
-	case "bcast":
-		sync = cholesky.GlobalBcast
-	default:
-		return fmt.Errorf("unknown sync %q", *syncName)
-	}
 	var mapping cholesky.Mapping
-	switch *mapName {
-	case "cyclic":
-		mapping = cholesky.Cyclic
-	case "block":
-		mapping = cholesky.Block
-	default:
-		return fmt.Errorf("unknown mapping %q", *mapName)
-	}
-	cfg := hal.DefaultConfig(*nodes)
-	switch *flowName {
-	case "one-active":
-		cfg.Flow = amnet.FlowOneActive
-	case "ack-all":
-		cfg.Flow = amnet.FlowAckAll
-	case "eager":
-		cfg.Flow = amnet.FlowEager
-	default:
-		return fmt.Errorf("unknown flow mode %q", *flowName)
-	}
-	faulty, err := applyFaults(&cfg)
-	if err != nil {
-		return err
-	}
-	if err := applyObs(&cfg); err != nil {
-		return err
-	}
-	res, err := cholesky.Run(cfg, cholesky.Config{N: *n, B: *b, Sync: sync, Mapping: mapping}, *verify)
-	obsErr := finishObs()
-	if err != nil {
-		reportRecoveryOnError(faulty, res.Stats, res.Wall)
-		return err
-	}
-	fmt.Printf("cholesky %dx%d (b=%d) %s/%s flow=%s on %d nodes: virtual %v, wall %v\n",
-		*n, *n, *b, sync, mapping, *flowName, *nodes, res.Virtual, res.Wall)
-	if *verify {
-		fmt.Printf("max |L*Lt - A| = %g\n", res.MaxErr)
-	}
-	if *stats {
-		fmt.Print(res.Stats)
-	}
-	if obsErr != nil {
-		return obsErr
-	}
-	if faulty {
-		return reportRecovery(res.Stats)
-	}
-	return nil
+	return shell(fs, args, func() (hal.Config, error) {
+		switch *syncName {
+		case "pipelined":
+			sync = cholesky.Pipelined
+		case "seq":
+			sync = cholesky.GlobalSeq
+		case "bcast":
+			sync = cholesky.GlobalBcast
+		default:
+			return hal.Config{}, fmt.Errorf("unknown sync %q", *syncName)
+		}
+		switch *mapName {
+		case "cyclic":
+			mapping = cholesky.Cyclic
+		case "block":
+			mapping = cholesky.Block
+		default:
+			return hal.Config{}, fmt.Errorf("unknown mapping %q", *mapName)
+		}
+		cfg := hal.DefaultConfig(*nodes)
+		switch *flowName {
+		case "one-active":
+			cfg.Flow = amnet.FlowOneActive
+		case "ack-all":
+			cfg.Flow = amnet.FlowAckAll
+		case "eager":
+			cfg.Flow = amnet.FlowEager
+		default:
+			return hal.Config{}, fmt.Errorf("unknown flow mode %q", *flowName)
+		}
+		return cfg, nil
+	}, func(cfg hal.Config) (string, hal.MachineStats, time.Duration, error) {
+		res, err := cholesky.Run(cfg, cholesky.Config{N: *n, B: *b, Sync: sync, Mapping: mapping}, *verify)
+		summary := fmt.Sprintf("cholesky %dx%d (b=%d) %s/%s flow=%s on %d nodes: virtual %v, wall %v\n",
+			*n, *n, *b, sync, mapping, *flowName, *nodes, res.Virtual, res.Wall)
+		if *verify {
+			summary += fmt.Sprintf("max |L*Lt - A| = %g\n", res.MaxErr)
+		}
+		return summary, res.Stats, res.Wall, err
+	})
 }

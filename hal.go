@@ -6,7 +6,7 @@
 // binomial spanning tree with collective scheduling, minimal flow control
 // for bulk transfers, actor migration, and receiver-initiated dynamic
 // load balancing — all running on a simulated CM-5-style multicomputer
-// (one goroutine per processing element, bounded channels as the
+// (one goroutine per processing element, bounded lock-free rings as the
 // interconnect, and per-node virtual clocks for machine-independent
 // timing).
 //
@@ -46,7 +46,7 @@ type (
 	Machine = core.Machine
 	// Config configures a Machine.
 	Config = core.Config
-	// CostModel sets the virtual-time cost of each runtime primitive.
+	// CostModel names the virtual-time cost of each runtime primitive.
 	CostModel = core.CostModel
 	// Context is the actor interface passed to Receive.
 	Context = core.Context
@@ -116,11 +116,11 @@ var ErrStalled = core.ErrStalled
 func NewMachine(cfg Config) (*Machine, error) { return core.NewMachine(cfg) }
 
 // DefaultConfig returns a configuration for nodes PEs with the paper's
-// defaults (flow control on, locality caching on, collective scheduling
-// on, no load balancing).
+// defaults (flow control on, locality caching on, no load balancing).
 func DefaultConfig(nodes int) Config { return core.DefaultConfig(nodes) }
 
-// DefaultCostModel returns the paper-calibrated virtual-time cost model.
+// DefaultCostModel returns the paper-calibrated virtual-time costs the
+// kernel charges.
 func DefaultCostModel() CostModel { return core.DefaultCostModel() }
 
 // NewChromeTraceWriter starts a Chrome trace-event JSON array on w; use

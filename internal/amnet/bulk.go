@@ -259,8 +259,8 @@ func (ep *Endpoint) grant(req Packet) {
 // PE never stalls on bulk data.  Called from PollAll and from the ack
 // handler.  Transfers complete in FIFO order per sender.
 func (b *bulkState) pump(ep *Endpoint) {
-	if f := ep.faults; f != nil && b.granted > 0 {
-		b.reapStaleGrants(ep, f.plan.BulkRetry*4)
+	if ep.faults != nil && b.granted > 0 {
+		b.reapStaleGrants(ep)
 	}
 	seg := ep.net.cfg.SegWords
 	for len(b.out) > 0 {
@@ -269,7 +269,7 @@ func (b *bulkState) pump(ep *Endpoint) {
 			// Under fault injection the request or its grant may have
 			// been lost; re-request after a timeout.  The receiver
 			// dedups, so a merely-slow grant is harmless.
-			if f := ep.faults; f != nil && time.Since(x.reqAt) > f.plan.BulkRetry { //halvet:allowwallclock fault-recovery re-request timer paces on the host clock; a lost grant makes no VT progress to wait on
+			if ep.faults != nil && time.Since(x.reqAt) > bulkRetry { //halvet:allowwallclock fault-recovery re-request timer paces on the host clock; a lost grant makes no VT progress to wait on
 				x.reqAt = time.Now()
 				ep.stats.BulkRetries++
 				ep.Send(Packet{Handler: HBulkReq, Dst: x.dst, U0: x.id, U1: uint64(len(x.data))})
@@ -292,16 +292,16 @@ func (b *bulkState) pump(ep *Endpoint) {
 }
 
 // reapStaleGrants revokes FlowOneActive grants whose transfer has moved no
-// data within the timeout.  Under fault injection a lost request can
+// data within 4×bulkRetry.  Under fault injection a lost request can
 // scramble grant order: the receiver grants a LATER transfer from a sender
 // that pumps strictly FIFO and is head-of-line blocked on an EARLIER one,
 // wedging the one-active slot.  Revoking is always safe before the first
 // segment: if the sender does push the transfer later, the segment handler
 // rebuilds it ungranted and the payload still arrives intact.
-func (b *bulkState) reapStaleGrants(ep *Endpoint, after time.Duration) {
+func (b *bulkState) reapStaleGrants(ep *Endpoint) {
 	for k, x := range b.in {
 		//halvet:allowwallclock stale-grant reaping recovers from injected faults, which exist only in host time
-		if !x.granted || x.got > 0 || time.Since(x.grantAt) <= after {
+		if !x.granted || x.got > 0 || time.Since(x.grantAt) <= 4*bulkRetry {
 			continue
 		}
 		delete(b.in, k)

@@ -93,12 +93,11 @@ type FaultPlan struct {
 	// Seed derives every per-link PRNG.  Zero selects a fixed default
 	// so a zero-valued plan is still deterministic.
 	Seed int64
-
-	// BulkRetry is how long a bulk sender waits for a grant before
-	// re-requesting the transfer (recovering a lost HBulkReq or
-	// HBulkAck).  Default 500µs.
-	BulkRetry time.Duration
 }
+
+// bulkRetry is how long a bulk sender waits for a grant before
+// re-requesting the transfer (recovering a lost HBulkReq or HBulkAck).
+const bulkRetry = 500 * time.Microsecond
 
 func (p *FaultPlan) applyDefaults() error {
 	if p.Drop < 0 || p.Dup < 0 || p.Delay < 0 {
@@ -115,9 +114,6 @@ func (p *FaultPlan) applyDefaults() error {
 	}
 	if p.PauseEvery > 0 && p.PauseDur == 0 {
 		p.PauseDur = p.PauseEvery / 4
-	}
-	if p.BulkRetry <= 0 {
-		p.BulkRetry = 500 * time.Microsecond
 	}
 	return nil
 }

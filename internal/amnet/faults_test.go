@@ -33,9 +33,6 @@ func TestFaultPlanDefaults(t *testing.T) {
 	if p.PauseDur != 250*time.Microsecond {
 		t.Errorf("PauseDur=%v, want PauseEvery/4", p.PauseDur)
 	}
-	if p.BulkRetry != 500*time.Microsecond {
-		t.Errorf("BulkRetry=%v, want 500µs", p.BulkRetry)
-	}
 }
 
 func TestFaultKindString(t *testing.T) {
@@ -283,7 +280,7 @@ func TestFaultPauseWindow(t *testing.T) {
 // construction.
 func TestBulkRecoversUnderDrops(t *testing.T) {
 	var got []bulkRecord
-	plan := FaultPlan{Drop: 0.15, Dup: 0.15, Seed: 42, BulkRetry: 200 * time.Microsecond}
+	plan := FaultPlan{Drop: 0.15, Dup: 0.15, Seed: 42}
 	nw, err := NewNetwork(Config{Nodes: 2, Flow: FlowOneActive, SegWords: 8, InboxCap: 64, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)

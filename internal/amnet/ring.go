@@ -26,8 +26,15 @@
 // happen-before every consumer read (Go atomics are sequentially
 // consistent).  After consuming, the consumer recycles the slot for the
 // next lap by storing seq = pos+len(slots).  Slots are written by exactly
-// one producer per lap and then owned by the consumer — the ringowner
-// invariant halvet enforces.
+// one producer per lap and then owned by the consumer.  Three things hold
+// that ownership in place.  push is declared on ringProducer, a type
+// without the consumer's head cursor, so a producer reading consumer-owned
+// state does not compile.  A producer writing a plain field (slots, mask)
+// races with every other push, which TestRingMultiProducerStress reports
+// under -race.  A slot address that outlives pop and is written through
+// later races with the producer reusing the slot on the next lap;
+// TestRingParkUnparkEdges runs a 4-slot ring, where every push is on a
+// wrapping lap, under -race in CI.
 //
 // Empty↔non-empty edge.  The consumer parks on recvWake (a one-token
 // channel) only after (a) setting rsleep and (b) re-checking the ring —
@@ -69,7 +76,7 @@ import (
 // seq == pos, published when seq == pos+1, and recycled for the next lap
 // by the consumer storing pos+len(slots).  The item field is written once
 // per lap by that single producer, then read and cleared by the consumer;
-// no other access is legal (ringowner).
+// no other access is legal.
 type ringSlot struct {
 	seq  atomic.Uint64
 	item qItem
@@ -80,19 +87,27 @@ type ringSlot struct {
 	_ [(64 - (8+unsafe.Sizeof(qItem{}))%64) % 64]byte
 }
 
-// mpscRing is the bounded lock-free inbox.  tail is the producer cursor
-// (next position to claim, multi-writer CAS); head is the consumer cursor,
-// a plain word because exactly one goroutine — the endpoint owner — moves
-// it.  The cursors sit on separate cache lines: tail's line is contended
-// by producers and must not also carry the word the consumer spins on.
-type mpscRing struct {
+// ringProducer is the part of the inbox a producer may touch: the slots
+// (read-only header; each slot's words under the protocol above) and tail,
+// the producer cursor (next position to claim, multi-writer CAS).  push is
+// its only method.
+type ringProducer struct {
 	slots []ringSlot
 	mask  uint64
 	_     [48]byte
 	tail  atomic.Uint64
 	_     [56]byte
-	head  uint64
-	_     [56]byte
+}
+
+// mpscRing is the bounded lock-free inbox: the producer half plus head,
+// the consumer cursor, a plain word because exactly one goroutine — the
+// endpoint owner — moves it.  The cursors sit on separate cache lines:
+// tail's line is contended by producers and must not also carry the word
+// the consumer spins on.
+type mpscRing struct {
+	ringProducer
+	head uint64
+	_    [56]byte
 }
 
 // ringCap rounds n up to a power of two (minimum 2).
@@ -105,8 +120,6 @@ func ringCap(n int) int {
 }
 
 // init sizes the ring before it is shared.
-//
-//halvet:mpsc init
 func (r *mpscRing) init(capacity int) {
 	n := ringCap(capacity)
 	r.slots = make([]ringSlot, n)
@@ -122,9 +135,7 @@ func (r *mpscRing) init(capacity int) {
 // concurrent producers.  The caller must hold reserved inq tokens for
 // every packet in q (see the capacity discipline above); push panics on a
 // full ring because that cannot happen under the token invariant.
-//
-//halvet:mpsc producer
-func (r *mpscRing) push(q qItem) {
+func (r *ringProducer) push(q qItem) {
 	pos := r.tail.Load()
 	for {
 		slot := &r.slots[pos&r.mask]
@@ -153,8 +164,6 @@ func (r *mpscRing) push(q qItem) {
 // until its producer's publish store lands, preserving claim order (and
 // with it per-(src,dst) FIFO: one sender's packets are claimed in its
 // program order).
-//
-//halvet:mpsc consumer
 func (r *mpscRing) pop() (qItem, bool) {
 	slot := &r.slots[r.head&r.mask]
 	if slot.seq.Load() != r.head+1 {
@@ -170,8 +179,6 @@ func (r *mpscRing) pop() (qItem, bool) {
 // empty reports whether no published item is ready at head.  Single
 // consumer only; a false return may already be stale by the time the
 // caller acts, which every call site tolerates by re-popping.
-//
-//halvet:mpsc consumer
 func (r *mpscRing) empty() bool {
 	return r.slots[r.head&r.mask].seq.Load() != r.head+1
 }

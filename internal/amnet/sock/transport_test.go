@@ -261,8 +261,15 @@ func TestPacketsCrossTheMesh(t *testing.T) {
 		t.Fatalf("worker packet U0 = %d, want 77", got.U0)
 	}
 
+	// A reader counts a packet after Inject delivered it, so recvPacket
+	// can return before the counter lands.
+	for deadline := time.Now().Add(bootTimeout); leader.TransportStats().WireRecvd < 1 || worker.TransportStats().WireRecvd < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("received packets never counted: leader %+v, worker %+v", leader.TransportStats(), worker.TransportStats())
+		}
+	}
 	ls, ws := leader.TransportStats(), worker.TransportStats()
-	if ls.WireSent < 1 || ls.WireRecvd < 1 || ws.WireSent < 1 || ws.WireRecvd < 1 {
+	if ls.WireSent < 1 || ws.WireSent < 1 {
 		t.Errorf("stats did not count traffic: leader %+v, worker %+v", ls, ws)
 	}
 	if ls.WireBytesOut == 0 || ls.WireBytesIn == 0 {

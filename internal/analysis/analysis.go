@@ -30,11 +30,6 @@
 //	    instruments and host-level pacing that virtual time cannot
 //	    express (vtclock analyzer).
 //
-//	//halvet:mpsc <producer|consumer|init>
-//	    on a method declares which side of a lock-free MPSC ring it runs
-//	    on (ringowner analyzer).  A declaration, not a suppression: a
-//	    type with any annotated method must annotate all of them.
-//
 // Suppressions are themselves checked: the driver's staleness sweep
 // (StaleDirectives) reports any suppression comment that no longer
 // suppressed anything during the run — a stale annotation rots into
@@ -68,8 +63,7 @@ type Diagnostic struct {
 }
 
 // PackageFacts is the serialized cross-package state of one package:
-// analyzer name -> that analyzer's opaque fact blob.  It is the payload
-// of the vetx files exchanged with `go vet -vettool`.
+// analyzer name -> that analyzer's opaque fact blob.
 type PackageFacts map[string]json.RawMessage
 
 // Pass carries one analyzer's view of one type-checked package.
@@ -81,7 +75,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// FactsOnly is set when the driver needs only this package's exported
-	// facts (go vet's VetxOnly mode for dependencies): Report calls are
+	// facts (a dependency of the packages asked about): Report calls are
 	// dropped.  Analyzers may skip diagnostic-only work when it is set.
 	FactsOnly bool
 

@@ -64,7 +64,7 @@ func getWorld() (*fixtureWorld, error) {
 				worldErr = fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 				return
 			}
-			_, facts, err := AnalyzeUnit(loaded, Suite(), true, depFacts, nil)
+			_, facts, err := AnalyzeUnit(loaded, Suite(), true, depFacts, nil, nil)
 			if err != nil {
 				worldErr = err
 				return
@@ -105,7 +105,7 @@ func runFixture(t *testing.T, az *Analyzer, fixture string) {
 	depFacts := func(pkgPath, analyzer string) json.RawMessage {
 		return w.facts[pkgPath][analyzer]
 	}
-	findings, _, err := AnalyzeUnit(loaded, []*Analyzer{az}, false, depFacts, nil)
+	findings, _, err := AnalyzeUnit(loaded, []*Analyzer{az}, false, depFacts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// Suite returns the five halvet analyzers in their canonical order.
+// Suite returns the four halvet analyzers in their canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		HandlerNoBlock,
 		PoolOwner,
 		EndpointAffinity,
 		VTClock,
-		RingOwner,
 	}
 }
 
@@ -40,17 +39,11 @@ type AnalyzerTimings map[string]time.Duration
 // runs the analyzers over each non-dependency match, and returns every
 // finding.  Dependencies inside the same module are analyzed in
 // FactsOnly mode first so cross-package facts (handler reachability,
-// pool summaries) are available, mirroring what `go vet -vettool` does
-// with vetx files.
+// pool summaries) are available.
 // With staleSweep set, every suppression comment in a pattern-matched
 // package that suppressed nothing is reported as a "staleallow" finding.
-func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer, staleSweep bool) ([]Finding, error) {
-	return AnalyzeModuleTimed(dir, patterns, analyzers, staleSweep, nil)
-}
-
-// AnalyzeModuleTimed is AnalyzeModule with an optional per-analyzer
-// wall-clock accumulator (nil to skip measuring).
-func AnalyzeModuleTimed(dir string, patterns []string, analyzers []*Analyzer, staleSweep bool, timings AnalyzerTimings) ([]Finding, error) {
+// timings, if non-nil, accumulates per-analyzer wall time.
+func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer, staleSweep bool, timings AnalyzerTimings) ([]Finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -75,27 +68,11 @@ func AnalyzeModuleTimed(dir string, patterns []string, analyzers []*Analyzer, st
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 		}
-		facts := PackageFacts{}
-		for _, az := range analyzers {
-			start := time.Now()
-			diags, blob, err := runOne(az, fset, loaded.Files, loaded.Pkg, loaded.Info, lp.DepOnly, depFacts, used)
-			if timings != nil {
-				timings[az.Name] += time.Since(start)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if blob != nil {
-				facts[az.Name] = blob
-			}
-			for _, d := range diags {
-				findings = append(findings, Finding{
-					Pos:      fset.Position(d.Pos),
-					Analyzer: d.Analyzer,
-					Message:  d.Message,
-				})
-			}
+		found, facts, err := AnalyzeUnit(loaded, analyzers, lp.DepOnly, depFacts, used, timings)
+		if err != nil {
+			return nil, err
 		}
+		findings = append(findings, found...)
 		allFacts[lp.ImportPath] = facts
 		if staleSweep && !lp.DepOnly {
 			findings = append(findings, StaleDirectives(fset, loaded.Files, analyzers, used)...)
@@ -106,17 +83,22 @@ func AnalyzeModuleTimed(dir string, patterns []string, analyzers []*Analyzer, st
 
 // AnalyzeUnit runs the analyzers over one already-loaded package with the
 // given dependency facts, returning diagnostics and the package's exported
-// facts.  This is the single-package entry point the `go vet -vettool`
-// protocol driver (cmd/halvet) uses.  used, if non-nil, accumulates fired
-// suppression directives for a subsequent StaleDirectives sweep.
+// facts: AnalyzeModule's per-package step, and the fixture harness's entry
+// point.  used, if non-nil, accumulates fired suppression directives for a
+// subsequent StaleDirectives sweep; timings, if non-nil, per-analyzer wall
+// time.
 func AnalyzeUnit(lp *LoadedPackage, analyzers []*Analyzer, factsOnly bool,
 	depFacts func(pkgPath, analyzer string) json.RawMessage,
-	used map[DirectiveKey]bool,
+	used map[DirectiveKey]bool, timings AnalyzerTimings,
 ) ([]Finding, PackageFacts, error) {
 	facts := PackageFacts{}
 	var findings []Finding
 	for _, az := range analyzers {
+		start := time.Now()
 		diags, blob, err := runOne(az, lp.Fset, lp.Files, lp.Pkg, lp.Info, factsOnly, depFacts, used)
+		if timings != nil {
+			timings[az.Name] += time.Since(start)
+		}
 		if err != nil {
 			return nil, nil, err
 		}

@@ -25,8 +25,8 @@ func sarifInput() []Finding {
 			// Outside the root: the URI stays absolute rather than escaping
 			// upward with ../ segments.
 			Pos:      token.Position{Filename: "/elsewhere/x.go", Line: 1, Column: 1},
-			Analyzer: "ringowner",
-			Message:  "producer method push writes plain field mpscRing.head",
+			Analyzer: "endpointaffinity",
+			Message:  "endpoint \"ep\" is polled from this goroutine but the spawning goroutine also calls Send (at x.go:9)",
 		},
 	}
 }

@@ -35,7 +35,7 @@ func TestStaleDirectives(t *testing.T) {
 		return w.facts[pkgPath][analyzer]
 	}
 	used := map[DirectiveKey]bool{}
-	findings, _, err := AnalyzeUnit(loaded, Suite(), false, depFacts, used)
+	findings, _, err := AnalyzeUnit(loaded, Suite(), false, depFacts, used, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

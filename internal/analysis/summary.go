@@ -7,10 +7,9 @@ import (
 
 // Interprocedural layer: a call graph over the package being analyzed plus
 // per-function summaries describing what a callee does to its parameters.
-// Summaries ride the existing JSON fact mechanism, so both drivers (module
-// and `go vet -vettool`) see the same cross-package picture: a package's
-// summaries are computed during its own pass (including FactsOnly dependency
-// passes) and imported by downstream packages through Pass.ImportFacts.
+// Summaries ride the existing JSON fact mechanism: a package's summaries
+// are computed during its own pass (including FactsOnly dependency passes)
+// and imported by downstream packages through Pass.ImportFacts.
 //
 // poolowner consumes the layer: it folds PoolSummary effects into its
 // abstract interpretation so a helper that frees, sends, or leaks a

@@ -24,9 +24,9 @@ import (
 // //halvet:vtgoverned directive, which is how the golden fixtures
 // exercise the rule.
 //
-// _test.go files are exempt: tests are host-side harnesses that
-// legitimately time out, pace, and measure on the host clock.  (The
-// standalone driver never sees them; `go vet` units include them.)
+// Tests — host-side harnesses that legitimately time out, pace, and
+// measure on the host clock — are never loaded: the driver analyzes a
+// package's GoFiles only.
 var VTClock = &Analyzer{
 	Name: "vtclock",
 	Doc:  "flag host wall-clock operations in VT-governed packages lacking a //halvet:allowwallclock justification",
@@ -67,9 +67,6 @@ func runVTClock(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
 				if dk, ok := pass.funcDirective("allowwallclock", fd); ok {

@@ -55,12 +55,12 @@ func (n *node) handleStealReq(thief amnet.NodeID, vt float64) {
 		if rec.vt < vt {
 			rec.vt = vt
 		}
-		rec.vt += n.m.costs.Steal + n.m.costs.NetLatency
+		rec.vt += costSteal + costNetLatency
 		// The granted record is one accounted (deferred-creation) unit.
 		n.sendCtl(amnet.Packet{Handler: hStealGrant, Dst: thief, VT: rec.vt, Payload: rec}, rec.prog, 1, 1)
 		return
 	}
-	n.sendCtl(amnet.Packet{Handler: hStealDeny, Dst: thief, VT: vt + n.m.costs.Steal + n.m.costs.NetLatency}, nil, 0, 0)
+	n.sendCtl(amnet.Packet{Handler: hStealDeny, Dst: thief, VT: vt + costSteal + costNetLatency}, nil, 0, 0)
 }
 
 func (n *node) handleStealGrant(rec *spawnRecord) {
@@ -80,8 +80,7 @@ func (n *node) handleStealGrant(rec *spawnRecord) {
 // does not advance: an idle PE's waiting time is not on any critical
 // path, and the stolen record's stamp (spawn time plus steal hops)
 // carries the causally required time when a grant finally lands.
-func (n *node) handleStealDeny(vt float64) {
-	_ = vt
+func (n *node) handleStealDeny() {
 	n.stealOut = false
 	n.stats.StealMisses++
 	//halvet:allowwallclock steal backoff paces on host time; the denied thief is idle and its VT is frozen

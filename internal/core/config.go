@@ -24,11 +24,6 @@ type Config struct {
 	// "with/without flow control" experiment).  Default FlowOneActive.
 	Flow amnet.FlowMode
 
-	// SegWords is the bulk-transfer segment size in float64 words.
-	// Message Data payloads larger than this ride the three-phase
-	// protocol.  Default 512.
-	SegWords int
-
 	// LoadBalance enables receiver-initiated random-polling dynamic load
 	// balancing: idle nodes steal deferred creations (NewAuto) from
 	// random victims.
@@ -45,11 +40,6 @@ type Config struct {
 	// descriptor's address (an ablation of § 4.1's caching).
 	DisableLDCache bool
 
-	// DisableCollective, when set, schedules each broadcast delivery as
-	// an individual task instead of running all local group members
-	// consecutively (an ablation of § 6.4's collective scheduling).
-	DisableCollective bool
-
 	// NaiveForwarding, when set, forwards the ENTIRE message along a
 	// migration chain hop by hop instead of holding it and locating the
 	// actor with a small FIR (an ablation of § 4.3: no cache repair, and
@@ -61,10 +51,6 @@ type Config struct {
 	// ErrStalled (a deadlocked constraint, or a message to a dead
 	// actor).  Default 5s; negative disables detection.
 	StallTimeout time.Duration
-
-	// Costs is the virtual-time cost model; the zero value selects the
-	// paper-calibrated defaults (see CostModel).
-	Costs CostModel
 
 	// NodeSpeed optionally scales each node's virtual execution rate, for
 	// simulating the heterogeneous networks of workstations the paper's
@@ -124,9 +110,9 @@ type Config struct {
 	// spanning several OS processes: only the nodes in [Dist.Lo, Dist.Hi)
 	// run kernel goroutines here, and packets to the rest travel
 	// Dist.Transport.  Every participating process must build the machine
-	// with the SAME Nodes, Seed, cost model, and registered types (in the
-	// same order) — the spec blob the transport handshake carries exists
-	// to make that easy.  See dist.go.
+	// with the SAME Nodes, Seed, and registered types (in the same order)
+	// — the spec blob the transport handshake carries exists to make that
+	// easy.  See dist.go.
 	Dist *DistConfig
 }
 
@@ -144,9 +130,6 @@ type DistConfig struct {
 	// Lo, Hi is this process's node span [Lo, Hi); it must match what
 	// Transport.Resident answers.
 	Lo, Hi int
-
-	// ReportEvery is the leader's termination-probe period.  Default 2ms.
-	ReportEvery time.Duration
 }
 
 func (d *DistConfig) validate(nodes int) error {
@@ -159,11 +142,15 @@ func (d *DistConfig) validate(nodes int) error {
 	if d.Leader != (d.Lo == 0) {
 		return fmt.Errorf("core: the leader is the process hosting node 0 (span [%d,%d), leader=%v)", d.Lo, d.Hi, d.Leader)
 	}
-	if d.ReportEvery <= 0 {
-		d.ReportEvery = 2 * time.Millisecond
-	}
 	return nil
 }
+
+// segWords is the bulk-transfer segment size in float64 words: message
+// Data payloads larger than this ride the three-phase protocol.
+const segWords = 512
+
+// reportEvery is the dist leader's termination-probe period.
+const reportEvery = 2 * time.Millisecond
 
 // stealBackoffBase is the pause between steal attempts after a denial
 // (receiver-initiated polling is otherwise continuous).
@@ -201,8 +188,7 @@ func (c *Config) retryMax() time.Duration {
 const retryBudget = 24
 
 // DefaultConfig returns a configuration for nodes PEs with the paper's
-// defaults (flow control on, LD caching on, collective scheduling on, no
-// load balancing).
+// defaults (flow control on, LD caching on, no load balancing).
 func DefaultConfig(nodes int) Config {
 	return Config{Nodes: nodes}
 }
@@ -213,9 +199,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.InboxCap <= 0 {
 		c.InboxCap = 1024
-	}
-	if c.SegWords <= 0 {
-		c.SegWords = 512
 	}
 	if c.FastPathDepth == 0 {
 		c.FastPathDepth = 64
@@ -248,7 +231,6 @@ func (c *Config) applyDefaults() error {
 	if c.FlightEvents <= 0 {
 		c.FlightEvents = 64
 	}
-	c.Costs.applyDefaults()
 	if c.Dist != nil {
 		if err := c.Dist.validate(c.Nodes); err != nil {
 			return err

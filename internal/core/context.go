@@ -73,17 +73,11 @@ func (c *Context) sendInternal(to Addr, sel Selector, args []any, data []float64
 func (c *Context) SendFast(to Addr, sel Selector, args ...any) bool {
 	n := c.n
 	if c.depth < n.m.cfg.FastPathDepth {
-		var seq uint64
-		if to.Birth == n.id {
-			seq = to.Seq
-		} else {
-			seq = n.table.Lookup(to)
-		}
-		if ld := n.arena.Get(seq); ld != nil && ld.State == names.LDLocal {
+		if ld := n.arena.Get(n.seqFor(to)); ld != nil && ld.State == names.LDLocal {
 			a := ld.Actor.(*Actor)
 			if !a.dead && n.enabled(a, sel) {
 				n.stats.SendsFast++
-				n.charge(n.m.costs.FastSend)
+				n.charge(costFastSend)
 				msg := n.newMsg()
 				msg.To, msg.Sel, msg.Args, msg.Reply = to, sel, args, invalidReply
 				c.invokeInline(a, msg)
@@ -109,15 +103,7 @@ func (c *Context) invokeInline(a *Actor, msg *Message) {
 
 	n.stats.Delivered++
 	n.freeMsg(msg)
-	if a.become != nil {
-		a.behavior = a.become
-		a.become = nil
-	}
-	if a.dead {
-		n.reapActor(a)
-	} else if a.migrate != amnet.NoNode {
-		n.startMigration(a)
-	}
+	n.afterMethod(a)
 	if !a.dead {
 		n.flushPending(a)
 	}

@@ -34,7 +34,7 @@ func (n *node) newAlias(hint amnet.NodeID) Addr {
 func (n *node) createRemote(dst amnet.NodeID, t TypeID, args []any, prog *Program) Addr {
 	alias := n.newAlias(dst)
 	n.stats.CreatesRemote++
-	n.charge(n.m.costs.CreateAlias)
+	n.charge(costCreateAlias)
 	n.incLive(prog, 1)
 	rec := n.newSpawn()
 	rec.alias, rec.typ, rec.args, rec.prog = alias, t, args, prog
@@ -48,7 +48,7 @@ func (n *node) createRemote(dst amnet.NodeID, t TypeID, args []any, prog *Progra
 func (n *node) createDeferred(t TypeID, args []any, prog *Program) Addr {
 	alias := n.newAlias(n.id)
 	n.stats.SpawnsQueued++
-	n.charge(n.m.costs.CreateAlias)
+	n.charge(costCreateAlias)
 	n.incLive(prog, 1)
 	rec := n.newSpawn()
 	rec.alias, rec.typ, rec.args, rec.vt, rec.prog = alias, t, args, n.vclock, prog

@@ -66,7 +66,7 @@ func (n *node) sendMsg(msg *Message) {
 	switch ld.State {
 	case names.LDLocal:
 		n.stats.SendsLocal++
-		n.charge(n.m.costs.LocalSend)
+		n.charge(costLocalSend)
 		msg.vt = maxf(msg.vt, n.vclock)
 		n.trace(EvSendLocal, addr, amnet.NoNode)
 		n.enqueueLocal(ld.Actor.(*Actor), msg)
@@ -93,7 +93,7 @@ func (n *node) sendDirect(ld *names.LD, msg *Message, senderSeq uint64) {
 	msg.origin, msg.originLD = n.id, senderSeq
 	msg.dstSeq, msg.routed = ld.RSeq, false
 	n.stats.SendsRemote++
-	n.charge(n.m.costs.RemoteSend)
+	n.charge(costRemoteSend)
 	msg.vt = maxf(msg.vt, n.vclock)
 	n.trace(EvSendRemote, msg.To, ld.RNode)
 	n.netSendMsg(ld.RNode, msg)
@@ -105,7 +105,7 @@ func (n *node) sendDirect(ld *names.LD, msg *Message, senderSeq uint64) {
 func (n *node) routeVia(via amnet.NodeID, msg *Message, senderSeq uint64) {
 	msg.origin, msg.originLD = n.id, senderSeq
 	msg.dstSeq, msg.routed = 0, true
-	n.charge(n.m.costs.RemoteSend)
+	n.charge(costRemoteSend)
 	msg.vt = maxf(msg.vt, n.vclock)
 	if via == n.id {
 		n.deliverHere(msg)
@@ -122,8 +122,8 @@ func (n *node) routeVia(via amnet.NodeID, msg *Message, senderSeq uint64) {
 // last-departure time plus one hop plus the payload transfer time, so
 // forwarding chains accumulate latency naturally.
 func (n *node) netSendMsg(dst amnet.NodeID, msg *Message) {
-	vt := msg.vt + n.m.costs.NetLatency + float64(len(msg.Data))*n.m.costs.PerWord
-	if len(msg.Data) > n.m.cfg.SegWords {
+	vt := msg.vt + costNetLatency + float64(len(msg.Data))*costPerWord
+	if len(msg.Data) > segWords {
 		data := msg.Data
 		msg.Data = nil
 		if n.m.nw.IsRemote(dst) {
@@ -138,7 +138,7 @@ func (n *node) netSendMsg(dst amnet.NodeID, msg *Message) {
 		if n.m.cfg.Flow == amnet.FlowEager {
 			// Without flow control the eager injection stalls this PE
 			// for the whole transfer (Table 1's pathology).
-			n.charge(float64(len(data)) * n.m.costs.PerWord)
+			n.charge(float64(len(data)) * costPerWord)
 		}
 		// The bulk data phase is lossless (see amnet faults.go); only the
 		// handshake needs recovery, which the bulk layer does itself.
@@ -172,14 +172,9 @@ func (n *node) deliverHere(msg *Message) {
 	// side work that § 4.1's descriptor-address caching eliminates.  The
 	// consultation delays THIS delivery, so it extends the message's
 	// arrival stamp (the PE catches up to it at dispatch).
-	msg.vt += n.m.costs.Lookup
+	msg.vt += costLookup
 	addr := msg.To
-	var seq uint64
-	if addr.Birth == n.id {
-		seq = addr.Seq
-	} else {
-		seq = n.table.Lookup(addr)
-	}
+	seq := n.seqFor(addr)
 	if seq == 0 {
 		// Not registered yet: the creation (or group create) is still
 		// in flight from a third party's perspective.  Hold by address.
@@ -302,12 +297,7 @@ func (n *node) maybeSendFIR(ld *names.LD, addr Addr) {
 // handleFIR processes a forwarding information request at this node.
 func (n *node) handleFIR(req firReq) {
 	addr := req.addr
-	var seq uint64
-	if addr.Birth == n.id {
-		seq = addr.Seq
-	} else {
-		seq = n.table.Lookup(addr)
-	}
+	seq := n.seqFor(addr)
 	ld := n.arena.Get(seq)
 	if ld == nil || seq == 0 {
 		// No trace of the actor: it died (or never existed).  Tell the
@@ -383,7 +373,7 @@ func (n *node) releaseHeld(ld *names.LD, addr Addr) {
 			switch {
 			case ld.State == names.LDLocal:
 				n.stats.FIRServed++
-				n.answerFIR(v, n.id, addrSeqOnNode(n, addr))
+				n.answerFIR(v, n.id, n.seqFor(addr))
 				n.freePath(v.path)
 			case ld.RNode == amnet.NoNode:
 				n.answerFIR(v, amnet.NoNode, 0)
@@ -397,8 +387,9 @@ func (n *node) releaseHeld(ld *names.LD, addr Addr) {
 	}
 }
 
-// addrSeqOnNode returns this node's descriptor slot for addr.
-func addrSeqOnNode(n *node, addr Addr) uint64 {
+// seqFor returns this node's descriptor slot for addr: the address itself
+// on its birth node, the name table's binding elsewhere (0 if none).
+func (n *node) seqFor(addr Addr) uint64 {
 	if addr.Birth == n.id {
 		return addr.Seq
 	}

@@ -398,7 +398,7 @@ func TestSendToDeadRemote(t *testing.T) {
 // protocol and arrives intact.
 func TestBulkDataMessage(t *testing.T) {
 	for _, nodes := range []int{1, 2} {
-		m := testMachine(t, Config{Nodes: nodes, SegWords: 64})
+		m := testMachine(t, Config{Nodes: nodes})
 		var got []float64
 		sink := m.RegisterType("sink", func(args []any) Behavior {
 			return &funcBehavior{f: func(ctx *Context, msg *Message) {

@@ -84,7 +84,6 @@ type distState struct {
 	t      amnet.Transport
 	leader bool
 	procs  int
-	every  time.Duration // probe period (DistConfig.ReportEvery)
 
 	mu        sync.Mutex
 	reports   map[int]reportMsg     // leader: freshest report per worker
@@ -104,7 +103,6 @@ func newDistState(m *Machine, d *DistConfig) *distState {
 		t:         d.Transport,
 		leader:    d.Leader,
 		procs:     d.Transport.Procs(),
-		every:     d.ReportEvery,
 		reports:   make(map[int]reportMsg),
 		box:       make(map[uint64]resultWire),
 		byes:      make(map[int]bool),
@@ -224,7 +222,7 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 			return
 		case <-done:
 			return
-		case <-time.After(d.every):
+		case <-time.After(reportEvery):
 		}
 	}
 }
@@ -261,10 +259,6 @@ func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]repo
 	if st := d.m.cfg.StallTimeout; st > 0 {
 		deadline = time.Now().Add(2*st + 5*time.Second)
 	}
-	pause := d.every / 4
-	if pause < 100*time.Microsecond {
-		pause = 100 * time.Microsecond
-	}
 	for {
 		got := make([]reportMsg, 0, d.procs-1)
 		d.mu.Lock()
@@ -282,7 +276,7 @@ func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]repo
 			return nil, false
 		case <-done:
 			return nil, false
-		case <-time.After(pause):
+		case <-time.After(reportEvery / 4):
 		}
 		if time.Since(resent) > 250*time.Millisecond {
 			d.t.SendControl(-1, dcProbe, probe)

@@ -83,11 +83,10 @@ func startDistRig(t *testing.T, nodes, procs int, configure func(*Config), regis
 			configure(&cfg)
 		}
 		cfg.Dist = &DistConfig{
-			Transport:   trans[i],
-			Leader:      i == 0,
-			Lo:          spans[i][0],
-			Hi:          spans[i][1],
-			ReportEvery: time.Millisecond,
+			Transport: trans[i],
+			Leader:    i == 0,
+			Lo:        spans[i][0],
+			Hi:        spans[i][1],
 		}
 		m, err := NewMachine(cfg)
 		if err != nil {

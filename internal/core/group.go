@@ -18,10 +18,10 @@ import (
 // creator — or anyone it tells — can message members before they exist.
 //
 // A message broadcast to the group is replicated along the same tree and a
-// copy is delivered to each member.  With collective scheduling the local
-// deliveries of one broadcast run consecutively as a single dispatcher
-// task (the TAM-inspired quasi-dynamic scheduling of § 6.4), exploiting
-// the temporal locality of logically related actors.
+// copy is delivered to each member.  The local deliveries of one broadcast
+// run consecutively as a single dispatcher task (the TAM-inspired
+// quasi-dynamic scheduling of § 6.4), exploiting the temporal locality of
+// logically related actors.
 
 // groupEntry records a node's share of a group.
 type groupEntry struct {
@@ -67,7 +67,7 @@ func (n *node) newGroup(t TypeID, count int, base amnet.NodeID, args []any, prog
 		ld.RNode = g.home(i)
 	}
 	n.incLive(prog, int64(count))
-	n.charge(n.m.costs.CreateAlias * float64(count))
+	n.charge(costCreateAlias * float64(count))
 	n.handleGroupCreate(groupCreate{g: g, typ: t, args: args, prog: prog}, n.vclock)
 	return g
 }
@@ -79,7 +79,7 @@ func (n *node) handleGroupCreate(gc groupCreate, vt float64) {
 	p := len(n.m.nodes)
 	n.treeBuf = amnet.TreeChildren(n.treeBuf[:0], gc.g.Birth, n.id, p)
 	for _, c := range n.treeBuf {
-		pkt := amnet.Packet{Handler: hGroupCreate, Dst: c, VT: vt + n.m.costs.NetLatency, Payload: gc}
+		pkt := amnet.Packet{Handler: hGroupCreate, Dst: c, VT: vt + costNetLatency, Payload: gc}
 		if n.m.relOn {
 			// A lost fan-out packet strands one accounted creation per
 			// member homed anywhere in the child's subtree.
@@ -114,7 +114,7 @@ func (n *node) broadcast(g Group, msg *Message) {
 	msg.shared = true
 	n.stats.Broadcasts++
 	n.trace(EvBroadcast, Nil, amnet.NoNode)
-	n.charge(n.m.costs.LocalSend + float64(len(msg.Data))*n.m.costs.PerWord)
+	n.charge(costLocalSend + float64(len(msg.Data))*costPerWord)
 	n.incLive(msg.prog, int64(g.N))
 	n.handleBcast(&bcastWork{g: g, root: n.id, msg: msg}, n.vclock)
 }
@@ -131,7 +131,7 @@ type pendingCast struct {
 func (n *node) handleBcast(bw *bcastWork, vt float64) {
 	p := len(n.m.nodes)
 	n.treeBuf = amnet.TreeChildren(n.treeBuf[:0], bw.root, n.id, p)
-	hopVT := vt + n.m.costs.NetLatency + float64(len(bw.msg.Data))*n.m.costs.PerWord
+	hopVT := vt + costNetLatency + float64(len(bw.msg.Data))*costPerWord
 	for _, c := range n.treeBuf {
 		n.stats.BcastRelays++
 		pkt := amnet.Packet{Handler: hGroupCast, Dst: c, VT: hopVT, Payload: bw}
@@ -154,13 +154,6 @@ func (n *node) deliverBcastLocal(bw *bcastWork, vt float64) {
 	if e == nil || len(e.addrs) == 0 {
 		return
 	}
-	if n.m.cfg.DisableCollective {
-		// Ablation: each member delivery is an individual send.
-		for _, addr := range e.addrs {
-			n.deliverBcastMember(addr, bw.msg, false, vt)
-		}
-		return
-	}
 	n.ready.Push(task{bcast: bw, vt: vt}, vt)
 }
 
@@ -170,15 +163,15 @@ func (n *node) deliverBcastLocal(bw *bcastWork, vt float64) {
 func (n *node) runBcast(bw *bcastWork, vt float64) {
 	e := n.groups[bw.g.ID]
 	for _, addr := range e.addrs {
-		n.deliverBcastMember(addr, bw.msg, true, vt)
+		n.deliverBcastMember(addr, bw.msg, vt)
 	}
 }
 
 // deliverBcastMember routes one member's copy.  Each member gets a private
 // clone of the traveling message (the shared original must not take
-// per-destination stamps).  inline permits running the method immediately
-// on this stack when the member is local, idle, and enabled.
-func (n *node) deliverBcastMember(addr Addr, msg *Message, inline bool, vt float64) {
+// per-destination stamps).  A member that is local, idle, and enabled runs
+// its method immediately on this stack.
+func (n *node) deliverBcastMember(addr Addr, msg *Message, vt float64) {
 	clone := n.newMsg()
 	*clone = *msg
 	clone.shared = false
@@ -199,7 +192,7 @@ func (n *node) deliverBcastMember(addr Addr, msg *Message, inline bool, vt float
 		n.decLiveProg(prog)
 		return
 	}
-	if inline && a.mailq.Empty() && n.enabled(a, clone.Sel) {
+	if a.mailq.Empty() && n.enabled(a, clone.Sel) {
 		n.invoke(a, clone)
 		n.flushPending(a)
 		return
@@ -209,8 +202,7 @@ func (n *node) deliverBcastMember(addr Addr, msg *Message, inline bool, vt float
 
 // localActorFor resolves addr to a local actor, or nil.
 func (n *node) localActorFor(addr Addr) *Actor {
-	seq := addrSeqOnNode(n, addr)
-	ld := n.arena.Get(seq)
+	ld := n.arena.Get(n.seqFor(addr))
 	if ld == nil || ld.State != names.LDLocal {
 		return nil
 	}

@@ -107,36 +107,34 @@ func TestGroupMemberAddressesImmediatelyUsable(t *testing.T) {
 // TestBroadcastReachesAllMembers over multiple nodes, member count not a
 // multiple of P, from a non-creator broadcaster.
 func TestBroadcastReachesAllMembers(t *testing.T) {
-	for _, collective := range []bool{true, false} {
-		m := testMachine(t, Config{Nodes: 4, DisableCollective: !collective})
-		p := newMemberProbe()
-		mt := registerGroupMember(m, p)
-		caster := m.RegisterType("caster", func(args []any) Behavior {
-			return &funcBehavior{f: func(ctx *Context, msg *Message) {
-				ctx.Broadcast(msg.Group(0), selWork)
-			}}
-		})
-		run(t, m, func(ctx *Context) {
-			g := ctx.NewGroup(mt, 11, 0)
-			c := ctx.NewOn(2, caster)
-			ctx.Send(c, selInit, g)
-		})
-		counts := p.counts()
-		if len(counts) != 11 {
-			t.Fatalf("collective=%v: %d members heard the broadcast, want 11", collective, len(counts))
+	m := testMachine(t, Config{Nodes: 4})
+	p := newMemberProbe()
+	mt := registerGroupMember(m, p)
+	caster := m.RegisterType("caster", func(args []any) Behavior {
+		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			ctx.Broadcast(msg.Group(0), selWork)
+		}}
+	})
+	run(t, m, func(ctx *Context) {
+		g := ctx.NewGroup(mt, 11, 0)
+		c := ctx.NewOn(2, caster)
+		ctx.Send(c, selInit, g)
+	})
+	counts := p.counts()
+	if len(counts) != 11 {
+		t.Fatalf("%d members heard the broadcast, want 11", len(counts))
+	}
+	for i, c := range counts {
+		if c != 1 {
+			t.Errorf("member %d heard %d copies", i, c)
 		}
-		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("collective=%v: member %d heard %d copies", collective, i, c)
-			}
-		}
-		s := m.Stats()
-		if s.Total.Broadcasts != 1 {
-			t.Errorf("Broadcasts=%d want 1", s.Total.Broadcasts)
-		}
-		if s.Total.BcastRelays == 0 {
-			t.Error("broadcast never used the spanning tree")
-		}
+	}
+	s := m.Stats()
+	if s.Total.Broadcasts != 1 {
+		t.Errorf("Broadcasts=%d want 1", s.Total.Broadcasts)
+	}
+	if s.Total.BcastRelays == 0 {
+		t.Error("broadcast never used the spanning tree")
 	}
 }
 

@@ -31,6 +31,15 @@ const (
 	hCtlAck
 )
 
+// learnLoc handles a cache update, an FIR answer and a migration notice:
+// each teaches this node one location (the ids differ for traces and the
+// wire).  A method, not a closure in a variable, so halvet's handler
+// reachability follows it.
+func (m *Machine) learnLoc(ep *amnet.Endpoint, p amnet.Packet) {
+	addr, node, seq := decodeLoc(p)
+	m.nodes[ep.ID()].applyCacheUpdate(addr, node, seq)
+}
+
 func registerKernelHandlers(m *Machine) {
 	at := func(ep *amnet.Endpoint) *node { return m.nodes[ep.ID()] }
 
@@ -69,15 +78,14 @@ func registerKernelHandlers(m *Machine) {
 			// Receiving a bulk transfer costs this PE per-word handler
 			// time; concurrent inbound transfers therefore serialize on
 			// the receiver's virtual clock.
-			n.charge(float64(len(p.Data)) * n.m.costs.PerWord)
+			n.charge(float64(len(p.Data)) * costPerWord)
 		}
 		n.deliverHere(msg)
 	})
 
-	reg(hCacheUpdate, func(ep *amnet.Endpoint, p amnet.Packet) {
-		addr, node, seq := decodeLoc(p)
-		at(ep).applyCacheUpdate(addr, node, seq)
-	})
+	reg(hCacheUpdate, m.learnLoc)
+	reg(hFIRFound, m.learnLoc)
+	reg(hMigrateAck, m.learnLoc)
 
 	reg(hCreate, func(ep *amnet.Endpoint, p amnet.Packet) {
 		// Queue the creation through the dispatcher heap instead of
@@ -103,18 +111,8 @@ func registerKernelHandlers(m *Machine) {
 		n.handleFIR(n.decodeFIR(p))
 	})
 
-	reg(hFIRFound, func(ep *amnet.Endpoint, p amnet.Packet) {
-		addr, node, seq := decodeLoc(p)
-		at(ep).applyCacheUpdate(addr, node, seq)
-	})
-
 	reg(hMigrate, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleMigrate(p.Src, p.Payload.(*migBundle), p.VT)
-	})
-
-	reg(hMigrateAck, func(ep *amnet.Endpoint, p amnet.Packet) {
-		addr, node, seq := decodeLoc(p)
-		at(ep).applyCacheUpdate(addr, node, seq)
 	})
 
 	reg(hStealReq, func(ep *amnet.Endpoint, p amnet.Packet) {
@@ -126,7 +124,7 @@ func registerKernelHandlers(m *Machine) {
 	})
 
 	reg(hStealDeny, func(ep *amnet.Endpoint, p amnet.Packet) {
-		at(ep).handleStealDeny(p.VT)
+		at(ep).handleStealDeny()
 	})
 
 	reg(hGroupCreate, func(ep *amnet.Endpoint, p amnet.Packet) {

@@ -108,7 +108,7 @@ func (n *node) fillSlot(jcSeq uint64, slot int32, v any, external bool, vt float
 // runJoin executes a completed continuation on this node's stack.
 func (n *node) runJoin(j *joinCont) {
 	n.syncTo(j.readyVT)
-	n.charge(n.m.costs.Dispatch)
+	n.charge(costDispatch)
 	ctx := &n.ctx
 	prevSelf, prevAddr, prevProg := ctx.self, ctx.selfAddr, ctx.prog
 	ctx.self, ctx.selfAddr, ctx.prog = nil, j.creator, j.prog
@@ -134,7 +134,7 @@ func (n *node) applyReply(jcSeq uint64, slot int32, v any, prog *Program, vt flo
 
 // sendReply routes a reply value to the requester's continuation slot.
 func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
-	n.charge(n.m.costs.Reply)
+	n.charge(costReply)
 	n.incLive(prog, 1)
 	if rt.Node == n.id {
 		n.applyReply(rt.JC, rt.Slot, v, prog, n.vclock)

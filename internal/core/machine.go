@@ -36,7 +36,6 @@ type Machine struct {
 
 	types      []typeEntry
 	typeByName map[string]TypeID
-	costs      CostModel
 	pace       pacer
 
 	// relOn is set when cfg.Faults is non-nil, and only then: kernel
@@ -110,7 +109,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Nodes:    cfg.Nodes + 1,
 		InboxCap: cfg.InboxCap,
 		Flow:     cfg.Flow,
-		SegWords: cfg.SegWords,
+		SegWords: segWords,
 		Faults:   cfg.Faults,
 	}
 	if cfg.Dist != nil {
@@ -123,7 +122,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:        cfg,
 		nw:         nw,
-		costs:      cfg.Costs,
 		typeByName: make(map[string]TypeID),
 		types:      []typeEntry{{name: "<invalid>"}}, // TypeID 0 reserved
 	}
@@ -383,9 +381,6 @@ func (m *Machine) StatsNow() MachineStats {
 // after exhausting its retry budget (fault injection only): the run may
 // have completed, but with dead-lettered control work.
 func (m *Machine) RetryExhausted() bool { return m.relExhausted.Load() }
-
-// node returns node id's kernel; exported lookups go through Context.
-func (m *Machine) node(id amnet.NodeID) *node { return m.nodes[id] }
 
 // registerProg appends prog to the id->program table.  Caller holds
 // launchMu, so prog.id == len(table)+1 exactly.

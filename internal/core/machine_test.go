@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hal/internal/amnet"
 )
 
 func TestRunReturnsExitValue(t *testing.T) {
@@ -60,6 +63,70 @@ func TestRunRejectsConcurrent(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewMachine(Config{Nodes: 0}); err == nil {
 		t.Error("NewMachine accepted 0 nodes")
+	}
+}
+
+// TestConfigSurface counts the settable values.  A field stays only while
+// two callers that are not tests or examples need it to differ (the
+// simplicity-review guide's options rule); every other value is a
+// constant.  Adding a field means editing a number here and in ROADMAP's
+// state table, on purpose.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want int
+	}{
+		{Config{}, 18},
+		{DistConfig{}, 4},
+		{amnet.FaultPlan{}, 7},
+	} {
+		if typ := reflect.TypeOf(c.v); typ.NumField() != c.want {
+			t.Errorf("%v has %d fields, want %d", typ, typ.NumField(), c.want)
+		}
+	}
+}
+
+// TestVirtualTimeGolden runs a one-node program whose virtual makespan has
+// a closed form: on one node every charge lands on the one clock and no
+// arrival stamp is ever ahead of it, so the makespan is the sum of the
+// costs charged.  The costs themselves are pinned to the paper's Table 2
+// calibration, which is what catches a mistyped constant.
+func TestVirtualTimeGolden(t *testing.T) {
+	c := DefaultCostModel()
+	paper := CostModel{
+		Dispatch: 2, LocalSend: 3, RemoteSend: 6, FastSend: 1, NetLatency: 6, PerWord: 0.8,
+		CreateLocal: 5, CreateAlias: 5.83, CreateServe: 15, Lookup: 1, Reply: 2, Migrate: 25, Steal: 4,
+	}
+	if c != paper {
+		t.Fatalf("cost model %+v, want the Table 2 calibration %+v", c, paper)
+	}
+
+	const creates, sends, fasts = 3, 5, 4
+	m := testMachine(t, Config{Nodes: 1})
+	run(t, m, func(ctx *Context) {
+		var a Addr
+		for i := 0; i < creates; i++ {
+			a = ctx.New(&funcBehavior{f: func(ctx *Context, msg *Message) { ctx.Reply(msg, 1) }})
+		}
+		for i := 0; i < sends; i++ {
+			ctx.Send(a, selWork)
+		}
+		for i := 0; i < fasts; i++ {
+			if !ctx.SendFast(a, selWork) {
+				t.Error("SendFast to a local idle actor missed the fast path")
+			}
+		}
+		j := ctx.NewJoin(1, func(*Context, []any) {})
+		ctx.Request(a, selWork, j, 0)
+	})
+	// The root actor is created and dispatched by the program load; every
+	// queued message (the sends and the request) is dispatched once, the
+	// fast sends not at all; the request is answered and its continuation
+	// dispatched.
+	want := (1+creates)*c.CreateLocal + (sends+1)*c.LocalSend + fasts*c.FastSend +
+		(1+sends+1+1)*c.Dispatch + c.Reply
+	if got := m.VirtualTime(); got != time.Duration(want*float64(time.Microsecond)) {
+		t.Errorf("virtual makespan %v, want %vµs", got, want)
 	}
 }
 

@@ -91,7 +91,7 @@ func (n *node) startMigration(a *Actor) {
 // location at the birthplace(s).
 func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 	n.syncTo(vt)
-	n.charge(n.m.costs.Migrate)
+	n.charge(costMigrate)
 
 	// An actor migrating back to its birth node must reclaim its DEFINING
 	// descriptor: lookups by address go straight to that arena slot, so a

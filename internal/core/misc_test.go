@@ -88,7 +88,7 @@ func TestContextGuards(t *testing.T) {
 }
 
 func TestRequestData(t *testing.T) {
-	m := testMachine(t, Config{Nodes: 2, SegWords: 16})
+	m := testMachine(t, Config{Nodes: 2})
 	sum := m.RegisterType("sum", func(args []any) Behavior {
 		return &funcBehavior{f: func(ctx *Context, msg *Message) {
 			s := 0.0
@@ -100,14 +100,14 @@ func TestRequestData(t *testing.T) {
 	})
 	v := run(t, m, func(ctx *Context) {
 		a := ctx.NewOn(1, sum)
-		data := make([]float64, 100)
+		data := make([]float64, segWords+88) // more than one bulk segment
 		for i := range data {
 			data[i] = 1
 		}
 		j := ctx.NewJoin(1, func(ctx *Context, slots []any) { ctx.Exit(slots[0]) })
 		ctx.RequestData(a, selWork, j, 0, data)
 	})
-	if v != 100.0 {
+	if v != 600.0 {
 		t.Fatalf("RequestData sum=%v", v)
 	}
 }

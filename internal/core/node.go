@@ -231,20 +231,16 @@ func (n *node) idle() {
 	timeout := time.Duration(0)
 	if n.ep.BulkBacklog() > 0 {
 		// An outbound transfer needs re-pumping; don't sleep long.
-		timeout = 20 * time.Microsecond
+		timeout = sooner(timeout, 20*time.Microsecond)
 	}
 	if n.m.relOn {
 		if len(n.rel.pending) > 0 {
 			// Unacknowledged control packets: wake in time to retry.
-			if base := n.m.cfg.retryBase(); timeout == 0 || base < timeout {
-				timeout = base
-			}
+			timeout = sooner(timeout, n.m.cfg.retryBase())
 		}
 		if n.ep.FaultBacklog() > 0 {
 			// Delayed packets re-inject only on a poll; don't park long.
-			if timeout == 0 || 20*time.Microsecond < timeout {
-				timeout = 20 * time.Microsecond
-			}
+			timeout = sooner(timeout, 20*time.Microsecond)
 		}
 	}
 	polling := n.m.cfg.LoadBalance && n.m.live.sum() > 0 && n.spawnq.Empty()
@@ -259,9 +255,7 @@ func (n *node) idle() {
 		if !n.stealOut {
 			n.sendSteal()
 		}
-		if timeout == 0 || n.stealBackoff < timeout {
-			timeout = n.stealBackoff
-		}
+		timeout = sooner(timeout, n.stealBackoff)
 		n.m.pace.polling.Add(1)
 	}
 	n.m.parked.add(int(n.id), 1)
@@ -270,6 +264,14 @@ func (n *node) idle() {
 	if polling {
 		n.m.pace.polling.Add(-1)
 	}
+}
+
+// sooner merges deadline b into wait timeout a, where a == 0 means none yet.
+func sooner(a, b time.Duration) time.Duration {
+	if a == 0 || b < a {
+		return b
+	}
+	return a
 }
 
 // drainAndExit discards queued packets until every node has reached
@@ -377,11 +379,10 @@ func (n *node) enabled(a *Actor, sel Selector) bool {
 }
 
 // invoke runs one method: the heart of "actor methods and kernel functions
-// execute on the same stack".  It applies deferred become/migrate/die
-// effects after the method returns.
+// execute on the same stack".
 func (n *node) invoke(a *Actor, msg *Message) {
 	n.syncTo(msg.vt)
-	n.charge(n.m.costs.Dispatch)
+	n.charge(costDispatch)
 	ctx := &n.ctx
 	prevSelf, prevAddr, prevProg := ctx.self, ctx.selfAddr, ctx.prog
 	ctx.self, ctx.selfAddr, ctx.prog = a, a.addr, a.prog
@@ -392,7 +393,21 @@ func (n *node) invoke(a *Actor, msg *Message) {
 	n.stats.Delivered++
 	prog := msg.prog
 	n.freeMsg(msg)
+	n.afterMethod(a)
+	n.decLiveProg(prog)
+}
 
+// afterMethod applies the effects a method deferred to its return: become,
+// then die or migrate.  Nearly every method defers nothing, so the test
+// stands apart from the work and inlines into invoke and invokeInline
+// (as one function it cost local-ring 2 % of its hops).
+func (n *node) afterMethod(a *Actor) {
+	if a.become != nil || a.dead || a.migrate != amnet.NoNode {
+		n.applyDeferred(a)
+	}
+}
+
+func (n *node) applyDeferred(a *Actor) {
 	if a.become != nil {
 		a.behavior = a.become
 		a.become = nil
@@ -402,7 +417,6 @@ func (n *node) invoke(a *Actor, msg *Message) {
 	} else if a.migrate != amnet.NoNode {
 		n.startMigration(a)
 	}
-	n.decLiveProg(prog)
 }
 
 // flushPending re-dispatches pending messages that the (possibly new)
@@ -514,7 +528,7 @@ func (n *node) freeMsg(m *Message) {
 // node: a locality descriptor in the arena (whose slot is the address) in
 // state local.  This is the paper's 5 µs "local creation" primitive.
 func (n *node) createLocal(b Behavior) *Actor {
-	n.charge(n.m.costs.CreateLocal)
+	n.charge(costCreateLocal)
 	seq, ld := n.arena.Alloc()
 	a := &Actor{
 		behavior: b,
@@ -537,7 +551,7 @@ func (n *node) createLocal(b Behavior) *Actor {
 // cached (§ 5's "background processing").
 func (n *node) instantiate(rec *spawnRecord) {
 	n.syncTo(rec.vt)
-	n.charge(n.m.costs.CreateServe)
+	n.charge(costCreateServe)
 	b := n.m.construct(rec.typ, rec.args)
 	a := n.createLocal(b)
 	a.prog = rec.prog

@@ -128,7 +128,7 @@ func (n *node) paceGate() {
 	if p.window <= 0 {
 		return
 	}
-	stealRTT := n.m.costs.Steal + 2*n.m.costs.NetLatency
+	stealRTT := costSteal + 2*costNetLatency
 	for !n.m.stopped() {
 		if n.vclock <= p.frontier(stealRTT)+p.window {
 			return

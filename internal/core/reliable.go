@@ -307,7 +307,7 @@ func (n *node) retireUnit(u relUnit) {
 // become dead letters, and parked chain requests are answered "dead" so
 // the nodes behind us can release theirs too.
 func (n *node) abandonFIR(addr Addr) {
-	ld := n.arena.Get(addrSeqOnNode(n, addr))
+	ld := n.arena.Get(n.seqFor(addr))
 	if ld == nil {
 		return
 	}

@@ -15,12 +15,15 @@ import (
 // time-share however many host CPUs exist.  The run's virtual makespan
 // (max final clock) is what the scaling experiments report.
 //
-// The defaults are calibrated to the paper's Table 2 (CM-5, 33 MHz SPARC):
+// The costs are calibrated to the paper's Table 2 (CM-5, 33 MHz SPARC):
 // local creation ≈ 5 µs, the alias-visible part of a remote creation
 // 5.83 µs with the actual creation 20.83 µs, locality check < 1 µs.
 
-// CostModel gives the virtual cost, in microseconds, of each runtime
-// primitive.  The zero value selects the paper-calibrated defaults.
+// CostModel names the virtual cost, in microseconds, of each runtime
+// primitive.  The costs are measured constants of one machine (the paper's
+// Table 2), not parameters: the kernel charges the cost* constants below,
+// and this struct exists so the table generators can print the paper's
+// column from DefaultCostModel.
 type CostModel struct {
 	// Dispatch is charged per method dispatch (queue pop, enabledness
 	// check, static or dynamic method lookup).
@@ -59,32 +62,42 @@ type CostModel struct {
 	Steal float64
 }
 
-// defaultCosts mirrors Table 2's order of magnitude on the CM-5.
-var defaultCosts = CostModel{
-	Dispatch:    2.0,
-	LocalSend:   3.0,
-	RemoteSend:  6.0,
-	FastSend:    1.0,
-	NetLatency:  6.0,
-	PerWord:     0.8, // ~10 MB/s per node, the CM-5 data network's realistic rate
-	CreateLocal: 5.0,
-	CreateAlias: 5.83,
-	CreateServe: 15.0, // 20.83 total minus the alias-visible part
-	Lookup:      1.0,
-	Reply:       2.0,
-	Migrate:     25.0,
-	Steal:       4.0,
-}
+// The cost model: Table 2's order of magnitude on the CM-5, one constant
+// per CostModel field.
+const (
+	costDispatch    = 2.0
+	costLocalSend   = 3.0
+	costRemoteSend  = 6.0
+	costFastSend    = 1.0
+	costNetLatency  = 6.0
+	costPerWord     = 0.8 // ~10 MB/s per node, the CM-5 data network's realistic rate
+	costCreateLocal = 5.0
+	costCreateAlias = 5.83
+	costCreateServe = 15.0 // 20.83 total minus the alias-visible part
+	costLookup      = 1.0
+	costReply       = 2.0
+	costMigrate     = 25.0
+	costSteal       = 4.0
+)
 
-func (c *CostModel) applyDefaults() {
-	if *c == (CostModel{}) {
-		*c = defaultCosts
+// DefaultCostModel returns the cost model the kernel charges.
+func DefaultCostModel() CostModel {
+	return CostModel{
+		Dispatch:    costDispatch,
+		LocalSend:   costLocalSend,
+		RemoteSend:  costRemoteSend,
+		FastSend:    costFastSend,
+		NetLatency:  costNetLatency,
+		PerWord:     costPerWord,
+		CreateLocal: costCreateLocal,
+		CreateAlias: costCreateAlias,
+		CreateServe: costCreateServe,
+		Lookup:      costLookup,
+		Reply:       costReply,
+		Migrate:     costMigrate,
+		Steal:       costSteal,
 	}
 }
-
-// DefaultCostModel returns the paper-calibrated cost model (what a zero
-// Config.Costs selects).
-func DefaultCostModel() CostModel { return defaultCosts }
 
 func maxf(a, b float64) float64 {
 	if a > b {
@@ -111,7 +124,7 @@ func (n *node) syncTo(t float64) {
 // stamp computes the virtual arrival time of a packet sent now, carrying
 // words of bulk payload.
 func (n *node) stamp(words int) float64 {
-	return n.vclock + n.m.costs.NetLatency + float64(words)*n.m.costs.PerWord
+	return n.vclock + costNetLatency + float64(words)*costPerWord
 }
 
 // Charge adds d of application compute to the current node's virtual
