@@ -91,11 +91,11 @@ func TestAllocPooledLocalDelivery(t *testing.T) {
 	to := a.Addr()
 	requireZeroAllocs(t, "local Send+dispatch", func() {
 		ctx.Send(to, 1)
-		tk, ok := n.ready.Pop()
+		tk, vt, ok := n.ready.PopKey()
 		if !ok {
 			t.Fatal("send queued no dispatcher task")
 		}
-		n.execute(tk)
+		n.execute(tk, vt)
 	})
 	if sink.calls == 0 {
 		t.Fatal("message never delivered")
@@ -200,11 +200,11 @@ func TestAllocTracedLocalDelivery(t *testing.T) {
 	to := a.Addr()
 	requireZeroAllocs(t, "traced local Send+dispatch", func() {
 		ctx.Send(to, 1)
-		tk, ok := n.ready.Pop()
+		tk, vt, ok := n.ready.PopKey()
 		if !ok {
 			t.Fatal("send queued no dispatcher task")
 		}
-		n.execute(tk)
+		n.execute(tk, vt)
 	})
 	if rcv.calls == 0 {
 		t.Fatal("message never delivered")

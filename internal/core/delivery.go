@@ -142,6 +142,7 @@ func (n *node) netSendMsg(dst amnet.NodeID, msg *Message) {
 		}
 		// The bulk data phase is lossless (see amnet faults.go); only the
 		// handshake needs recovery, which the bulk layer does itself.
+		n.settle()
 		n.ep.BulkSend(dst, data, amnet.Packet{Handler: hDeliverMsg, VT: vt, Payload: msg})
 		return
 	}

@@ -86,7 +86,7 @@ func (n *node) handleGroupCreate(gc groupCreate, vt float64) {
 			cnt := subtreeMembers(gc.g, gc.g.Birth, c, p)
 			n.sequence(&pkt, relUnit{prog: gc.prog, live: cnt, letters: uint64(cnt)}, nil)
 		}
-		n.ep.Send(pkt)
+		n.emit(pkt)
 	}
 	e := &groupEntry{g: gc.g}
 	for i := gc.g.firstOn(n.id); i < gc.g.N; i += gc.g.Nodes {
@@ -140,7 +140,7 @@ func (n *node) handleBcast(bw *bcastWork, vt float64) {
 			cnt := subtreeMembers(bw.g, bw.root, c, p)
 			n.sequence(&pkt, relUnit{prog: bw.msg.prog, live: cnt, letters: uint64(cnt)}, nil)
 		}
-		n.ep.Send(pkt)
+		n.emit(pkt)
 	}
 	if _, known := n.groups[bw.g.ID]; !known {
 		n.pendingCasts[bw.g.ID] = append(n.pendingCasts[bw.g.ID], pendingCast{bw: bw, vt: vt})
@@ -154,7 +154,7 @@ func (n *node) deliverBcastLocal(bw *bcastWork, vt float64) {
 	if e == nil || len(e.addrs) == 0 {
 		return
 	}
-	n.ready.Push(task{bcast: bw, vt: vt}, vt)
+	n.ready.Push(bw, vt)
 }
 
 // runBcast delivers one broadcast to all local members consecutively —

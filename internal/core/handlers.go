@@ -95,7 +95,7 @@ func registerKernelHandlers(m *Machine) {
 		n := at(ep)
 		rec := p.Payload.(*spawnRecord)
 		rec.vt = p.VT
-		n.ready.Push(task{spawn: rec}, rec.vt)
+		n.ready.Push(rec, rec.vt)
 	})
 
 	reg(hAliasBind, func(ep *amnet.Endpoint, p amnet.Packet) {

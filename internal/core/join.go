@@ -94,7 +94,7 @@ func (n *node) fillSlot(jcSeq uint64, slot int32, v any, external bool, vt float
 		// retires normally.  Increment before decrement so a program's
 		// count cannot graze zero mid-handoff.
 		n.incLive(j.prog, 1)
-		n.ready.Push(task{join: j}, j.readyVT)
+		n.ready.Push(j, j.readyVT)
 		if external {
 			n.decLiveProg(unitProg)
 		}

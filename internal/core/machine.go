@@ -49,13 +49,13 @@ type Machine struct {
 	relExhausted atomic.Bool
 
 	// live counts undone work: queued messages, held messages, deferred
-	// creations, scheduled continuations.  Quiescence (live == 0) ends a
-	// run.  Sharded per node (slot cfg.Nodes is the front end's) so the
-	// per-message increments never contend on one cache line; readers
-	// aggregate (shard.go).
+	// creations, scheduled continuations.  Sharded per node (slot cfg.Nodes
+	// is the front end's); a node adds its ledger's net at each settle
+	// (program.go), so the gauge lags a busy node and is exact when every
+	// node waits.  Readers aggregate (shard.go).
 	live sharded
-	// beat bumps whenever any node makes progress; the stall monitor
-	// watches its aggregate.  Sharded like live.
+	// beat counts tasks executed; the stall monitor watches its aggregate
+	// for progress.  Sharded and settled like live.
 	beat   sharded
 	parked sharded
 

@@ -83,7 +83,7 @@ func (n *node) startMigration(a *Actor) {
 		}
 		n.sequence(&pkt, relUnit{prog: a.prog, live: 1, letters: 0}, extra)
 	}
-	n.ep.Send(pkt)
+	n.emit(pkt)
 }
 
 // handleMigrate installs a migrated-in actor, re-registers its addresses,
@@ -178,7 +178,7 @@ func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 		n.flushPending(a)
 		if !a.dead && !a.queued && a.mailq.Len() > 0 {
 			a.queued = true
-			n.ready.Push(task{actor: a}, n.headVT(a))
+			n.ready.Push(a, n.headVT(a))
 		}
 	}
 

@@ -34,14 +34,14 @@ type Actor struct {
 // Addr returns the actor's ordinary mail address.
 func (a *Actor) Addr() Addr { return a.addr }
 
-// task is one unit of dispatcher work.
-type task struct {
-	actor *Actor       // process one message of this actor's mail queue
-	join  *joinCont    // run a completed join continuation
-	bcast *bcastWork   // deliver a broadcast to local members collectively
-	spawn *spawnRecord // serve a remote creation request
-	vt    float64      // broadcast arrival stamp (bcast tasks only)
-}
+// task is one unit of dispatcher work: the one pointer that names it.  An
+// *Actor has a message of its mail queue to process, a *joinCont is a
+// completed join continuation, a *bcastWork is a broadcast to deliver to
+// the local members collectively, a *spawnRecord is a remote creation
+// request to serve.  Every stamp a task runs at is its heap key, so the
+// heap entry is the pointer, the key and the tie-break and nothing else
+// (TestTaskEntrySize).
+type task any
 
 // node is one processing element's kernel: name server, dispatcher, node
 // manager state, and statistics.  Everything here is confined to the
@@ -58,6 +58,10 @@ type node struct {
 	// dragged forward by late work while earlier work waits.
 	ready  sched.Heap[task]
 	spawnq sched.Deque[*spawnRecord]
+
+	// led is the work this node created and retired since it last settled
+	// (program.go).
+	led ledger
 
 	// pendingAddr holds messages routed here for actors that are not
 	// registered yet (creation or group-create still in flight).
@@ -167,6 +171,7 @@ func (n *node) run() {
 			// and idle nodes never even start polling.
 			runtime.Gosched()
 			n.publishStats()
+			n.settle()
 		}
 		progressed := n.ep.PollAll() > 0
 		if n.m.relOn && len(n.rel.pending) > 0 {
@@ -179,9 +184,9 @@ func (n *node) run() {
 			// frontier work instead).
 			n.publish()
 			n.paceGate()
-			if t, ok := n.ready.Pop(); ok {
-				n.execute(t)
-				n.m.beat.add(int(n.id), 1)
+			if t, vt, ok := n.ready.PopKey(); ok {
+				n.execute(t, vt)
+				n.led.beat++
 				continue
 			}
 			// Newest-first local pop keeps the creation tree
@@ -189,7 +194,7 @@ func (n *node) run() {
 			// from the front.
 			if rec, ok := n.spawnq.PopBack(); ok {
 				n.instantiate(rec)
-				n.m.beat.add(int(n.id), 1)
+				n.led.beat++
 			}
 			continue
 		}
@@ -228,6 +233,7 @@ func (n *node) publishStats() {
 // idle waits (amnet's Wait: yield, then park) until a packet, the stop
 // signal, or a retry deadline (for steals and stalled bulk pumps) ends it.
 func (n *node) idle() {
+	n.settle()
 	timeout := time.Duration(0)
 	if n.ep.BulkBacklog() > 0 {
 		// An outbound transfer needs re-pumping; don't sleep long.
@@ -279,6 +285,7 @@ func sooner(a, b time.Duration) time.Duration {
 // sends and exit too; it then purges abandoned work so a later Start
 // begins clean.
 func (n *node) drainAndExit() {
+	n.settle()
 	total := int32(len(n.m.local))
 	n.m.draining.Add(1)
 	for n.m.draining.Load() < total {
@@ -322,17 +329,18 @@ func (n *node) purge() {
 	})
 }
 
-// execute runs one dispatcher task.
-func (n *node) execute(t task) {
-	switch {
-	case t.actor != nil:
-		n.runActor(t.actor)
-	case t.join != nil:
-		n.runJoin(t.join)
-	case t.bcast != nil:
-		n.runBcast(t.bcast, t.vt)
-	case t.spawn != nil:
-		n.instantiate(t.spawn)
+// execute runs one dispatcher task; vt is the key it was queued under (a
+// broadcast's arrival stamp lives nowhere else).
+func (n *node) execute(t task, vt float64) {
+	switch t := t.(type) {
+	case *Actor:
+		n.runActor(t)
+	case *joinCont:
+		n.runJoin(t)
+	case *bcastWork:
+		n.runBcast(t, vt)
+	case *spawnRecord:
+		n.instantiate(t)
 	}
 }
 
@@ -358,7 +366,7 @@ func (n *node) runActor(a *Actor) {
 	}
 	if !a.dead && !a.queued && a.mailq.Len() > 0 {
 		a.queued = true
-		n.ready.Push(task{actor: a}, n.headVT(a))
+		n.ready.Push(a, n.headVT(a))
 	}
 }
 
@@ -492,7 +500,7 @@ func (n *node) enqueueLocal(a *Actor, msg *Message) {
 	a.mailq.PushBack(msg)
 	if !a.queued {
 		a.queued = true
-		n.ready.Push(task{actor: a}, n.headVT(a))
+		n.ready.Push(a, n.headVT(a))
 	}
 }
 

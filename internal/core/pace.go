@@ -136,6 +136,7 @@ func (n *node) paceGate() {
 		n.stats.PaceStalls++
 		// Serve the network while waiting; steals move the frontier.
 		if n.ep.PollAll() == 0 {
+			n.settle()
 			n.ep.Wait(n.m.stop, 5*time.Microsecond)
 		}
 		n.publish()

@@ -26,19 +26,23 @@ import (
 
 // Program is a handle to one loaded program.
 type Program struct {
-	id     uint64
-	m      *Machine
+	id uint64
+	m  *Machine
+	// live is the program's exact count of undone work, as of every
+	// node's last settle; the settle that takes it to zero completes the
+	// program.
 	live   atomic.Int64
 	mu     sync.Mutex
 	result any
 	done   chan struct{}
 	once   sync.Once
 
-	// created/consumed are cumulative work counters maintained only on a
-	// multi-process machine: the per-process live gauge cannot cross zero
-	// meaningfully when units are created in one process and retired in
-	// another, so the leader detects global quiescence from these
-	// monotone counters instead (Mattern's four-counter method, dist.go).
+	// created/consumed are cumulative work counters maintained (by settle)
+	// only on a multi-process machine: the per-process live gauge cannot
+	// cross zero meaningfully when units are created in one process and
+	// retired in another, so the leader detects global quiescence from
+	// these monotone counters instead (Mattern's four-counter method,
+	// dist.go).
 	created  atomic.Int64
 	consumed atomic.Int64
 }
@@ -84,41 +88,87 @@ func (p *Program) Wait() (any, error) {
 	return p.result, nil
 }
 
-// incLiveAt accounts n units of work for prog (and for the machine-wide
-// activity gauge the balancer and stall monitor use), attributing the
-// machine-wide part to the caller's counter shard.
-func (m *Machine) incLiveAt(shard int, prog *Program, n int64) {
-	m.live.add(shard, n)
-	prog.live.Add(n)
+// incLiveAt accounts k units of work for prog (and for the machine-wide
+// activity gauge the balancer and stall monitor use) straight into shared
+// memory, on the given counter shard.  Only the front end's Launch
+// accounts this way; a node goes through its ledger.
+func (m *Machine) incLiveAt(shard int, prog *Program, k int64) {
+	m.live.add(shard, k)
+	prog.live.Add(k)
 	if m.dist != nil {
-		prog.created.Add(n)
+		prog.created.Add(k)
 	}
 }
 
-// decLiveProgAt retires one unit; the decrement draining a program's
-// count completes that program.  prog.live stays one exact shared atomic
-// — per-program quiescence needs a precise zero crossing — while the
-// machine gauge uses the caller's shard.  On a multi-process machine the
-// local zero crossing means nothing (units retire in other processes
-// too), so completion is the leader's call alone (dist.go).
-func (m *Machine) decLiveProgAt(shard int, prog *Program) {
-	if prog.live.Add(-1) == 0 && m.dist == nil {
-		prog.setDoneResult()
-	}
-	if m.dist != nil {
-		prog.consumed.Add(1)
-	}
-	m.live.add(shard, -1)
+// ledger is the work one node created and retired for one program since
+// it last settled, plus the tasks it ran.  Plain words confined to the
+// node's goroutine: a local hop, which creates one unit and retires one,
+// adds to them and touches no shared memory.  DESIGN.md "Work accounting"
+// has the argument for why publishing late is safe.
+type ledger struct {
+	prog  *Program
+	plus  int64 // units created
+	minus int64 // units retired
+	beat  int64 // tasks executed
+	// settles counts the settles that had work to publish (tests bound it).
+	settles int
 }
 
-// incLive / decLiveProg are the node-context forms: machine-wide work
-// accounting lands on the node's own shard.
-func (n *node) incLive(prog *Program, k int64) { n.m.incLiveAt(int(n.id), prog, k) }
-func (n *node) decLiveProg(prog *Program)      { n.m.decLiveProgAt(int(n.id), prog) }
+// entry returns the ledger to account prog's work in.  A ledger holds one
+// program's work, so an entry for another program settles it first.
+func (n *node) entry(prog *Program) *ledger {
+	if n.led.prog != prog {
+		n.settle()
+		n.led.prog = prog
+	}
+	return &n.led
+}
 
-// setDoneResult finishes the program at quiescence.
-func (p *Program) setDoneResult() {
-	p.finishProg()
+// incLive accounts k units of work created for prog; retire accounts k
+// units done; decLiveProg retires one.
+func (n *node) incLive(prog *Program, k int64) { n.entry(prog).plus += k }
+func (n *node) retire(prog *Program, k int64)  { n.entry(prog).minus += k }
+func (n *node) decLiveProg(prog *Program)      { n.retire(prog, 1) }
+
+// settle publishes the ledger: the beat, then the net of created and
+// retired to the node's shard of the machine-wide gauge and to the
+// program's exact count, whose zero crossing completes the program.  It
+// runs before anything this node did can be seen from outside it — before
+// every packet it sends and every wait — and at the run loop's epoch, so
+// a busy node's gauges lag by at most 64 tasks.
+//
+// On a multi-process machine the local zero crossing means nothing (units
+// retire in other processes too); completion there is the leader's call,
+// from the cumulative counters (dist.go).  created is published before
+// consumed, the order localCounts relies on.
+func (n *node) settle() {
+	l := &n.led
+	if l.beat != 0 {
+		n.m.beat.add(int(n.id), l.beat)
+		l.beat = 0
+	}
+	if l.plus|l.minus == 0 {
+		return
+	}
+	plus, minus := l.plus, l.minus
+	l.plus, l.minus = 0, 0
+	l.settles++
+	d := plus - minus
+	if d != 0 {
+		n.m.live.add(int(n.id), d)
+	}
+	prog := l.prog
+	if prog == nil {
+		return // units of a packet abandoned with no program on record
+	}
+	if n.m.dist != nil {
+		prog.created.Add(plus)
+		prog.consumed.Add(minus)
+		return
+	}
+	if d != 0 && prog.live.Add(d) == 0 {
+		prog.finishProg()
+	}
 }
 
 // progLaunch is the front end's program-load request, served by node 0.
@@ -149,6 +199,7 @@ func (m *Machine) Start() error {
 	for _, n := range m.nodes {
 		n.vclock = 0
 		n.events.reset()
+		n.led = ledger{} // entries of a run that ExitNow or a stall cut short
 	}
 	m.pace.reset()
 

@@ -160,13 +160,22 @@ func (r *relState) accept(src amnet.NodeID, seq uint64) bool {
 	return true
 }
 
+// emit puts p on the wire in order and now, after settling the ledger: a
+// packet is the only way a unit of work (or any word of what this node did)
+// reaches another node, so whoever reads it finds every unit it carries
+// already counted.
+func (n *node) emit(p amnet.Packet) {
+	n.settle()
+	n.ep.Send(p)
+}
+
 // sendCtl sends a kernel control packet carrying (at most) one live-work
-// unit, in order and now.  With fault injection off this is a plain Send.
+// unit, in order and now.  With fault injection off this is a plain emit.
 func (n *node) sendCtl(p amnet.Packet, prog *Program, live int64, letters uint64) {
 	if n.m.relOn {
 		n.sequence(&p, relUnit{prog: prog, live: live, letters: letters}, nil)
 	}
-	n.ep.Send(p)
+	n.emit(p)
 }
 
 // sendCtlStaged is sendCtl for a packet that may wait in the link's
@@ -181,6 +190,7 @@ func (n *node) sendCtlStaged(p amnet.Packet, prog *Program, live int64, letters 
 	if n.m.relOn {
 		n.sequence(&p, relUnit{prog: prog, live: live, letters: letters}, nil)
 	}
+	n.settle()
 	n.ep.SendBatched(p)
 }
 
@@ -256,7 +266,7 @@ func (n *node) pumpRetries() {
 		jit := iv / 4
 		e.due = now.Add(iv - jit + time.Duration(n.rng.Int63n(int64(2*jit)+1)))
 		r.noteDue(e.due)
-		n.ep.Send(e.pkt)
+		n.emit(e.pkt)
 	}
 }
 
@@ -294,13 +304,7 @@ func (n *node) retireUnit(u relUnit) {
 		return
 	}
 	n.stats.DeadLetters += u.letters
-	if u.prog == nil {
-		n.m.live.add(int(n.id), -u.live)
-		return
-	}
-	for i := int64(0); i < u.live; i++ {
-		n.decLiveProg(u.prog)
-	}
+	n.retire(u.prog, u.live)
 }
 
 // abandonFIR gives up locating addr: messages parked on its descriptor

@@ -5,8 +5,7 @@ import "sync/atomic"
 // Machine-wide gauges sharded per node.
 //
 // The kernel's global accounting words — live work, the progress beat, the
-// parked-node count — are written on every message send, every task
-// execution, and every idle transition by every node goroutine.  At
+// parked-node count — are written by every node goroutine.  At
 // GOMAXPROCS=1 a single atomic is free; with real cores underneath, P
 // goroutines doing fetch-adds on one cache line serialize the whole
 // machine on that line's ownership.  Each counter is therefore an array of
@@ -15,14 +14,23 @@ import "sync/atomic"
 // few readers — the stall monitor, the idle gate, diagnostics — aggregate
 // with a sum over the slots.
 //
+// Who writes, and when: a node writes its live and beat slots only from
+// settle (program.go) — before a packet leaves it, before it waits, at the
+// run loop's 64-iteration epoch — with whatever its ledger accumulated
+// since; a local hop, whose ledger nets to zero, writes live not at all
+// and beat once an epoch.  The front end's Launch writes live's extra
+// slot.  parked is written on each idle transition.
+//
 // The aggregated read is a racy sum: slots are read one at a time while
 // writers keep going, so a sum taken mid-flight can be off by in-transit
 // work (even transiently negative for a gauge whose + and - land on
-// different nodes' slots).  Every reader tolerates that: the stall monitor
-// requires two consecutive quiet observations (and any concurrent
-// activity bumps the beat, resetting its strikes), the idle gate treats
-// any nonzero as "work may exist", and when the machine is quiescent the
-// slots are stable so the sum is exact.
+// different nodes' slots), and a busy node's slots lag it by up to an
+// epoch.  Every reader tolerates that: the stall monitor requires two
+// consecutive quiet observations (and a busy node's beat moves every
+// epoch, resetting its strikes), the idle gate treats any nonzero as "work
+// may exist" (and live stays positive while any node holds unsettled
+// work), and a node that waits has settled, so when the machine is
+// quiescent the slots are stable and the sum is exact.
 type counterShard struct {
 	v atomic.Int64
 	_ [56]byte
