@@ -44,11 +44,12 @@ cover-check: cover
 	  { echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # Everything the per-push CI workflow gates on, runnable locally before
-# pushing: vet, build, race tests, the halvet suite, the coverage floor
-# and the allocation guards.
+# pushing: vet, gofmt, build, race tests, the halvet suite, the coverage
+# floor and the allocation guards.
 ci: build lint test-race cover-check
 	$(GO) vet ./...
-	$(GO) test ./internal/core -run 'TestAlloc' -count=2
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
+	$(GO) test ./internal/core -run 'TestAlloc|TestMessageSize' -count=2
 
 clean:
 	rm -f cover.out halvet.sarif

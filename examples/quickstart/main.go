@@ -22,7 +22,7 @@ type greeter struct{ name string }
 func (g *greeter) Receive(ctx *hal.Context, msg *hal.Message) {
 	switch msg.Sel {
 	case selGreet:
-		ctx.Reply(msg, fmt.Sprintf("%s greets %v from node %d", g.name, msg.Args[0], ctx.Node()))
+		ctx.Reply(msg, fmt.Sprintf("%s greets %v from node %d", g.name, msg.Arg(0), ctx.Node()))
 	case selWave:
 		ctx.Printf("  %s (member %d) waves from node %d\n", g.name, msg.Int(0), ctx.Node())
 	}

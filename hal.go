@@ -50,8 +50,16 @@ type (
 	CostModel = core.CostModel
 	// Context is the actor interface passed to Receive.
 	Context = core.Context
-	// Message is an actor message.
+	// Message is an actor message.  Its arguments are read with NArgs,
+	// Arg(i) and the typed accessors Int, Float, Addr and Group.
 	Message = core.Message
+	// Ref wraps a message argument, reply or Join.Set value of a type
+	// outside the kernel's value set (nil, int, int64, uint64, float64,
+	// bool, string, Addr, Group, ReplyTo, Selector, TypeID, []float64,
+	// Join) — a bare one panics: ctx.Send(to, sel, hal.Ref{V: point}).  The
+	// receiver gets V itself; between processes V crosses as gob, so its
+	// type is registered with gob.Register in every process.
+	Ref = core.Ref
 	// Behavior is an actor behavior.
 	Behavior = core.Behavior
 	// BehaviorFunc adapts a function to Behavior.
@@ -70,7 +78,8 @@ type (
 	Group = core.Group
 	// Join is a handle to a pending join continuation.
 	Join = core.Join
-	// JoinFunc runs when a join continuation's slots are all filled.
+	// JoinFunc runs when a join continuation's slots are all filled; it
+	// must not retain slots beyond the call (the kernel reuses them).
 	JoinFunc = core.JoinFunc
 	// MachineStats aggregates per-node runtime statistics.
 	MachineStats = core.MachineStats

@@ -104,7 +104,7 @@ func (g *gate) Receive(ctx *hal.Context, msg *hal.Message) {
 		g.open = true
 		*g.order = append(*g.order, "open")
 	case 2:
-		*g.order = append(*g.order, msg.Args[0].(string))
+		*g.order = append(*g.order, msg.Arg(0).(string))
 	}
 }
 

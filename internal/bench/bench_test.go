@@ -40,6 +40,13 @@ func TestTable1Shape(t *testing.T) {
 	t.Logf("\n%s", sb.String())
 }
 
+// Tables 2 and 3 print host nanoseconds, and their shape tests do not
+// read them past "something was measured": one host-time sample beside
+// another package's tests says what the scheduler did, not what the
+// kernel does.  The paper's contrasts are asserted where they hold on any
+// host — on the model µs column and on what each primitive did, counted.
+// Host time per primitive is `go run ./benchmark -trace`'s ladder.
+
 func TestTable2Shape(t *testing.T) {
 	res, err := Table2()
 	if err != nil {
@@ -53,18 +60,37 @@ func TestTable2Shape(t *testing.T) {
 		}
 	}
 	// The alias path must be much cheaper than the full creation round
-	// trip — the paper's 5.83 vs 20.83 µs contrast.
+	// trip — the paper's 5.83 vs 20.83 µs contrast: the requester sends
+	// one packet per creation and waits for none, where first use pays a
+	// second packet and a reply.
 	alias := byName["remote creation (alias, requester-visible)"]
 	full := byName["remote creation + first use (round trip)"]
-	if alias.WallNS*2 > full.WallNS {
-		t.Errorf("alias creation (%v ns) not clearly cheaper than full round trip (%v ns)",
-			alias.WallNS, full.WallNS)
+	if alias.VirtualUS*2 > full.VirtualUS {
+		t.Errorf("alias creation (%v µs) not clearly cheaper than full round trip (%v µs)",
+			alias.VirtualUS, full.VirtualUS)
+	}
+	if a, root := alias.Stats.Total, alias.Stats.PerNode[0]; a.CreatesRemote != 4097 || root.Net.Sent != a.CreatesRemote || a.Replies+a.JoinsRun != 0 {
+		t.Errorf("alias path: %d creations, %d packets from the requester, %d replies, %d joins; want one packet each and nothing waited for",
+			a.CreatesRemote, root.Net.Sent, a.Replies, a.JoinsRun)
+	}
+	if f, root := full.Stats.Total, full.Stats.PerNode[0]; f.CreatesRemote != 512 || root.Net.Sent != 2*f.CreatesRemote || f.Replies != f.CreatesRemote || f.JoinsRun != f.CreatesRemote {
+		t.Errorf("round trip: %d creations, %d packets from the requester, %d replies, %d joins; want two packets and one awaited reply each",
+			f.CreatesRemote, root.Net.Sent, f.Replies, f.JoinsRun)
 	}
 	// The locality check is far cheaper than any send.
 	check := byName["locality check (name table hit)"]
 	send := byName["local send (generic, enqueue)"]
-	if check.WallNS*2 > send.WallNS {
-		t.Errorf("locality check (%v ns) not clearly cheaper than a send (%v ns)", check.WallNS, send.WallNS)
+	if check.VirtualUS*2 > send.VirtualUS {
+		t.Errorf("locality check (%v µs) not clearly cheaper than a send (%v µs)", check.VirtualUS, send.VirtualUS)
+	}
+	// The fast path is a send that was never enqueued.
+	fast := byName["local send (fast path, incl. dispatch)"]
+	if fast.VirtualUS >= send.VirtualUS {
+		t.Errorf("fast path (%v µs) not cheaper than the generic send (%v µs)", fast.VirtualUS, send.VirtualUS)
+	}
+	if f, s := fast.Stats.Total, send.Stats.Total; f.SendsFast != 20100 || f.SendsFastMiss != 0 || f.SendsLocal != 0 || s.SendsLocal != 20100 || s.SendsFast != 0 {
+		t.Errorf("fast row: fast=%d miss=%d local=%d; generic row: local=%d fast=%d; want 20100 0 0 and 20100 0",
+			f.SendsFast, f.SendsFastMiss, f.SendsLocal, s.SendsLocal, s.SendsFast)
 	}
 	var sb strings.Builder
 	res.Print(&sb)
@@ -79,17 +105,27 @@ func TestTable3Shape(t *testing.T) {
 	byName := map[string]Table3Row{}
 	for _, row := range res.Rows {
 		byName[row.Name] = row
+		if row.WallNS <= 0 {
+			t.Errorf("%s: non-positive wall time", row.Name)
+		}
 	}
 	fast := byName["locality check + static dispatch (SendFast)"]
 	generic := byName["generic local send + dispatch (quiescent run)"]
-	call := byName["function call (Go, noinline)"]
-	// The compiler fast path sits between a plain call and the generic
-	// mechanism, much closer to the call (the point of § 6.3).
-	if fast.WallNS <= call.WallNS {
-		t.Errorf("SendFast (%v ns) implausibly cheaper than a function call (%v ns)", fast.WallNS, call.WallNS)
+	remote := byName["remote send + dispatch (pipelined)"]
+	// The compiler fast path is much cheaper than the generic mechanism
+	// (the point of § 6.3), which is cheaper than leaving the node.
+	if fast.VirtualUS >= generic.VirtualUS || generic.VirtualUS >= remote.VirtualUS {
+		t.Errorf("model costs not ordered: SendFast %v, generic %v, remote %v µs", fast.VirtualUS, generic.VirtualUS, remote.VirtualUS)
 	}
-	if fast.WallNS >= generic.WallNS {
-		t.Errorf("SendFast (%v ns) not cheaper than the generic send (%v ns)", fast.WallNS, generic.WallNS)
+	// What makes it cheaper: every fast send ran on the caller's stack —
+	// delivered, never enqueued — while every generic one went through the
+	// mail queue and the dispatcher.
+	if f := fast.Stats.Total; f.SendsFast != 50100 || f.SendsFastMiss != 0 || f.SendsLocal != 0 || f.Delivered < f.SendsFast {
+		t.Errorf("SendFast row: fast=%d miss=%d enqueued=%d delivered=%d; want 50100 0 0 and all delivered",
+			f.SendsFast, f.SendsFastMiss, f.SendsLocal, f.Delivered)
+	}
+	if g := generic.Stats.Total; g.SendsLocal != 50000 || g.SendsFast != 0 || g.Delivered < g.SendsLocal {
+		t.Errorf("generic row: enqueued=%d fast=%d delivered=%d; want 50000 0 and all delivered", g.SendsLocal, g.SendsFast, g.Delivered)
 	}
 	var sb strings.Builder
 	res.Print(&sb)

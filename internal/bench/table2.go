@@ -11,11 +11,14 @@ import (
 
 // Table2Row is one runtime primitive's cost: host wall time per operation
 // next to the virtual-time model value (calibrated to the paper's CM-5
-// measurements).
+// measurements).  Stats are the counters of the machine that ran the row
+// (zero for a row measured on a data structure): what the primitive did,
+// which — unlike how long this host took over it — does not vary.
 type Table2Row struct {
 	Name      string
 	WallNS    float64 // measured on this host
 	VirtualUS float64 // cost-model value (the paper's scale)
+	Stats     hal.MachineStats
 }
 
 // Table2Result holds the primitive measurements.
@@ -38,24 +41,24 @@ func (nopBehavior) Receive(ctx *hal.Context, msg *hal.Message) {
 }
 
 // timeInRoot runs fn inside a root actor on a fresh machine and returns
-// the duration fn reported via Exit.
-func timeInRoot(nodes int, fn func(ctx *hal.Context)) (time.Duration, error) {
+// the duration fn reported via Exit, and the machine's counters.
+func timeInRoot(nodes int, fn func(ctx *hal.Context)) (time.Duration, hal.MachineStats, error) {
 	cfg := quiet(nodes, false)
 	cfg.InboxCap = 1 << 16 // keep back-pressure out of primitive timings
 	m, err := hal.NewMachine(cfg)
 	if err != nil {
-		return 0, err
+		return 0, hal.MachineStats{}, err
 	}
 	m.RegisterType("nop", func(args []any) hal.Behavior { return nopBehavior{} })
 	v, err := m.Run(fn)
 	if err != nil {
-		return 0, err
+		return 0, hal.MachineStats{}, err
 	}
 	d, ok := v.(time.Duration)
 	if !ok {
-		return 0, fmt.Errorf("bench: primitive run returned %T", v)
+		return 0, hal.MachineStats{}, fmt.Errorf("bench: primitive run returned %T", v)
 	}
-	return d, nil
+	return d, m.Stats(), nil
 }
 
 // Table2 measures the runtime primitives (the paper's Table 2).
@@ -63,11 +66,11 @@ func Table2() (Table2Result, error) {
 	var res Table2Result
 	costs := hal.DefaultCostModel()
 	add := func(name string, iters int, virtual float64, nodes int, fn func(ctx *hal.Context)) error {
-		d, err := timeInRoot(nodes, fn)
+		d, st, err := timeInRoot(nodes, fn)
 		if err != nil {
 			return fmt.Errorf("table2 %q: %w", name, err)
 		}
-		res.Rows = append(res.Rows, Table2Row{Name: name, WallNS: float64(d.Nanoseconds()) / float64(iters), VirtualUS: virtual})
+		res.Rows = append(res.Rows, Table2Row{Name: name, WallNS: float64(d.Nanoseconds()) / float64(iters), VirtualUS: virtual, Stats: st})
 		return nil
 	}
 
@@ -208,7 +211,7 @@ func Table2() (Table2Result, error) {
 type hopBehavior struct{}
 
 func (hopBehavior) Receive(ctx *hal.Context, msg *hal.Message) {
-	if msg.Sel == selNop && len(msg.Args) > 0 {
+	if msg.Sel == selNop && msg.NArgs() > 0 {
 		ctx.Migrate(msg.Int(0))
 		ctx.Reply(msg, ctx.Node())
 	}

@@ -8,11 +8,13 @@ import (
 	"hal"
 )
 
-// Table3Row is one invocation mechanism's per-call cost.
+// Table3Row is one invocation mechanism's per-call cost, with the counters
+// of the machine that ran it (zero for the plain calls).
 type Table3Row struct {
 	Name      string
 	WallNS    float64
 	VirtualUS float64 // model cost where applicable, else 0
+	Stats     hal.MachineStats
 }
 
 // Table3Result compares method-invocation mechanisms, the paper's Table 3
@@ -61,7 +63,7 @@ func Table3() (Table3Result, error) {
 
 	// SendFast: locality check + enabledness check + static dispatch on
 	// the caller's stack — the compiler-controlled path of § 6.3.
-	d, err := timeInRoot(1, func(ctx *hal.Context) {
+	d, st, err := timeInRoot(1, func(ctx *hal.Context) {
 		a := ctx.New(nopBehavior{})
 		for i := 0; i < 100; i++ {
 			ctx.SendFast(a, selNop)
@@ -79,6 +81,7 @@ func Table3() (Table3Result, error) {
 		Name:      "locality check + static dispatch (SendFast)",
 		WallNS:    float64(d.Nanoseconds()) / 50000,
 		VirtualUS: costs.FastSend,
+		Stats:     st,
 	})
 
 	// Generic local send measured end to end: enqueue, dispatcher, method
@@ -106,6 +109,7 @@ func Table3() (Table3Result, error) {
 			Name:      "generic local send + dispatch (quiescent run)",
 			WallNS:    float64(d.Nanoseconds()) / kk,
 			VirtualUS: costs.LocalSend + costs.Dispatch,
+			Stats:     m.Stats(),
 		})
 	}
 
@@ -133,6 +137,7 @@ func Table3() (Table3Result, error) {
 			Name:      "remote send + dispatch (pipelined)",
 			WallNS:    float64(d.Nanoseconds()) / kk,
 			VirtualUS: costs.RemoteSend + costs.NetLatency + costs.Dispatch,
+			Stats:     m.Stats(),
 		})
 	}
 	return res, nil

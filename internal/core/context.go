@@ -37,7 +37,9 @@ func (c *Context) Rand() *rand.Rand { return c.n.rng }
 // --- communication -----------------------------------------------------
 
 // Send delivers an asynchronous message: the generic send mechanism of
-// Fig. 3 (name-table consultation, direct or routed transmission).
+// Fig. 3 (name-table consultation, direct or routed transmission).  Every
+// argument is a member of the kernel's value set (types.go) or a Ref; the
+// message takes a copy of each, so the call allocates nothing for scalars.
 func (c *Context) Send(to Addr, sel Selector, args ...any) {
 	c.sendInternal(to, sel, args, nil, invalidReply)
 }
@@ -54,7 +56,8 @@ func (c *Context) sendInternal(to Addr, sel Selector, args []any, data []float64
 	}
 	n := c.n
 	msg := n.newMsg()
-	msg.To, msg.Sel, msg.Args, msg.Data, msg.Reply = to, sel, args, data, reply
+	msg.To, msg.Sel, msg.Data, msg.Reply = to, sel, data, reply
+	msg.setArgs(args)
 	msg.prog = c.prog
 	n.incLive(c.prog, 1)
 	n.sendMsg(msg)
@@ -79,7 +82,8 @@ func (c *Context) SendFast(to Addr, sel Selector, args ...any) bool {
 				n.stats.SendsFast++
 				n.charge(costFastSend)
 				msg := n.newMsg()
-				msg.To, msg.Sel, msg.Args, msg.Reply = to, sel, args, invalidReply
+				msg.To, msg.Sel, msg.Reply = to, sel, invalidReply
+				msg.setArgs(args)
 				c.invokeInline(a, msg)
 				return true
 			}
@@ -178,13 +182,13 @@ func (c *Context) NewGroup(t TypeID, count, base int, args ...any) Group {
 // Broadcast replicates a message to every member of g along the spanning
 // tree.
 func (c *Context) Broadcast(g Group, sel Selector, args ...any) {
-	msg := &Message{Sel: sel, Args: args, Reply: invalidReply, prog: c.prog}
-	c.n.broadcast(g, msg)
+	c.BroadcastData(g, sel, nil, args...)
 }
 
 // BroadcastData is Broadcast with a bulk payload.
 func (c *Context) BroadcastData(g Group, sel Selector, data []float64, args ...any) {
-	msg := &Message{Sel: sel, Args: args, Data: data, Reply: invalidReply, prog: c.prog}
+	msg := &Message{Sel: sel, Data: data, Reply: invalidReply, prog: c.prog}
+	msg.setArgs(args)
 	c.n.broadcast(g, msg)
 }
 
@@ -196,9 +200,10 @@ func (c *Context) NewJoin(nslots int, fn JoinFunc) Join {
 	return c.n.newJoin(nslots, c.selfAddr, fn, c.prog)
 }
 
-// Set fills a slot with a locally known value.
+// Set fills a slot with a locally known value: what Reply accepts, a member
+// of the kernel's value set or a Ref.
 func (j Join) Set(slot int, v any) {
-	j.node.fillSlot(j.seq, int32(slot), v, false, j.node.vclock, nil)
+	j.node.fillSlot(j.seq, int32(slot), ownValue(v), false, j.node.vclock, nil)
 }
 
 // Request sends a call/return message whose reply fills slot of j — the
@@ -219,9 +224,10 @@ func (c *Context) RequestData(to Addr, sel Selector, j Join, slot int, data []fl
 	c.sendInternal(to, sel, args, data, ReplyTo{Node: c.n.id, JC: j.seq, Slot: int32(slot)})
 }
 
-// Reply sends v to the requester's continuation slot (HAL's `reply`).
-// Replying to a message that was not a request is a silent no-op, matching
-// the model's "dropped on the floor" semantics.
+// Reply sends v — a member of the kernel's value set, or a Ref — to the
+// requester's continuation slot (HAL's `reply`).  Replying to a message
+// that was not a request is a silent no-op, matching the model's "dropped
+// on the floor" semantics.
 func (c *Context) Reply(msg *Message, v any) {
 	if !msg.Reply.Valid() {
 		return

@@ -303,7 +303,7 @@ func (b *gateBehavior) Receive(ctx *Context, msg *Message) {
 		b.open = true
 		b.p.add("open")
 	case selWork:
-		b.p.add(msg.Args[0])
+		b.p.add(msg.Arg(0))
 	}
 }
 

@@ -216,7 +216,7 @@ func TestDistMigrateAcross(t *testing.T) {
 	v, err := runOn(rig, t, func(ctx *Context) {
 		a := ctx.NewOn(0, typ, nodes-1) // lives on 0, will hop to the far span
 		j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
-		ctx.Send(a, 1)       // migrate
+		ctx.Send(a, 1)          // migrate
 		ctx.Request(a, 2, j, 0) // chases the actor through the repair path
 	})
 	if err != nil {
@@ -433,7 +433,7 @@ func TestDistPeerGoneStalls(t *testing.T) {
 	}, func(m *Machine) {
 		m.RegisterType("pinger", func(args []any) Behavior {
 			return BehaviorFunc(func(ctx *Context, msg *Message) {
-				ctx.Send(msg.Args[0].(Addr), 1, ctx.Self()) // back and forth, forever
+				ctx.Send(msg.Addr(0), 1, ctx.Self()) // back and forth, forever
 			})
 		})
 	})

@@ -138,21 +138,29 @@ func TestBroadcastReachesAllMembers(t *testing.T) {
 	}
 }
 
-// TestBroadcastSharedArgs: every member sees the same argument values.
+// TestBroadcastSharedArgs: every member sees the same argument values,
+// whether the list rides in the message's inline words (each member's clone
+// copies them) or in its overflow list (the clones share it).
 func TestBroadcastSharedArgs(t *testing.T) {
 	m := testMachine(t, Config{Nodes: 3})
 	p := &probe{}
+	var root Addr
 	mt := m.RegisterType("argmember", func(args []any) Behavior {
 		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			if msg.NArgs() == 3 && (msg.Arg(1) != "shared" || msg.Addr(2) != root) {
+				t.Errorf("overflow arguments arrived as %v, %v", msg.Arg(1), msg.Arg(2))
+			}
 			p.add(msg.Int(0))
 		}}
 	})
 	run(t, m, func(ctx *Context) {
+		root = ctx.Self()
 		g := ctx.NewGroup(mt, 6, 0)
 		ctx.Broadcast(g, selWork, 99)
+		ctx.Broadcast(g, selWork, 99, "shared", root)
 	})
 	vals := p.snapshot()
-	if len(vals) != 6 {
+	if len(vals) != 12 {
 		t.Fatalf("got %d deliveries", len(vals))
 	}
 	for _, v := range vals {

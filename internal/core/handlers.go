@@ -142,7 +142,7 @@ func registerKernelHandlers(m *Machine) {
 			n.applyReply(p.U0, slot, env.v, env.prog, p.VT)
 			return
 		}
-		n.applyReply(p.U0, slot, decodeReplyValue(p.U1>>32, p.U2), n.m.progByID(p.U3), p.VT)
+		n.applyReply(p.U0, slot, wordValue(byte(p.U1>>32), p.U2), n.m.progByID(p.U3), p.VT)
 	})
 
 	reg(hLoadProgram, func(ep *amnet.Endpoint, p amnet.Packet) {

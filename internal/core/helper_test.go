@@ -53,6 +53,13 @@ func dumpFlightOnFailure(t *testing.T, m *Machine) {
 	})
 }
 
+// msgWith gives a hand-built message its arguments the way every send
+// does, through the conversion.
+func msgWith(m *Message, args ...any) *Message {
+	m.setArgs(args)
+	return m
+}
+
 // run executes root and fails the test on error.
 func run(t *testing.T, m *Machine, root func(ctx *Context)) any {
 	t.Helper()
@@ -117,7 +124,7 @@ func (b *echoBehavior) Receive(ctx *Context, msg *Message) {
 		b.p.add(ctx.Node())
 		ctx.Reply(msg, ctx.Node())
 	case selWork:
-		b.p.add(msg.Args[0])
+		b.p.add(msg.Arg(0))
 	}
 }
 

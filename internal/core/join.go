@@ -21,7 +21,9 @@ import (
 // JoinFunc is the code a join continuation runs once every slot is full.
 // It executes on the creating actor's node with slots in declaration
 // order.  ctx.Self reports the creating actor's address; Become, Migrate,
-// and Die are not available inside a continuation.
+// and Die are not available inside a continuation.  Like Receive's ctx and
+// msg, slots must not be retained beyond the call: the kernel clears and
+// reuses it.
 type JoinFunc func(ctx *Context, slots []any)
 
 // joinCont is Fig. 4's structure: counter, function, creator, slots.
@@ -42,10 +44,18 @@ type Join struct {
 	seq  uint64
 }
 
-// jcArena stores a node's pending continuations.
+// jcArena stores a node's pending continuations, and the ones that have
+// run: a continuation is born and dies on one node, so runJoin returns it
+// (slots cleared, capacity kept) to free and newJoin takes it from there.
+// Replies find a continuation through m's generation-checked key, never by
+// pointer, so a late reply to a recycled one is the dead letter it always
+// was.
 type jcArena struct {
-	m *slotmap.Map[*joinCont]
+	m    *slotmap.Map[*joinCont]
+	free []*joinCont
 }
+
+const joinPoolCap = 1024
 
 func (ja *jcArena) init() { ja.m = slotmap.New[*joinCont]() }
 
@@ -57,7 +67,17 @@ func (n *node) newJoin(nslots int, creator Addr, fn JoinFunc, prog *Program) Joi
 	if fn == nil {
 		panic("core: nil join continuation function")
 	}
-	j := &joinCont{counter: int32(nslots), fn: fn, creator: creator, slots: make([]any, nslots), prog: prog}
+	var j *joinCont
+	if k := len(n.jc.free); k > 0 {
+		j = n.jc.free[k-1]
+		n.jc.free = n.jc.free[:k-1]
+	} else {
+		j = &joinCont{}
+	}
+	if cap(j.slots) < nslots {
+		j.slots = make([]any, nslots)
+	}
+	j.counter, j.fn, j.creator, j.slots, j.prog = int32(nslots), fn, creator, j.slots[:nslots], prog
 	j.seq = n.jc.m.Insert(j)
 	return Join{node: n, seq: j.seq}
 }
@@ -117,6 +137,11 @@ func (n *node) runJoin(j *joinCont) {
 	n.jc.m.Delete(j.seq)
 	n.stats.JoinsRun++
 	n.decLiveProg(j.prog)
+	clear(j.slots)
+	*j = joinCont{slots: j.slots}
+	if len(n.jc.free) < joinPoolCap {
+		n.jc.free = append(n.jc.free, j)
+	}
 }
 
 // replyEnvelope carries a reply value that does not word-encode, with its
@@ -137,7 +162,7 @@ func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
 	n.charge(costReply)
 	n.incLive(prog, 1)
 	if rt.Node == n.id {
-		n.applyReply(rt.JC, rt.Slot, v, prog, n.vclock)
+		n.applyReply(rt.JC, rt.Slot, ownValue(v), prog, n.vclock)
 		return
 	}
 	pkt := amnet.Packet{
@@ -147,14 +172,14 @@ func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
 		U1:      uint64(uint32(rt.Slot)),
 		VT:      n.stamp(0),
 	}
-	tag, bits, ok := encodeReplyValue(v)
+	tag, w, ok := wordOf(v)
 	if !ok {
-		pkt.Payload = replyEnvelope{v: v, prog: prog}
+		pkt.Payload = replyEnvelope{v: ownValue(v), prog: prog}
 		n.sendCtl(pkt, prog, 1, 1)
 		return
 	}
-	pkt.U1 |= tag << 32
-	pkt.U2 = bits
+	pkt.U1 |= uint64(tag) << 32
+	pkt.U2 = w
 	if prog != nil {
 		pkt.U3 = prog.id
 	}

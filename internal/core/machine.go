@@ -38,6 +38,10 @@ type Machine struct {
 	typeByName map[string]TypeID
 	pace       pacer
 
+	// msgSpill holds the freed messages a node's own freelist had no room
+	// for (node.go freeMsg), for whichever node allocates next.
+	msgSpill sync.Pool
+
 	// relOn is set when cfg.Faults is non-nil, and only then: kernel
 	// packets are sequenced and retried (reliable.go).  A machine that
 	// spans processes does not need it for the wire — the socket link

@@ -46,14 +46,19 @@ func TestDefaultConfigShape(t *testing.T) {
 }
 
 func TestMessageAccessorPanics(t *testing.T) {
-	msg := &Message{Sel: 1, Args: []any{"str", 3.5, 7}}
-	if msg.Float(1) != 3.5 || msg.Int(2) != 7 {
-		t.Fatal("typed accessors broken")
+	// Once through the overflow list (a string forces it), once inline.
+	for _, first := range []any{"str", true} {
+		msg := msgWith(&Message{Sel: 1}, first, 3.5, 7)
+		if msg.NArgs() != 3 || msg.Arg(0) != first || msg.Float(1) != 3.5 || msg.Int(2) != 7 {
+			t.Fatalf("accessors broken on %v", msg)
+		}
+		mustPanic(t, "Int on non-int", func() { msg.Int(0) })
+		mustPanic(t, "Float on int", func() { msg.Float(2) })
+		mustPanic(t, "Addr on non-addr", func() { msg.Addr(0) })
+		mustPanic(t, "Group on non-group", func() { msg.Group(0) })
+		mustPanic(t, "Arg past the end", func() { msg.Arg(3) })
+		mustPanic(t, "Int past the end", func() { msg.Int(3) })
 	}
-	mustPanic(t, "Int on string", func() { msg.Int(0) })
-	mustPanic(t, "Float on int", func() { msg.Float(2) })
-	mustPanic(t, "Addr on string", func() { msg.Addr(0) })
-	mustPanic(t, "Group on string", func() { msg.Group(0) })
 }
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -116,7 +121,7 @@ func TestRequestForeignJoinPanics(t *testing.T) {
 	m := testMachine(t, Config{Nodes: 2})
 	holder := m.RegisterType("holder", func(args []any) Behavior {
 		return &funcBehavior{f: func(ctx *Context, msg *Message) {
-			j := msg.Args[0].(Join)
+			j := msg.Arg(0).(Join)
 			panicked := false
 			func() {
 				defer func() { panicked = recover() != nil }()

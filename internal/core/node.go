@@ -506,28 +506,47 @@ func (n *node) enqueueLocal(a *Actor, msg *Message) {
 
 // --- message pooling ---------------------------------------------------
 
-// newMsg returns a message from the node-local pool.
+// newMsg returns a message from the node-local pool, else one another node
+// spilled, else a new one.
 func (n *node) newMsg() *Message {
 	if k := len(n.msgFree); k > 0 {
 		m := n.msgFree[k-1]
 		n.msgFree = n.msgFree[:k-1]
 		return m
 	}
+	if m, ok := n.m.msgSpill.Get().(*Message); ok {
+		return m
+	}
 	return &Message{}
 }
 
-const msgPoolCap = 4096
+// msgPoolCap bounds the node-local freelist.  The consumer of a message
+// frees it, so on a one-way flow the consumer's list only ever grows and
+// the producer's stays empty: past the cap a freed message spills into the
+// machine-wide pool, where the producer's newMsg finds it.
+const msgPoolCap = 256
 
 // freeMsg recycles a message unless it is shared (broadcast) — shared
-// messages have many concurrent readers and are left to the GC.
+// messages have many concurrent readers and are left to the GC.  (The slow
+// half is a call without arguments so that freeMsg still inlines, at 80 of
+// the inliner's 80: out of line it cost a no-argument hop 1.5 ns.)
 func (n *node) freeMsg(m *Message) {
 	if m.shared {
 		return
 	}
 	*m = Message{}
-	if len(n.msgFree) < msgPoolCap {
-		n.msgFree = append(n.msgFree, m)
+	if n.msgFree = append(n.msgFree, m); len(n.msgFree) > msgPoolCap {
+		n.spill()
 	}
+}
+
+// spill moves the freelist's newest message to the machine-wide pool.
+//
+//go:noinline
+func (n *node) spill() {
+	k := len(n.msgFree) - 1
+	n.m.msgSpill.Put(n.msgFree[k])
+	n.msgFree = n.msgFree[:k]
 }
 
 // --- creation ----------------------------------------------------------

@@ -23,7 +23,7 @@ import (
 //	ReplyTo  Node<<32|Slot | JC
 //	Group    ID | N | nodes(Birth,Base) | Nodes | slot0
 //	message  To | Sel<<32|flags | Reply | origin | originLD | dstSeq |
-//	         vt bits | program id | Data floats | Args values
+//	         vt bits | program id | Data floats | argument values
 //	wtMsg    message
 //	wtSpawn  alias | typ | vt bits | program id | args values
 //	wtFIR    addr | path list (u32 node ids)
@@ -37,13 +37,15 @@ import (
 // empty survive the trip apart) followed by its elements; floats are a
 // list of 8-byte words.  A value is a tag byte and the tag's body (see
 // the tv* constants): the scalars, strings, kernel handle types and
-// []float64 that make up nearly all message arguments are written as
-// words.  Any other value — an argument of a user-defined type, a
-// migrating Behavior, a boxed reply of a user type — is opaque to the
-// kernel and crosses as tvGob: its gob bytes, through gob's interface
-// mechanism, so applications register those concrete types with
-// gob.Register in every process, the same way they register behavior
-// types with RegisterType.  gob appears nowhere else on the wire: no type
+// []float64 that make up the kernel's value set (types.go) are written as
+// words — a message's inline argument words go out and come back as they
+// are, never boxed in between; a message with no arguments writes the nil
+// list and reads either form.  Any other value — an argument or reply
+// passed as a Ref, a constructor argument of a user-defined type, a
+// migrating Behavior — is opaque to the kernel and crosses as tvGob: its
+// gob bytes, through gob's interface mechanism, so applications register
+// those concrete types with gob.Register in every process, the same way
+// they register behavior types with RegisterType.  gob appears nowhere else on the wire: no type
 // descriptor is sent, and no gob engine built, for a payload made of the
 // types above.
 //
@@ -168,21 +170,25 @@ func appendFloats(b []byte, f []float64) []byte {
 	return b
 }
 
+// appendWord appends the body of a one-word value (wordOf's tag and bits).
+func appendWord(b []byte, tag byte, w uint64) []byte {
+	switch tag {
+	case tvNil:
+		return b
+	case tvBool:
+		return append(b, byte(w))
+	case tvSelector, tvTypeID:
+		return le.AppendUint32(b, uint32(w))
+	}
+	return le.AppendUint64(b, w)
+}
+
 // appendValue appends one tagged value.  Only the opaque escape can fail.
 func appendValue(b []byte, v any) ([]byte, error) {
+	if tag, w, ok := wordOf(v); ok {
+		return appendWord(append(b, tag), tag, w), nil
+	}
 	switch x := v.(type) {
-	case nil:
-		return append(b, tvNil), nil
-	case int:
-		return le.AppendUint64(append(b, tvInt), uint64(x)), nil
-	case int64:
-		return le.AppendUint64(append(b, tvInt64), uint64(x)), nil
-	case uint64:
-		return le.AppendUint64(append(b, tvUint64), x), nil
-	case float64:
-		return le.AppendUint64(append(b, tvFloat64), math.Float64bits(x)), nil
-	case bool:
-		return appendBool(append(b, tvBool), x), nil
 	case string:
 		return appendBytes(append(b, tvString), x), nil
 	case Addr:
@@ -191,10 +197,6 @@ func appendValue(b []byte, v any) ([]byte, error) {
 		return appendGroup(append(b, tvGroup), x), nil
 	case ReplyTo:
 		return appendReplyTo(append(b, tvReplyTo), x), nil
-	case Selector:
-		return le.AppendUint32(append(b, tvSelector), uint32(x)), nil
-	case TypeID:
-		return le.AppendUint32(append(b, tvTypeID), uint32(x)), nil
 	case []float64:
 		return appendFloats(append(b, tvFloats), x), nil
 	}
@@ -243,7 +245,17 @@ func appendMsg(b []byte, msg *Message) ([]byte, error) {
 	b = le.AppendUint64(b, math.Float64bits(msg.vt))
 	b = le.AppendUint64(b, progID(msg.prog))
 	b = appendFloats(b, msg.Data)
-	return appendValues(b, msg.Args)
+	if msg.more != nil {
+		return appendValues(b, *msg.more)
+	}
+	if msg.nargs == 0 {
+		return le.AppendUint32(b, nilList), nil // the one form of "no arguments"
+	}
+	b = le.AppendUint32(b, uint32(msg.nargs))
+	for i, tag := range msg.tags[:msg.nargs] {
+		b = appendWord(append(b, tag), tag, msg.w[i])
+	}
+	return b, nil
 }
 
 func appendMsgs(b []byte, msgs []*Message) ([]byte, error) {
@@ -416,21 +428,29 @@ func (r *wireReader) floats() []float64 {
 	return f
 }
 
+// word reads the body of a one-word value: appendWord's inverse.
+func (r *wireReader) word(tag byte) uint64 {
+	switch tag {
+	case tvNil:
+		return 0
+	case tvBool:
+		if r.bool() {
+			return 1
+		}
+		return 0
+	case tvSelector, tvTypeID:
+		return uint64(r.u32())
+	}
+	return r.u64()
+}
+
 // value reads one tagged value.
 func (r *wireReader) value() any {
-	switch tag := r.u8(); tag {
-	case tvNil:
-		return nil
-	case tvInt:
-		return int(r.u64())
-	case tvInt64:
-		return int64(r.u64())
-	case tvUint64:
-		return r.u64()
-	case tvFloat64:
-		return math.Float64frombits(r.u64())
-	case tvBool:
-		return r.bool()
+	tag := r.u8()
+	if isWordTag(tag) {
+		return wordValue(tag, r.word(tag))
+	}
+	switch tag {
 	case tvString:
 		return string(r.bytes())
 	case tvAddr:
@@ -439,10 +459,6 @@ func (r *wireReader) value() any {
 		return r.group()
 	case tvReplyTo:
 		return r.replyTo()
-	case tvSelector:
-		return Selector(r.u32())
-	case tvTypeID:
-		return TypeID(r.u32())
 	case tvFloats:
 		return r.floats()
 	case tvGob:
@@ -468,6 +484,11 @@ func (r *wireReader) values() []any {
 	if isNil {
 		return nil
 	}
+	return r.valueList(n)
+}
+
+// valueList reads the n values after a list header.
+func (r *wireReader) valueList(n int) []any {
 	vs := make([]any, n)
 	for i := range vs {
 		vs[i] = r.value()
@@ -516,8 +537,42 @@ func (r *payloadReader) msg() *Message {
 	msg.vt = math.Float64frombits(r.u64())
 	msg.prog = r.prog()
 	msg.Data = r.floats()
-	msg.Args = r.values()
+	r.args(msg)
 	return msg
+}
+
+// args reads a message's argument list: one-word values straight into the
+// inline words when the whole list fits them, anything else — from the
+// list's first byte again — into a private overflow list.  (The list is
+// declared on that path: as a variable of the whole function its address
+// being taken would cost every decode the slice header.)
+func (r *payloadReader) args(msg *Message) {
+	n, isNil := r.listLen(1)
+	if isNil || n == 0 {
+		return
+	}
+	first := r.b
+	if n <= maxInline && r.inlineArgs(msg, n) {
+		return
+	}
+	msg.tags, msg.w = [maxInline]byte{}, [maxInline]uint64{}
+	r.b = first
+	list := r.valueList(n)
+	msg.more = &list
+}
+
+// inlineArgs is Message.setInline for a list on the wire, so a message has
+// one form whichever way it was built.
+func (r *payloadReader) inlineArgs(msg *Message, n int) bool {
+	for i := 0; i < n; i++ {
+		tag := r.u8()
+		if !isWordTag(tag) {
+			return false
+		}
+		msg.tags[i], msg.w[i] = tag, r.word(tag)
+	}
+	msg.nargs = uint8(n)
+	return true
 }
 
 func (r *payloadReader) msgs() []*Message {

@@ -37,35 +37,37 @@ func init() {
 // the codec's machine so decoding resolves to the same pointer.
 func wireCases(prog *Program) map[string]any {
 	grp := Group{ID: 3<<40 | 9, N: 5, Birth: 3, Base: 1, Nodes: 4, slot0: 77}
-	plain := &Message{
+	plain := msgWith(&Message{
 		To: Addr{Birth: 1, Hint: 2, Seq: 99}, Sel: -4,
-		Args:  []any{7, -1 << 40, int64(math.MinInt64), uint64(math.MaxUint64), 2.5, true, false, "héllo", ""},
-		Reply: ReplyTo{Node: 1, JC: 12, Slot: -3},
+		Reply:  ReplyTo{Node: 1, JC: 12, Slot: -3},
 		origin: 2, originLD: 1 << 50, dstSeq: 5, routed: true, vt: 1234.5, prog: prog,
-	}
-	handles := &Message{
+	}, 7, -1<<40, int64(math.MinInt64), uint64(math.MaxUint64), 2.5, true, false, "héllo", "")
+	handles := msgWith(&Message{
 		To: Nil, Sel: math.MaxInt32, Reply: invalidReply, origin: amnet.NoNode,
-		Args: []any{nil, Addr{Birth: 0, Hint: 3, Seq: 1 << 63}, grp, ReplyTo{Node: amnet.NoNode},
-			Selector(-9), TypeID(4), []float64{1, -2}, []float64(nil), []float64{}},
 		Data: []float64{},
-	}
-	opaque := &Message{
+	}, nil, Addr{Birth: 0, Hint: 3, Seq: 1 << 63}, grp, ReplyTo{Node: amnet.NoNode},
+		Selector(-9), TypeID(4), []float64{1, -2}, []float64(nil), []float64{})
+	opaque := msgWith(&Message{
 		To:   Addr{Birth: 0, Hint: 0, Seq: 1},
-		Args: []any{wirePoint{X: 1, Y: -2}, int32(-7), []string{"a", "b"}},
 		Data: []float64{3, 4, 5},
 		prog: prog,
-	}
+	}, Ref{V: wirePoint{X: 1, Y: -2}}, Ref{V: int32(-7)}, Ref{V: []string{"a", "b"}})
 	return map[string]any{
-		"msg/scalars":    plain,
-		"msg/handles":    handles,
-		"msg/opaque":     opaque,
-		"msg/nil-lists":  &Message{To: Addr{Seq: 2}},
-		"msg/empty-args": &Message{To: Addr{Seq: 2}, Args: []any{}, shared: true},
-		"spawn":          &spawnRecord{alias: Addr{Birth: 2, Hint: 0, Seq: 8}, typ: 3, args: []any{1, grp}, vt: 9.25, prog: prog},
-		"spawn/no-args":  &spawnRecord{alias: Nil, typ: -1},
-		"fir":            firReq{addr: Addr{Birth: 1, Hint: 1, Seq: 4}, path: []amnet.NodeID{0, 65536, amnet.NoNode, 3, 4, 5, 6, 7}},
-		"fir/nil-path":   firReq{addr: Addr{Seq: 4}},
-		"fir/empty-path": firReq{addr: Addr{Seq: 4}, path: []amnet.NodeID{}},
+		"msg/scalars":   plain,
+		"msg/handles":   handles,
+		"msg/opaque":    opaque,
+		"msg/nil-lists": &Message{To: Addr{Seq: 2}},
+		// A message has one form of "no arguments": an empty list is the
+		// nil list, in memory and on the wire.
+		"msg/empty-args": msgWith(&Message{To: Addr{Seq: 2}, shared: true}, []any{}...),
+		// The inline form: at most four one-word values ("msg/scalars" and
+		// "msg/handles" take the overflow list).
+		"msg/inline-words": msgWith(&Message{To: Addr{Seq: 3}}, nil, true, Selector(-9), TypeID(4)),
+		"spawn":            &spawnRecord{alias: Addr{Birth: 2, Hint: 0, Seq: 8}, typ: 3, args: []any{1, grp}, vt: 9.25, prog: prog},
+		"spawn/no-args":    &spawnRecord{alias: Nil, typ: -1},
+		"fir":              firReq{addr: Addr{Birth: 1, Hint: 1, Seq: 4}, path: []amnet.NodeID{0, 65536, amnet.NoNode, 3, 4, 5, 6, 7}},
+		"fir/nil-path":     firReq{addr: Addr{Seq: 4}},
+		"fir/empty-path":   firReq{addr: Addr{Seq: 4}, path: []amnet.NodeID{}},
 		"mig": &migBundle{
 			addr: Addr{Birth: 1, Hint: 1, Seq: 6}, alias: Addr{Birth: 0, Hint: 1, Seq: 2},
 			behavior: &wireBeh{Count: 3, Next: Addr{Birth: 2, Hint: 2, Seq: 1}, G: grp},
@@ -75,7 +77,7 @@ func wireCases(prog *Program) map[string]any {
 		},
 		"mig/bare":   &migBundle{addr: Addr{Seq: 1}, alias: Nil, msgs: []*Message{}},
 		"group":      groupCreate{g: grp, typ: 2, args: []any{"x", 1.5}, prog: prog},
-		"bcast":      &bcastWork{g: grp, root: 3, msg: &Message{To: Nil, Sel: 1, Args: []any{1}, shared: true, prog: prog}},
+		"bcast":      &bcastWork{g: grp, root: 3, msg: msgWith(&Message{To: Nil, Sel: 1, shared: true, prog: prog}, 1)},
 		"reply":      replyEnvelope{v: "done", prog: prog},
 		"reply/user": replyEnvelope{v: wirePoint{X: 5}},
 		"reply/nil":  replyEnvelope{},
@@ -129,30 +131,42 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 // TestPayloadFloatBits: NaN payloads and negative zero cross bit-exactly
-// in every float position (DeepEqual cannot say so: NaN != NaN).
+// in every float position — inline argument words, an overflow list and a
+// []float64 inside it, Data, vt (DeepEqual cannot say so: NaN != NaN).
 func TestPayloadFloatBits(t *testing.T) {
 	c, _ := wireCodec()
 	nan := math.Float64frombits(0x7ff8000000000abc)
 	negZero := math.Copysign(0, -1)
-	in := &Message{To: Addr{Seq: 1}, Args: []any{nan, negZero, []float64{nan, negZero}}, Data: []float64{negZero, nan}, vt: negZero}
-	enc, err := c.AppendPayload(nil, &amnet.Packet{Payload: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.DecodePayload(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := v.(*Message)
-	got := append([]float64{out.Args[0].(float64), out.Args[1].(float64), out.vt}, out.Args[2].([]float64)...)
-	got = append(got, out.Data...)
-	want := []float64{nan, negZero, negZero, nan, negZero, negZero, nan}
-	if len(got) != len(want) {
-		t.Fatalf("got %d floats, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Errorf("float %d: bits %#x, want %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	for name, args := range map[string][]any{
+		"inline":   {nan, negZero},
+		"overflow": {nan, negZero, []float64{nan, negZero}},
+	} {
+		in := msgWith(&Message{To: Addr{Seq: 1}, Data: []float64{negZero, nan}, vt: negZero}, args...)
+		if (in.more != nil) != (name == "overflow") {
+			t.Fatalf("%s arguments: overflow list %v", name, in.more)
+		}
+		enc, err := c.AppendPayload(nil, &amnet.Packet{Payload: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := c.DecodePayload(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := v.(*Message)
+		got := append([]float64{out.Float(0), out.Float(1), out.Arg(0).(float64), out.vt}, out.Data...)
+		want := []float64{nan, negZero, nan, negZero, negZero, nan}
+		if name == "overflow" {
+			got = append(got, out.Arg(2).([]float64)...)
+			want = append(want, nan, negZero)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %d floats, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: float %d: bits %#x, want %#x", name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
 	}
 }
@@ -166,7 +180,7 @@ func TestPayloadRefusals(t *testing.T) {
 		name, want string
 		payload    any
 	}{
-		{"unregistered arg", "gob.Register user types", &Message{Args: []any{1, wireStranger{X: 1}}}},
+		{"unregistered arg", "gob.Register user types", msgWith(&Message{}, 1, Ref{V: wireStranger{X: 1}})},
 		{"unregistered reply", "gob.Register user types", replyEnvelope{v: &wireStranger{}}},
 		{"program launch", "program loads never cross the wire", progLaunch{prog: prog}},
 		{"unknown type", "has no wire form", 42},
@@ -181,7 +195,7 @@ func TestPayloadRefusals(t *testing.T) {
 	}
 
 	// Decoder side: a kind, a value tag and a program id from nowhere.
-	msg, _ := c.AppendPayload(nil, &amnet.Packet{Payload: &Message{To: Addr{Seq: 1}, Args: []any{1}}})
+	msg, _ := c.AppendPayload(nil, &amnet.Packet{Payload: msgWith(&Message{To: Addr{Seq: 1}}, 1)})
 	far, _ := c.AppendPayload(nil, &amnet.Packet{Payload: replyEnvelope{prog: &Program{id: maxProgAhead + 2}}})
 	badTag := bytes.Clone(msg)
 	badTag[len(badTag)-9] = 0xEE // the int argument's tag

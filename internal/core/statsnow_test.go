@@ -25,7 +25,7 @@ const selToken Selector = 60
 func (b *tokenRelay) Receive(ctx *Context, msg *Message) {
 	switch msg.Sel {
 	case selInit:
-		b.next = msg.Args[0].(Addr)
+		b.next = msg.Addr(0)
 	case selToken:
 		if ttl := msg.Int(0); ttl > 0 {
 			ctx.Send(b.next, selToken, ttl-1)

@@ -23,6 +23,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 
 	"hal/internal/amnet"
 	"hal/internal/names"
@@ -73,10 +75,12 @@ type Cloner interface {
 }
 
 // ReplyTo addresses a join-continuation slot: the reply to a request is
-// delivered to slot Slot of continuation JC on node Node.
+// delivered to slot Slot of continuation JC on node Node.  (JC first: the
+// two 32-bit fields then share a word and the descriptor is 16 bytes of
+// Message's 144, see TestMessageSize.)
 type ReplyTo struct {
-	Node amnet.NodeID
 	JC   uint64
+	Node amnet.NodeID
 	Slot int32
 }
 
@@ -88,16 +92,24 @@ var invalidReply = ReplyTo{Node: amnet.NoNode}
 
 // Message is an actor message.  All HAL messages carry a destination mail
 // address and a method selector; call/return messages additionally carry
-// a continuation address (Reply).  Args are small scalar arguments; Data
-// is an optional bulk payload that rides the three-phase transfer protocol
-// when it exceeds a segment.
+// a continuation address (Reply).  The arguments are read with NArgs, Arg
+// and the typed accessors; Data is an optional bulk payload that rides the
+// three-phase transfer protocol when it exceeds a segment.
+//
+// An argument is a member of the kernel's value set (below) and is stored
+// by value: a list of at most four one-word values lives in the struct
+// itself (tags, w), any other list in a private overflow list (more).  The
+// layout is budgeted: one more word moves Message from the 144- to the
+// 192-byte size class (TestMessageSize).
 //
 // A Message must be treated as immutable once sent: broadcasts share one
 // Message among every member of a group.
 type Message struct {
-	To   Addr
-	Sel  Selector
-	Args []any
+	To  Addr
+	Sel Selector
+	// tags[i] is inline argument i's value tag (a tv* constant) and w[i]
+	// its word.
+	tags [maxInline]byte
 	Data []float64
 	// Reply is the continuation slot a server's ctx.Reply fills.
 	Reply ReplyTo
@@ -106,18 +118,10 @@ type Message struct {
 	// descriptor so the receiving node can send the descriptor's memory
 	// address back ("cached in the newly allocated locality
 	// descriptor", § 4.1).
-	origin   amnet.NodeID
 	originLD uint64
 	// dstSeq is the receiver-node LD slot when the sender has it cached;
 	// it lets the receiving node manager skip its name table.
 	dstSeq uint64
-	// routed marks a delivery that did not go directly to the actor's
-	// node (first send via the birthplace, or a release after FIR); the
-	// receiving node then propagates its LD address back to origin.
-	routed bool
-	// shared marks a broadcast message delivered to many actors; shared
-	// messages are never pooled or mutated.
-	shared bool
 	// vt is the virtual time at which the message last left a PE
 	// (sender side) or arrived (receiver side); dispatch synchronizes
 	// the executing node's virtual clock to it.
@@ -125,44 +129,211 @@ type Message struct {
 	// prog is the program whose work this message is (§ 3: several
 	// programs share the kernels; each quiesces independently).
 	prog *Program
+	w    [maxInline]uint64
+	// more, when set, holds every argument and the inline words are
+	// unused.  Read-only once the message is sent: a broadcast's clones
+	// share it.
+	more   *[]any
+	origin amnet.NodeID
+	// routed marks a delivery that did not go directly to the actor's
+	// node (first send via the birthplace, or a release after FIR); the
+	// receiving node then propagates its LD address back to origin.
+	routed bool
+	// shared marks a broadcast message delivered to many actors; shared
+	// messages are never pooled or mutated.
+	shared bool
+	nargs  uint8 // inline arguments
 }
 
-// Int returns argument i as an int.  It panics with a descriptive message
-// on type mismatch, as a misdelivered argument is a program bug.
-func (m *Message) Int(i int) int {
-	v, ok := m.Args[i].(int)
+// The kernel's value set is closed: nil, int, int64, uint64, float64, bool,
+// Selector and TypeID (one word each), and Addr, string, Group, ReplyTo,
+// []float64 and the node-local Join — the tv* tags of payloadwire.go.
+// Whatever a send or a reply is given is converted on
+// entry by a type switch that copies the value out of its interface; the
+// interface itself is never stored, so escape analysis leaves the caller's
+// boxes on the caller's stack (`go build -gcflags=-m=2`: "parameter args
+// leaks to {heap} with derefs=2" — what the boxes point at, not the boxes;
+// the 0-allocs guards of alloc_test.go hold it there).  The analysis tags
+// the parameter, not the path: one arm that keeps the interface, or hands
+// it to fmt, and every caller allocates again.
+
+// maxInline is the number of argument words a Message stores in itself.
+const maxInline = 4
+
+// wordTags has bit t set when a value tagged t is one word.
+const wordTags = 1<<tvNil | 1<<tvInt | 1<<tvInt64 | 1<<tvUint64 | 1<<tvFloat64 | 1<<tvBool | 1<<tvSelector | 1<<tvTypeID
+
+func isWordTag(tag byte) bool { return wordTags>>tag&1 != 0 }
+
+// Ref passes a value of a type outside the kernel's value set as a message
+// argument, a reply or a Join.Set value: ctx.Send(to, sel, Ref{V: x}).  The receiver reads x
+// itself (msg.Arg(i), slots[i]), not the wrapper.  x moves by reference
+// inside one process and as its gob encoding between processes, so its
+// concrete type is registered with gob.Register in every process.
+type Ref struct{ V any }
+
+// wordOf converts a one-word member of the value set to its tag and bits;
+// ok is false for everything else.
+func wordOf(a any) (tag byte, w uint64, ok bool) {
+	switch x := a.(type) {
+	case nil:
+		return tvNil, 0, true
+	case int:
+		return tvInt, uint64(x), true
+	case int64:
+		return tvInt64, uint64(x), true
+	case uint64:
+		return tvUint64, x, true
+	case float64:
+		return tvFloat64, math.Float64bits(x), true
+	case bool:
+		if x {
+			return tvBool, 1, true
+		}
+		return tvBool, 0, true
+	case Selector:
+		return tvSelector, uint64(uint32(x)), true
+	case TypeID:
+		return tvTypeID, uint64(uint32(x)), true
+	}
+	return 0, 0, false
+}
+
+// wordValue is the inverse of wordOf (nil for a tag that is no word's).
+func wordValue(tag byte, w uint64) any {
+	switch tag {
+	case tvInt:
+		return int(w)
+	case tvInt64:
+		return int64(w)
+	case tvUint64:
+		return w
+	case tvFloat64:
+		return math.Float64frombits(w)
+	case tvBool:
+		return w != 0
+	case tvSelector:
+		return Selector(uint32(w))
+	case tvTypeID:
+		return TypeID(uint32(w))
+	}
+	return nil
+}
+
+// ownValue returns a's value in an interface of the kernel's own: a member
+// of the set is copied out and boxed afresh, a Ref gives up its V, and
+// anything else is a program bug.
+func ownValue(a any) any {
+	if tag, w, ok := wordOf(a); ok {
+		return wordValue(tag, w)
+	}
+	switch x := a.(type) {
+	case Addr:
+		return x
+	case string:
+		return x
+	case []float64:
+		return x
+	case Group:
+		return x
+	case ReplyTo:
+		return x
+	case Join:
+		return x
+	case Ref:
+		return x.V
+	}
+	// Not fmt's %T: handing a to fmt makes every caller's boxes escape.
+	panic("core: a value of type " + reflect.TypeOf(a).String() +
+		" is outside the kernel's value set; pass it as Ref{V: x}")
+}
+
+// setArgs stores args in a message that has none yet.  (Small enough to
+// inline: a send without arguments pays one compare.)
+func (m *Message) setArgs(args []any) {
+	if len(args) != 0 {
+		m.storeArgs(args)
+	}
+}
+
+// storeArgs puts args in the inline words when they fit, else by value in
+// a private overflow list.
+func (m *Message) storeArgs(args []any) {
+	if len(args) <= maxInline && m.setInline(args) {
+		return
+	}
+	m.tags, m.w = [maxInline]byte{}, [maxInline]uint64{}
+	list := make([]any, len(args))
+	for i, a := range args {
+		list[i] = ownValue(a)
+	}
+	m.more = &list
+}
+
+// setInline fills the inline words from args and reports whether they
+// fit: one-word values only (payloadReader's inlineArgs is the same loop
+// over a list on the wire).
+func (m *Message) setInline(args []any) bool {
+	for i, a := range args {
+		tag, w, ok := wordOf(a)
+		if !ok {
+			return false
+		}
+		m.tags[i], m.w[i] = tag, w
+	}
+	m.nargs = uint8(len(args))
+	return true
+}
+
+// NArgs returns the number of arguments.
+func (m *Message) NArgs() int {
+	if m.more != nil {
+		return len(*m.more)
+	}
+	return int(m.nargs)
+}
+
+// Arg returns argument i (a Ref's V for an argument passed as a Ref).  It
+// panics when i is out of range.  The typed accessors below read a scalar
+// without boxing it.
+func (m *Message) Arg(i int) any {
+	if m.more != nil {
+		return (*m.more)[i]
+	}
+	return wordValue(m.tags[:m.nargs][i], m.w[i])
+}
+
+// argAs is the typed accessors' slow path: it panics with a descriptive
+// message on type mismatch, as a misdelivered argument is a program bug.
+func argAs[T any](m *Message, i int) T {
+	v, ok := m.Arg(i).(T)
 	if !ok {
-		panic(fmt.Sprintf("core: message %v arg %d is %T, want int", m.Sel, i, m.Args[i]))
+		panic(fmt.Sprintf("core: message %v arg %d is %T, want %T", m.Sel, i, m.Arg(i), v))
 	}
 	return v
+}
+
+// Int returns argument i as an int.
+func (m *Message) Int(i int) int {
+	if uint(i) < maxInline && m.tags[i] == tvInt { // unused tags are tvNil
+		return int(m.w[i])
+	}
+	return argAs[int](m, i)
 }
 
 // Float returns argument i as a float64.
 func (m *Message) Float(i int) float64 {
-	v, ok := m.Args[i].(float64)
-	if !ok {
-		panic(fmt.Sprintf("core: message %v arg %d is %T, want float64", m.Sel, i, m.Args[i]))
+	if uint(i) < maxInline && m.tags[i] == tvFloat64 {
+		return math.Float64frombits(m.w[i])
 	}
-	return v
+	return argAs[float64](m, i)
 }
 
 // Addr returns argument i as a mail address.
-func (m *Message) Addr(i int) Addr {
-	v, ok := m.Args[i].(Addr)
-	if !ok {
-		panic(fmt.Sprintf("core: message %v arg %d is %T, want Addr", m.Sel, i, m.Args[i]))
-	}
-	return v
-}
+func (m *Message) Addr(i int) Addr { return argAs[Addr](m, i) }
 
 // Group returns argument i as a group handle.
-func (m *Message) Group(i int) Group {
-	v, ok := m.Args[i].(Group)
-	if !ok {
-		panic(fmt.Sprintf("core: message %v arg %d is %T, want Group", m.Sel, i, m.Args[i]))
-	}
-	return v
-}
+func (m *Message) Group(i int) Group { return argAs[Group](m, i) }
 
 // Group is a handle for a set of actors created together with grpnew.
 // Member i's alias address is computable from the handle alone (see

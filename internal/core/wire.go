@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"hal/internal/amnet"
-)
+import "hal/internal/amnet"
 
 // Packet word-encoding for the kernel's small control payloads.
 //
@@ -24,8 +20,10 @@ import (
 //	FIR (hFIR, when the path fits; else boxed firReq):
 //	  U0 = addr.Seq   U1 = Birth<<32|Hint
 //	  U2 = hops[0..3] (16 bits each)   U3 = hops[4..6] | count<<48
-//	reply (hReply; scalar values only, else boxed replyEnvelope):
+//	reply (hReply; one-word values only, else boxed replyEnvelope):
 //	  U0 = jc   U1 = slot | tag<<32   U2 = value bits   U3 = program id
+//	  (tag and bits are wordOf's, types.go: the same tv* tag and word a
+//	  message argument of that value carries)
 //
 // Node ids round-trip through uint32 so NoNode (-1) survives; FIR hop
 // slots are 16-bit, wide enough for any partition this simulator runs.
@@ -70,52 +68,6 @@ func (n *node) sendLoc(h amnet.HandlerID, dst amnet.NodeID, addr Addr, node amne
 // seq — the one place the cache-update encoding is built.
 func (n *node) sendCacheUpdate(dst amnet.NodeID, addr Addr, node amnet.NodeID, seq uint64) {
 	n.sendLoc(hCacheUpdate, dst, addr, node, seq)
-}
-
-// --- reply encoding ----------------------------------------------------
-
-// Reply value tags (Packet.U1 bits 32+).  Tag 0 means the value did not
-// fit a word and rides boxed in Payload as a replyEnvelope.
-const (
-	replyBoxed uint64 = iota
-	replyNil
-	replyInt
-	replyFloat
-	replyBool
-)
-
-// encodeReplyValue word-encodes the common scalar reply values.  ok is
-// false when v needs the boxed fallback.
-func encodeReplyValue(v any) (tag, bits uint64, ok bool) {
-	switch x := v.(type) {
-	case nil:
-		return replyNil, 0, true
-	case int:
-		return replyInt, uint64(x), true
-	case float64:
-		return replyFloat, math.Float64bits(x), true
-	case bool:
-		if x {
-			return replyBool, 1, true
-		}
-		return replyBool, 0, true
-	}
-	return replyBoxed, 0, false
-}
-
-// decodeReplyValue is the inverse of encodeReplyValue.
-func decodeReplyValue(tag, bits uint64) any {
-	switch tag {
-	case replyNil:
-		return nil
-	case replyInt:
-		return int(bits)
-	case replyFloat:
-		return math.Float64frombits(bits)
-	case replyBool:
-		return bits != 0
-	}
-	return nil
 }
 
 // --- FIR encoding ------------------------------------------------------

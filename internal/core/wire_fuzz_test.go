@@ -8,19 +8,24 @@ import (
 	"hal/internal/amnet"
 )
 
-// FuzzReplyValueRoundTrip checks that every scalar the reply codec
-// accepts survives the word encoding bit-exactly.  The codec is the one
-// place a reply value crosses the wire without its Go type, so a tag or
-// bit-pattern slip silently corrupts join-continuation results.
+// FuzzReplyValueRoundTrip checks that every one-word member of the value
+// set survives the word encoding bit-exactly.  The word form is the one
+// place a value travels without its Go type — a reply packet's U2, a
+// message's inline argument word — so a tag or bit-pattern slip silently
+// corrupts join-continuation results and arguments alike.
 func FuzzReplyValueRoundTrip(f *testing.F) {
 	f.Add(uint64(0), int64(0), uint64(0), false)
 	f.Add(uint64(1), int64(-7), uint64(0), true)
 	f.Add(uint64(2), int64(0), math.Float64bits(3.5), false)
 	f.Add(uint64(2), int64(0), uint64(0x7ff8000000000001), false) // NaN payload
 	f.Add(uint64(3), int64(1<<62), uint64(1), true)
+	f.Add(uint64(4), int64(math.MinInt64), uint64(0), false)
+	f.Add(uint64(5), int64(0), uint64(math.MaxUint64), false)
+	f.Add(uint64(6), int64(math.MinInt32), uint64(0), false)
+	f.Add(uint64(7), int64(math.MaxInt32), uint64(0), false)
 	f.Fuzz(func(t *testing.T, kind uint64, i int64, fbits uint64, b bool) {
 		var v any
-		switch kind % 4 {
+		switch kind % 8 {
 		case 0:
 			v = nil
 		case 1:
@@ -29,25 +34,34 @@ func FuzzReplyValueRoundTrip(f *testing.F) {
 			v = math.Float64frombits(fbits)
 		case 3:
 			v = b
+		case 4:
+			v = i
+		case 5:
+			v = fbits
+		case 6:
+			v = Selector(int32(i))
+		case 7:
+			v = TypeID(int32(i))
 		}
-		tag, bits, ok := encodeReplyValue(v)
-		if !ok {
-			t.Fatalf("encodeReplyValue(%#v) rejected a scalar", v)
+		tag, bits, ok := wordOf(v)
+		if !ok || !isWordTag(tag) {
+			t.Fatalf("wordOf(%#v) = tag %d, ok %v: not a word", v, tag, ok)
 		}
-		if tag == replyBoxed {
-			t.Fatalf("encodeReplyValue(%#v) returned ok with the boxed tag", v)
-		}
-		got := decodeReplyValue(tag, bits)
-		switch want := v.(type) {
-		case float64:
+		got := wordValue(tag, bits)
+		if want, isF := v.(float64); isF {
 			gf, isF := got.(float64)
 			if !isF || math.Float64bits(gf) != math.Float64bits(want) {
 				t.Fatalf("float round-trip: got %#v, want bits %#x", got, math.Float64bits(want))
 			}
-		default:
-			if got != v {
-				t.Fatalf("round-trip: got %#v, want %#v", got, v)
-			}
+		} else if got != v {
+			t.Fatalf("round-trip: got %#v, want %#v", got, v)
+		}
+		// The same value as a message argument: inline, and the same again
+		// after the codec's word body.
+		msg := msgWith(&Message{}, v)
+		r := wireReader{b: appendWord(nil, tag, bits)}
+		if msg.more != nil || msg.tags[0] != tag || msg.w[0] != bits || r.word(tag) != bits || r.done() != nil {
+			t.Fatalf("%#v as an argument: tag %d word %#x overflow %v (wire %v)", v, msg.tags[0], msg.w[0], msg.more, r.done())
 		}
 	})
 }
