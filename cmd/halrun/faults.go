@@ -102,12 +102,18 @@ func reportRecoveryOnError(faulty bool, s hal.MachineStats, wall time.Duration) 
 
 // reportRecovery prints the fault/recovery summary and returns an error —
 // failing the run with a non-zero exit — when the kernel exhausted a retry
-// budget and had to dead-letter control packets.
+// budget and had to dead-letter control packets.  On a multi-process
+// machine the plan cut the socket links instead, and the summary adds
+// what the links' replay did about it.
 func reportRecovery(s hal.MachineStats) error {
-	t := s.Total
-	fmt.Printf("recovery: dropped=%d duplicated=%d delayed=%d pauses=%d dedup=%d retries=%d exhausted=%d deadletters=%d\n",
+	t, w := s.Total, s.Wire
+	fmt.Printf("recovery: dropped=%d duplicated=%d delayed=%d pauses=%d dedup=%d retries=%d exhausted=%d deadletters=%d",
 		t.Dropped, t.Duplicated, t.Delayed, t.Net.Pauses,
 		t.DupsFiltered, t.Retries, t.RetryExhausted, t.DeadLetters)
+	if w.WireSent+w.CtlSent > 0 {
+		fmt.Printf(" cuts=%d redials=%d replayed=%d dupframes=%d", w.FaultCuts, w.Redials, w.Replayed, w.DupFrames)
+	}
+	fmt.Println()
 	if t.RetryExhausted > 0 {
 		return fmt.Errorf("control-plane retry budget exhausted: %d packet(s) abandoned as dead letters; the result is incomplete (re-run with a lighter fault plan or a larger retry budget)",
 			t.RetryExhausted)

@@ -90,9 +90,10 @@ type (
 	// run several programs concurrently, as the paper's kernels do).
 	Program = core.Program
 	// FaultPlan describes deterministic network fault injection
-	// (Config.Faults).  With a plan set the kernel runs its reliable
-	// control-plane protocols: sequencing, retry with backoff, and
-	// bounded escalation to dead letters.
+	// (Config.Faults).  With a plan set an in-memory machine runs its
+	// reliable control-plane protocols: sequencing, retry with backoff,
+	// and bounded escalation to dead letters; across processes the plan
+	// cuts the socket links, whose replay recovers.
 	FaultPlan = amnet.FaultPlan
 	// DistConfig places one process's Machine inside a multi-process
 	// partition (Config.Dist): the Transport carries packets between

@@ -230,17 +230,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return nw, nil
 }
 
-// isRemote reports whether node d's kernel runs in another process.
-func (nw *Network) isRemote(d NodeID) bool {
+// IsRemote reports whether node d's kernel runs in another process.
+func (nw *Network) IsRemote(d NodeID) bool {
 	return nw.nonres != nil && nw.nonres[d]
 }
 
-// IsRemote is the exported form of isRemote, for the kernel's routing
-// decisions (e.g. bulk payloads to non-resident nodes stay framed).
-func (nw *Network) IsRemote(d NodeID) bool { return nw.isRemote(d) }
-
-// Remote returns the wire transport, nil for a single-process network.
-func (nw *Network) Remote() Transport { return nw.remote }
+// Faults returns the network's fault plan, nil for a perfect network.
+func (nw *Network) Faults() *FaultPlan { return nw.cfg.Faults }
 
 // StartTransport attaches and starts the wire transport, if any.  Called
 // once by the machine after handler registration, before node goroutines
@@ -592,7 +588,7 @@ const remoteStallPause = 50 * time.Microsecond
 //halvet:allowwallclock remote-link backpressure pacing is host-time: the peer process's drain rate is invisible to virtual time, and a parked sender's VT is frozen
 func (ep *Endpoint) inject(p *Packet) {
 	ep.stats.Sent++
-	if !ep.net.isRemote(p.Dst) {
+	if !ep.net.IsRemote(p.Dst) {
 		dst := ep.net.eps[p.Dst]
 		ep.stall(dst, 1, 0)
 		// Tokens are released only when the receiver dequeues the item, so
@@ -691,7 +687,7 @@ const batchReserveRounds = 128
 func (ep *Endpoint) injectBatch(dst NodeID, buf *[]Packet) {
 	k := len(*buf)
 	ep.stats.FlushOcc.Observe(float64(k))
-	if ep.net.isRemote(dst) {
+	if ep.net.IsRemote(dst) {
 		// A remote batch has no ring slot to share; the coalescing win is
 		// the single wire flush the link writer performs after draining
 		// these packets back-to-back.
@@ -738,7 +734,7 @@ func (ep *Endpoint) DiscardOutbound() {
 func (ep *Endpoint) TrySend(p Packet) bool {
 	ep.net.sealed.Store(true)
 	p.Src = ep.id
-	if ep.net.isRemote(p.Dst) {
+	if ep.net.IsRemote(p.Dst) {
 		if !ep.net.remote.TrySend(p) {
 			ep.stats.TryStalls++
 			return false

@@ -117,7 +117,7 @@ func (b *bulkState) init(ep *Endpoint) {
 // for payloads of at most one segment, the data is injected inline before
 // BulkSend returns (stalling the caller if links are full).
 func (ep *Endpoint) BulkSend(dst NodeID, data []float64, fin Packet) {
-	if ep.net.isRemote(dst) {
+	if ep.net.IsRemote(dst) {
 		// The three-phase protocol's bookkeeping (finEnvelope, grant
 		// state) is process-local; the kernel ships cross-process bulk
 		// data inside a single framed packet instead, and the wire's own

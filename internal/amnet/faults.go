@@ -24,6 +24,10 @@ package amnet
 // the head of the receiver's next PollAll, after any packets that
 // overtook them — an out-of-order delivery, not just added latency.
 //
+// A network with a Remote transport draws no drop, dup or delay here: its
+// losses are cuts of the socket link (amnet/sock), which the link's replay
+// recovers.  Pause windows stay at the endpoints; they lose nothing.
+//
 // Handlers registered as lossless (see Network.MarkLossless, and the
 // bulk data segments below) bypass injection entirely: the bulk
 // three-phase protocol recovers lost requests and grants by re-request,
@@ -68,7 +72,9 @@ func (k FaultKind) String() string {
 // FaultPlan describes the faults to inject.  A nil plan (the default)
 // means a perfect network and costs one pointer test per packet.
 // Probabilities are per packet and must satisfy
-// Drop + Dup + Delay <= 1; the remainder is delivered normally.
+// Drop + Dup + Delay <= 1; the remainder is delivered normally.  On a
+// socket link the three sum to one per-frame chance that the receiver
+// cuts the connection, which the link's replay then recovers.
 type FaultPlan struct {
 	// Drop is the probability a packet is discarded.
 	Drop float64
@@ -238,7 +244,7 @@ func (f *epFaults) pauseRemaining(ep *Endpoint) time.Duration {
 // times accordingly.  Every inbound packet funnels through here.
 func (ep *Endpoint) receive(p Packet) {
 	f := ep.faults
-	if f == nil || ep.net.lossless[p.Handler] {
+	if f == nil || ep.net.remote != nil || ep.net.lossless[p.Handler] {
 		ep.dispatch(p)
 		return
 	}

@@ -225,6 +225,35 @@ func TestFaultObserverSeesEachKind(t *testing.T) {
 	}
 }
 
+// TestFaultRemoteKeepsOnlyPauses checks that a network with a Remote
+// transport leaves drops to the transport — its endpoints deliver every
+// packet under Drop=1 — and still opens pause windows.
+func TestFaultRemoteKeepsOnlyPauses(t *testing.T) {
+	wire, _ := newFakePair(2, 8) // side 0 hosts both nodes
+	hits := 0
+	plan := FaultPlan{Drop: 1, PauseEvery: time.Millisecond, PauseDur: 20 * time.Millisecond}
+	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan, Remote: wire}, map[HandlerID]Handler{
+		hPing: func(*Endpoint, Packet) { hits++ },
+	})
+	if nw.Faults() != &plan {
+		t.Fatal("Faults() did not return the configured plan")
+	}
+	ep := nw.Endpoint(1)
+	for i := 0; i < 50; i++ {
+		nw.Endpoint(0).Send(Packet{Handler: hPing, Dst: 1})
+	}
+	if ep.PollAll() != 50 || hits != 50 {
+		t.Fatalf("handled %d of 50 packets under Drop=1 with a Remote transport", hits)
+	}
+	if s := ep.Stats(); s.Dropped != 0 {
+		t.Errorf("Dropped=%d at an endpoint of a Remote network", s.Dropped)
+	}
+	time.Sleep(2 * time.Millisecond) // past the first pause's due time
+	if !ep.faults.pausedNow(ep) || ep.Stats().Pauses == 0 {
+		t.Error("no pause window opened on a Remote network")
+	}
+}
+
 // TestFaultPauseWindow checks a paused node refuses to poll, that
 // RecvBlock sleeps the window out without consuming the inbox, and that
 // delivery resumes once the window closes.

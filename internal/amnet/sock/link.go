@@ -3,6 +3,7 @@ package sock
 import (
 	"bufio"
 	"errors"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -35,7 +36,8 @@ import (
 // carrying each side's last; both writers trim their windows to the
 // peer's value and replay the remainder before any new frame.  Nothing
 // is retransmitted on a timer: a connection either delivers in order or
-// fails, and failure is the only trigger for replay.
+// fails, and failure is the only trigger for replay.  A FaultPlan's
+// losses are failures of that kind: the reader cuts the connection.
 
 // ctlFrame is one queued control message.
 type ctlFrame struct {
@@ -183,6 +185,11 @@ type link struct {
 	// is owed an ack for.
 	rx      atomic.Uint64
 	ackSent atomic.Uint64
+	// cut is the chance a sequenced frame ends its connection instead of
+	// being delivered (Transport.Start, from the network's FaultPlan);
+	// the reader draws dice, nil without a plan, under rmu.
+	cut  float64
+	dice *rand.Rand
 }
 
 func newLink(t *Transport, peer int, network, raddr string) *link {
@@ -285,18 +292,6 @@ func (l *link) connFailed(gen int) {
 	l.cond.Broadcast()
 }
 
-// bounce force-closes the current connection without marking the link
-// down-by-intent: readers and the writer hit I/O errors and run the
-// ordinary failure path.  Test hook for mid-frame kill coverage.
-func (l *link) bounce() {
-	l.mu.Lock()
-	c := l.conn
-	l.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
 // waitUp blocks until the link has a live connection and returns it with
 // its generation and the peer's last.  Recovery itself is not the
 // caller's job: the dialing side's dialLoop (or the remote redialer plus
@@ -326,7 +321,14 @@ func (l *link) state() amnet.LinkState {
 	l.mu.Lock()
 	up, gen := l.up, l.gen
 	l.mu.Unlock()
-	sent, acked := l.win.next.Load()-1, l.acked.Load()
+	// A consistent pair: sent is read while acked holds still.  An ack
+	// landing between two plain loads would make the difference wrap, or
+	// overstate it.
+	acked := l.acked.Load()
+	sent := l.win.next.Load() - 1
+	for a := l.acked.Load(); a != acked; a = l.acked.Load() {
+		acked, sent = a, l.win.next.Load()-1
+	}
 	return amnet.LinkState{Peer: l.peer, Up: up, Gen: gen,
 		Unacked: sent - acked, SentSeq: sent, AckedSeq: acked, RecvSeq: l.delivered()}
 }
@@ -404,7 +406,7 @@ var errStale = errors.New("sock: connection replaced")
 // reported delivering and replays the rest — and then serves the
 // outbound queue until the connection fails or is replaced.
 func (l *link) writeLoop() {
-	defer l.t.wg.Done()
+	defer l.t.writers.Done()
 	bw := bufio.NewWriterSize(nil, writeBufBytes)
 	for {
 		conn, gen, peerLast := l.waitUp()
@@ -498,6 +500,9 @@ func (l *link) serve(bw *bufio.Writer, gen int) error {
 				}
 				continue
 			case <-l.t.stopc:
+				// Control frames queued before Close still go out (a
+				// worker's shutdown bye); Close waits for them.
+				l.writeControls(bw)
 				bw.Flush()
 				return errClosed
 			}
@@ -656,6 +661,13 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			continue
 		}
 		if h.kind != frPacket && h.kind != frControl {
+			l.connFailed(gen)
+			return
+		}
+		if l.dice != nil && l.dice.Float64() < l.cut {
+			// A fault-plan loss: this frame and everything behind it go
+			// down with the connection, and the redial replays them.
+			t.stats.faultCuts.Add(1)
 			l.connFailed(gen)
 			return
 		}

@@ -35,10 +35,11 @@ type seqSide struct {
 	bad      atomic.Uint64 // packets that did not
 }
 
-// startSeqMesh boots a leader and a worker hosting one node each.  With
-// poll set a goroutine per side drains its endpoint; without, the test's
-// own sender goroutines own the endpoints.
-func startSeqMesh(t *testing.T, inboxCap int, poll bool) (leader, worker *seqSide) {
+// startSeqMesh boots a leader and a worker hosting one node each, their
+// networks built with faults (nil for none).  With poll set a goroutine
+// per side drains its endpoint; without, the test's own sender goroutines
+// own the endpoints.
+func startSeqMesh(t *testing.T, inboxCap int, poll bool, faults *amnet.FaultPlan) (leader, worker *seqSide) {
 	t.Helper()
 	m := bootMesh(t, "unix", filepath.Join(t.TempDir(), "hal.sock"), 1, 2, nil)
 	stop := make(chan struct{})
@@ -46,7 +47,7 @@ func startSeqMesh(t *testing.T, inboxCap int, poll bool) (leader, worker *seqSid
 	sides := make([]*seqSide, 2)
 	for i := range sides {
 		s := &seqSide{tr: m.byIdx(i), src: amnet.NodeID(i), dst: amnet.NodeID(1 - i)}
-		nw, err := amnet.NewNetwork(amnet.Config{Nodes: 2, InboxCap: inboxCap, Remote: s.tr})
+		nw, err := amnet.NewNetwork(amnet.Config{Nodes: 2, InboxCap: inboxCap, Remote: s.tr, Faults: faults})
 		if err != nil {
 			t.Fatalf("NewNetwork: %v", err)
 		}
@@ -108,11 +109,24 @@ func (s *seqSide) await(t *testing.T, n uint64) {
 	}
 }
 
+// bounce force-closes tr's connection to peer without marking the link
+// down: its reader and writer, and the peer's, hit I/O errors wherever
+// they are — mid-frame included — and run the ordinary failure path.
+func bounce(tr *Transport, peer int) {
+	l := tr.links[peer]
+	l.mu.Lock()
+	c := l.conn
+	l.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
 // bounceBothWays streams n packets each way while a goroutine bounces
 // the connection from alternating sides every 2 ms, and requires each
 // side to see 1..n exactly once, in order, with nothing dropped.
 func bounceBothWays(t *testing.T, n uint64) {
-	leader, worker := startSeqMesh(t, 0, true)
+	leader, worker := startSeqMesh(t, 0, true, nil)
 	stopChaos := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(3)
@@ -125,9 +139,9 @@ func bounceBothWays(t *testing.T, n uint64) {
 			case <-time.After(2 * time.Millisecond):
 			}
 			if i%2 == 0 {
-				leader.tr.Bounce(1)
+				bounce(leader.tr, 1)
 			} else {
-				worker.tr.Bounce(0)
+				bounce(worker.tr, 0)
 			}
 		}
 	}()
@@ -159,13 +173,48 @@ func TestBounceSequenceWrap(t *testing.T) {
 	bounceBothWays(t, 10_000)
 }
 
+// TestCutStreamExactlyOnce streams 100 k packets each way over a link
+// whose FaultPlan cuts the connection on about one frame in twenty: the
+// reader drops the frame it drew and the connection with it, before the
+// sequence check, and only the redial's replay can bring the frame back.
+// Each side must see 1..n exactly once and in order, with nothing
+// dropped, and the writer's per-frame path on a link that lived through
+// the cuts must still allocate nothing.
+func TestCutStreamExactlyOnce(t *testing.T) {
+	const n = 100_000
+	leader, worker := startSeqMesh(t, 0, true, &amnet.FaultPlan{Drop: 0.05, Seed: 7})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); leader.stream(n) }()
+	go func() { defer wg.Done(); worker.stream(n) }()
+	leader.await(t, n)
+	worker.await(t, n)
+	wg.Wait()
+	for _, s := range []*seqSide{leader, worker} {
+		st := s.tr.TransportStats()
+		if st.FaultCuts == 0 || st.Replayed == 0 || st.WireDropped != 0 {
+			t.Errorf("process %d: cuts %d replayed %d dropped %d, want cuts and replays and no drop",
+				s.tr.Self(), st.FaultCuts, st.Replayed, st.WireDropped)
+		}
+		t.Logf("process %d: cuts %d, redials %d, replayed %d, dups dropped %d",
+			s.tr.Self(), st.FaultCuts, st.Redials, st.Replayed, st.DupFrames)
+	}
+	leader.tr.Close() // the writer's window is the test's from here on
+	if raceEnabled {
+		return
+	}
+	if a := writerAllocs(t, leader.tr.links[1]); a != 0 {
+		t.Fatalf("after the cuts the link writer allocates %v times per frame, want 0", a)
+	}
+}
+
 // TestWindowOneWayStream sends 50 k packets one way with nothing flowing
 // back: only standalone acks can trim the sender's window, so the stream
 // finishing — with the window inside its cap at every look — shows they
 // keep up.
 func TestWindowOneWayStream(t *testing.T) {
 	const n = 50_000
-	leader, worker := startSeqMesh(t, 0, true)
+	leader, worker := startSeqMesh(t, 0, true, nil)
 	done := make(chan struct{})
 	go func() { defer close(done); leader.stream(n) }()
 	peak := uint32(0)
@@ -204,6 +253,42 @@ func TestWindowOneWayStream(t *testing.T) {
 	}
 }
 
+// TestLinkStateUnderAcks hammers LinkStates while a goroutine plays the
+// writer and the reader at once — each frame acknowledged the moment it
+// is sent, the tightest an ack can follow — so at no instant is more than
+// one frame unacknowledged.  A snapshot that read the send counter before
+// the ack counter would report a count near 2^32; one that read them in
+// the other order without checking would count the acks that landed in
+// between as unacknowledged.
+func TestLinkStateUnderAcks(t *testing.T) {
+	reg, err := names.NewRegistry(names.SplitSpans(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTransport(reg, 0, 2)
+	l := newLink(tr, 1, "", "")
+	tr.links[1] = l
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200_000; i++ {
+			seq := l.win.next.Load()
+			l.win.next.Store(seq + 1)
+			l.acked.Store(seq)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if u := tr.LinkStates()[0].Unacked; u > 1 {
+			t.Fatalf("LinkStates reported %d unacknowledged frames, at most 1 ever was", u)
+		}
+	}
+}
+
 // TestWindowFullNoDeadlock gives both endpoints a 4-packet inbox and has
 // each owner send 30 k packets to the other before it polls for any:
 // both outbound queues and both windows fill, both owners end up in
@@ -211,7 +296,7 @@ func TestWindowOneWayStream(t *testing.T) {
 // window is an ack written by a writer that may take no packets.
 func TestWindowFullNoDeadlock(t *testing.T) {
 	const n = 30_000
-	leader, worker := startSeqMesh(t, 4, false)
+	leader, worker := startSeqMesh(t, 4, false, nil)
 	var wg sync.WaitGroup
 	for _, s := range []*seqSide{leader, worker} {
 		wg.Add(1)
@@ -279,7 +364,7 @@ func newLonePeer(t *testing.T) *lonePeer {
 	if err := nw.StartTransport(); err != nil {
 		t.Fatal(err)
 	}
-	p.tr.wg.Add(1)
+	p.tr.writers.Add(1)
 	go p.l.writeLoop()
 	stop := make(chan struct{})
 	polled := make(chan struct{})
@@ -542,28 +627,36 @@ func TestAllocLinkWriterSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newLink(newTransport(reg, 0, 2), 1, "", "")
+	if a := writerAllocs(t, newLink(newTransport(reg, 0, 2), 1, "", "")); a != 0 {
+		t.Fatalf("the link writer allocates %v times per frame, want 0", a)
+	}
+}
+
+// writerAllocs drives l's writer path by hand, the peer acknowledging
+// every eighth frame, and returns its allocations per frame once the
+// window and the write buffer have grown to their working size.  Nothing
+// else may be using l's writer half.
+func writerAllocs(t *testing.T, l *link) float64 {
+	t.Helper()
 	bw := bufio.NewWriter(io.Discard)
 	f := amnet.Packet{Handler: hEcho, Dst: 1, U0: 7, Data: make([]float64, 8)}
 	send := func() {
 		w := &l.win
 		w.compact()
 		start := len(w.buf)
+		var err error
 		if w.buf, err = l.encode(w.buf, &f); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.write(bw, start); err != nil {
 			t.Fatal(err)
 		}
-		// The peer acknowledges every eighth frame.
 		if seq := w.next.Load() - 1; seq%8 == 0 {
 			w.trim(seq)
 		}
 	}
 	for i := 0; i < 64; i++ {
-		send() // grow the window and the write buffer to their working size
+		send()
 	}
-	if n := testing.AllocsPerRun(1000, send); n != 0 {
-		t.Fatalf("the link writer allocates %v times per frame, want 0", n)
-	}
+	return testing.AllocsPerRun(1000, send)
 }

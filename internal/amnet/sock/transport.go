@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"sync"
@@ -79,8 +80,9 @@ type Transport struct {
 	stopc    chan struct{}
 	closed   atomic.Bool
 
-	wg    sync.WaitGroup
-	stats transportCounters
+	writers sync.WaitGroup // the links' writeLoops; Close lets them finish first
+	wg      sync.WaitGroup // every other goroutine
+	stats   transportCounters
 }
 
 // transportCounters is the atomic backing for TransportStats.
@@ -96,6 +98,7 @@ type transportCounters struct {
 	replayed     atomic.Uint64
 	ackFrames    atomic.Uint64
 	dupFrames    atomic.Uint64
+	faultCuts    atomic.Uint64
 }
 
 var _ amnet.Transport = (*Transport)(nil)
@@ -359,7 +362,7 @@ func (t *Transport) startLoops() {
 		if l == nil {
 			continue
 		}
-		t.wg.Add(1)
+		t.writers.Add(1)
 		go l.writeLoop()
 		if l.network != "" {
 			t.wg.Add(1)
@@ -498,12 +501,21 @@ func (t *Transport) SetPayloadCodec(c amnet.PayloadCodec) { t.codec = c }
 
 // Start attaches the network and releases the reader goroutines, which
 // were parked so no packet could be injected before the kernel's
-// endpoints and handlers existed.
+// endpoints and handlers existed.  A fault plan on nw becomes each link's
+// per-frame cut chance, seeded by the plan and the (self, peer) pair.
 func (t *Transport) Start(nw *amnet.Network) error {
 	if t.nw != nil {
 		return fmt.Errorf("sock: transport started twice")
 	}
 	t.nw = nw
+	if plan := nw.Faults(); plan != nil && plan.Drop+plan.Dup+plan.Delay > 0 {
+		for _, l := range t.links {
+			if l != nil {
+				l.cut = plan.Drop + plan.Dup + plan.Delay
+				l.dice = rand.New(rand.NewSource(plan.Seed + int64(t.self)*1000003 + int64(l.peer)))
+			}
+		}
+	}
 	close(t.startedc)
 	return nil
 }
@@ -522,6 +534,7 @@ func (t *Transport) TransportStats() amnet.TransportStats {
 		Replayed:     t.stats.replayed.Load(),
 		AckFrames:    t.stats.ackFrames.Load(),
 		DupFrames:    t.stats.dupFrames.Load(),
+		FaultCuts:    t.stats.faultCuts.Load(),
 	}
 }
 
@@ -538,9 +551,13 @@ func (t *Transport) LinkStates() []amnet.LinkState {
 
 func (t *Transport) isClosed() bool { return t.closed.Load() }
 
-// Close tears the mesh down: the listener and every connection close,
-// blocked injects unwind, all goroutines join, and whatever was still
-// queued is discarded (counted in WireDropped).
+// closeGrace bounds Close's wait for a writer whose peer stopped reading.
+const closeGrace = time.Second
+
+// Close tears the mesh down: the listener closes, the writers put the
+// control messages still queued on the wire, then every connection
+// closes, blocked injects unwind, all goroutines join, and queued packets
+// are discarded (counted in WireDropped).
 func (t *Transport) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
@@ -549,28 +566,32 @@ func (t *Transport) Close() error {
 	if t.lis != nil {
 		t.lis.Close()
 	}
-	for _, l := range t.links {
-		if l == nil {
-			continue
+	t.eachLink(func(l *link) {
+		if l.conn != nil {
+			l.conn.SetWriteDeadline(time.Now().Add(closeGrace))
 		}
-		l.mu.Lock()
+	})
+	t.writers.Wait()
+	t.eachLink(func(l *link) {
 		if l.conn != nil {
 			l.conn.Close()
 		}
 		l.up = false
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
+	})
 	t.wg.Wait()
 	return nil
 }
 
-// Bounce force-closes the connection to peer, exercising the redial
-// path: the dialing side re-establishes the link and both writers replay
-// whatever the cut took with it.  Test hook; safe from any goroutine.
-func (t *Transport) Bounce(peer int) {
-	if peer >= 0 && peer < len(t.links) && t.links[peer] != nil {
-		t.links[peer].bounce()
+// eachLink runs fn on every link under its mu, then wakes the link's
+// waiters to look again.
+func (t *Transport) eachLink(fn func(l *link)) {
+	for _, l := range t.links {
+		if l != nil {
+			l.mu.Lock()
+			fn(l)
+			l.cond.Broadcast()
+			l.mu.Unlock()
+		}
 	}
 }
 

@@ -360,7 +360,7 @@ func TestBounceRedialsAndRecovers(t *testing.T) {
 	// arrive once, in both directions.
 	for round := 0; round < 3; round++ {
 		before := worker.TransportStats().Redials
-		leader.Bounce(1)
+		bounce(leader, 1)
 		marker := uint64(1000 + round)
 		if !leader.TrySend(amnet.Packet{Handler: hEcho, Src: llo, Dst: wlo, U0: marker}) ||
 			!worker.TrySend(amnet.Packet{Handler: hEcho, Src: wlo, Dst: llo, U0: marker}) {

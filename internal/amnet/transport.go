@@ -11,8 +11,9 @@ package amnet
 // goroutine, and packets addressed to them are handed to the transport
 // instead of enqueued on the local ring.  The receiving process's
 // transport injects them through Endpoint.Inject, which runs the same
-// capacity reservation and fault filter as local traffic — a packet that
-// crossed a socket is indistinguishable from one that crossed the ring.
+// capacity reservation as local traffic — a packet that crossed a socket
+// is indistinguishable from one that crossed the ring.  A FaultPlan's
+// losses happen in the transport, which reads it from Network.Faults.
 
 // Transport moves packets between the OS processes of a machine that
 // spans more than one.  Implementations are a full mesh: every process
@@ -89,6 +90,7 @@ type TransportStats struct {
 	Replayed     uint64 // frames re-sent after a redial
 	AckFrames    uint64 // standalone ack frames written (no reverse traffic to ride on)
 	DupFrames    uint64 // replayed frames the reader had already delivered, and dropped
+	FaultCuts    uint64 // connections the reader cut on a FaultPlan draw
 }
 
 // LinkState is one process-pair link as a flight record shows it.

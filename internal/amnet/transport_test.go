@@ -122,8 +122,8 @@ func TestRemoteSeamRoutesBySplit(t *testing.T) {
 		return nw
 	}
 	na, nb := mk(wa), mk(wb)
-	if na.Remote() != Transport(wa) || nb.Remote() != Transport(wb) {
-		t.Fatal("Remote() did not return the configured transport")
+	if na.remote != Transport(wa) || nb.remote != Transport(wb) {
+		t.Fatal("the network does not hold the configured transport")
 	}
 	for i := NodeID(0); i < nodes; i++ {
 		if got, want := na.IsRemote(i), i >= split; got != want {

@@ -63,14 +63,17 @@ type Config struct {
 	Seed int64
 
 	// Faults, when non-nil, injects deterministic network faults (drop,
-	// duplication, delay, node pauses — see amnet.FaultPlan) and arms
-	// the kernel's reliable-delivery layer (reliable.go): control
-	// packets are sequenced, deduplicated, acknowledged, and retried
-	// with backoff (retryBase doubling up to retryMax), escalating to
-	// dead letters after retryBudget attempts.  Nil (the default) keeps the fault-free fast path: no
-	// sequencing, no acks, no retry state.  A zero Faults.Seed inherits
-	// Seed.  The plan is normalized in place and may be shared across
-	// machines.
+	// duplication, delay, node pauses — see amnet.FaultPlan) where the
+	// interconnect can lose.  In memory that is the receiving endpoint,
+	// and the plan arms the kernel's reliable-delivery layer
+	// (reliable.go): control packets are sequenced, deduplicated,
+	// acknowledged, and retried with backoff (retryBase doubling up to
+	// retryMax), escalating to dead letters after retryBudget attempts.
+	// With Dist set it is the socket link, which the plan cuts and whose
+	// replay is the only recovery; pause windows stay at the endpoints.
+	// Nil (the default) keeps the fault-free fast path: no sequencing,
+	// no acks, no retry state.  A zero Faults.Seed inherits Seed.  The
+	// plan is normalized in place and may be shared across machines.
 	Faults *amnet.FaultPlan
 
 	// Out receives front-end output (ctx.Printf).  Default os.Stdout.
@@ -157,31 +160,12 @@ const reportEvery = 2 * time.Millisecond
 const stealBackoffBase = 20 * time.Microsecond
 
 // retryBase is the first retransmit timeout of an unacknowledged control
-// packet, under fault injection.  A wire ack pays two socket hops plus
-// both kernels' poll boundaries; the in-memory value sits below that RTT
-// and would retransmit almost every packet.  Worse, a budget of patient-for-230ms
-// can exhaust on a DELIVERED packet whose acks are merely slow, and
-// escalation then retires units the receiver also consumed — the
-// cross-process counters go negative and the run stalls instead of
-// finishing.  Sockets get laxer timers — acks share one connection per
-// process pair with bulk traffic, so their tail latency under load is
-// head-of-line blocking, not loss — for ~5s of patience per packet,
-// safely past any ack tail yet still inside the stall watchdog's horizon.
-func (c *Config) retryBase() time.Duration {
-	if c.Dist != nil {
-		return 20 * time.Millisecond
-	}
-	return 500 * time.Microsecond
-}
-
-// retryMax caps the exponential backoff between retransmits (only with
-// Faults set — a dist machine without them retries nothing).
-func (c *Config) retryMax() time.Duration {
-	if c.Dist != nil {
-		return 250 * time.Millisecond
-	}
-	return 10 * time.Millisecond
-}
+// packet, and retryMax caps the exponential backoff between retransmits
+// (reliable.go: an in-memory machine with Faults set).
+const (
+	retryBase = 500 * time.Microsecond
+	retryMax  = 10 * time.Millisecond
+)
 
 // retryBudget is how many retransmissions a control packet gets before it
 // is abandoned and dead-lettered.

@@ -90,9 +90,9 @@ type distState struct {
 	box       map[uint64]resultWire // worker: results the leader hasn't acked
 	byes      map[int]bool          // leader: shutdown acknowledgments
 	probeSeen time.Time             // worker: last probe arrival
-	lastShut  shutMsg               // leader: what broadcastShutdown sent
 	shutErr   error                 // worker: what the leader reported
 
+	allByes   chan struct{} // leader: closed once every worker said bye
 	shutOnce  sync.Once
 	shutdownc chan struct{} // worker: closed on dcShutdown (DistWait)
 }
@@ -106,6 +106,7 @@ func newDistState(m *Machine, d *DistConfig) *distState {
 		reports:   make(map[int]reportMsg),
 		box:       make(map[uint64]resultWire),
 		byes:      make(map[int]bool),
+		allByes:   make(chan struct{}),
 		shutdownc: make(chan struct{}),
 	}
 }
@@ -235,31 +236,29 @@ func (d *distState) stall(detail string) {
 	if d.m.cfg.FlightPath != "" {
 		d.m.writeFlightFile()
 	}
-	err := fmt.Errorf("%w: %s", ErrStalled, detail)
-	if d.m.relExhausted.Load() {
-		err = fmt.Errorf("%w (control-plane retry budget exhausted; see NodeStats.RetryExhausted)", err)
-	}
 	d.broadcastShutdown(true, detail)
-	d.m.finish(err)
+	d.m.finish(fmt.Errorf("%w: %s", ErrStalled, detail))
 }
 
 // collectWave broadcasts a probe and blocks until every worker has
-// answered for this wave.  The transport delivers control messages
-// exactly once but may refuse one (a long backlog behind a dead peer),
-// so the probe is re-broadcast periodically; workers answer every copy
-// (reports are idempotent snapshots).  A worker that stays silent past
-// the deadline is a stall like any other.
+// answered for this wave.  A probe the transport accepted reaches every
+// worker exactly once, however often a link is cut; one it refused (a
+// backlog behind a dead peer) is sent again on the next tick, and workers
+// answer every copy (reports are idempotent snapshots).  A worker silent
+// for twice the stall timeout is a stall like any other.
 //
-//halvet:allowwallclock probe retransmission and the worker-silence deadline pace on the host clock — lost control frames leave no VT signal
+//halvet:allowwallclock the poll tick and the worker-silence deadline pace on the host clock — a silent worker leaves no VT signal
 func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]reportMsg, bool) {
 	probe := probeMsg{Wave: wave}.encode()
-	d.t.SendControl(-1, dcProbe, probe)
-	resent := time.Now()
+	sent := false
 	var deadline time.Time
 	if st := d.m.cfg.StallTimeout; st > 0 {
-		deadline = time.Now().Add(2*st + 5*time.Second)
+		deadline = time.Now().Add(2 * st)
 	}
 	for {
+		if !sent {
+			sent = d.t.SendControl(-1, dcProbe, probe) == nil
+		}
 		got := make([]reportMsg, 0, d.procs-1)
 		d.mu.Lock()
 		for p := 1; p < d.procs; p++ {
@@ -278,10 +277,6 @@ func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]repo
 			return nil, false
 		case <-time.After(reportEvery / 4):
 		}
-		if time.Since(resent) > 250*time.Millisecond {
-			d.t.SendControl(-1, dcProbe, probe)
-			resent = time.Now()
-		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			d.stall(fmt.Sprintf("a worker process stopped answering termination probes (wave %d)", wave))
 			return nil, false
@@ -292,14 +287,8 @@ func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]repo
 // applyResult installs a worker's boxed result on the leader.
 func (d *distState) applyResult(rw resultWire) {
 	prog := d.m.progByID(rw.Prog)
-	if prog == nil {
-		return
-	}
-	if prog.isDone() {
-		// Already terminated: the earlier dcDone was lost; re-ack so the
-		// worker stops carrying the box.
-		d.t.SendControl(-1, dcDone, doneMsg{Prog: rw.Prog}.encode())
-		return
+	if prog == nil || prog.isDone() {
+		return // a late copy: the dcDone that empties the box is on its way
 	}
 	v, err := decodeValue(rw.V)
 	if err != nil {
@@ -313,36 +302,22 @@ func (d *distState) applyResult(rw resultWire) {
 	}
 }
 
-// broadcastShutdown tells every worker the machine is going down.  The
-// message is remembered so awaitByes can re-broadcast it.
-func (d *distState) broadcastShutdown(stalled bool, msg string) {
-	sm := shutMsg{Stalled: stalled, Msg: msg}
-	d.mu.Lock()
-	d.lastShut = sm
-	d.mu.Unlock()
-	d.t.SendControl(-1, dcShutdown, sm.encode())
+// broadcastShutdown tells every worker the machine is going down.  An
+// accepted broadcast reaches every live worker exactly once; an error
+// means some link did not take it.
+func (d *distState) broadcastShutdown(stalled bool, msg string) error {
+	return d.t.SendControl(-1, dcShutdown, shutMsg{Stalled: stalled, Msg: msg}.encode())
 }
 
-// awaitByes blocks (bounded) until every worker acknowledged the
-// shutdown, re-broadcasting it for workers that were not listening yet.
-// Workers that already died simply time the wait out; a transport that
-// no longer takes the message ends it at once.
+// awaitByes blocks until every worker acknowledged the shutdown, so the
+// leader does not close its connections under an unread shutdown.  Only a
+// worker that already died leaves the bound to end the wait.
 //
 //halvet:allowwallclock the shutdown handshake is host-side teardown, after the simulation stopped
 func (d *distState) awaitByes() {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d.mu.Lock()
-		n := len(d.byes)
-		sm := d.lastShut
-		d.mu.Unlock()
-		if n >= d.procs-1 || time.Now().After(deadline) {
-			return
-		}
-		if d.t.SendControl(-1, dcShutdown, sm.encode()) != nil {
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
+	select {
+	case <-d.allByes:
+	case <-time.After(5 * time.Second):
 	}
 }
 
@@ -365,7 +340,11 @@ func (d *distState) workerLoop(stop, done <-chan struct{}) {
 	d.mu.Lock()
 	d.probeSeen = time.Now()
 	d.mu.Unlock()
-	silence := 2*st + 5*time.Second
+	// A live leader can stay silent toward this worker while it waits out
+	// another worker, for up to its own 2*st deadline (collectWave), after
+	// which it shuts the machine down; the watchdog waits longer, so a
+	// dead peer is the leader's diagnosis, not a false "leader died" here.
+	silence := 3 * st
 	tick := time.NewTicker(st)
 	defer tick.Stop()
 	for {
@@ -389,8 +368,8 @@ func (d *distState) workerLoop(stop, done <-chan struct{}) {
 }
 
 // boxResult records a worker-side ctx.Exit value for the leader.  The box
-// rides every probe reply until a dcDone acknowledges it, so no single
-// lost frame can strand a result.
+// rides every probe reply until a dcDone acknowledges it, so a reply the
+// transport refused cannot strand a result.
 func (d *distState) boxResult(prog *Program, v any, force bool) {
 	b, err := encodeValue(v)
 	if err != nil {
@@ -433,9 +412,7 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 			return
 		}
 		d.mu.Lock()
-		if cur, ok := d.reports[peer]; !ok || rm.Wave >= cur.Wave {
-			d.reports[peer] = rm
-		}
+		d.reports[peer] = rm // the link is FIFO: the newest wave arrives last
 		d.mu.Unlock()
 	case dcDone:
 		dm, err := decodeDone(body)
@@ -451,6 +428,10 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		if err != nil {
 			return
 		}
+		// Acknowledge every copy, and before DistWait can return: the
+		// worker closes its transport right after, and Close writes the
+		// control messages queued by then.
+		d.t.SendControl(peer, dcBye, nil)
 		d.shutOnce.Do(func() {
 			var err error
 			if sm.Stalled {
@@ -463,12 +444,13 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 			d.mu.Unlock()
 			close(d.shutdownc)
 		})
-		// Acknowledge every copy: the leader re-broadcasts until all byes
-		// arrive.
-		d.t.SendControl(peer, dcBye, nil)
 	case dcBye:
 		d.mu.Lock()
-		d.byes[peer] = true
+		if !d.byes[peer] {
+			if d.byes[peer] = true; len(d.byes) == d.procs-1 {
+				close(d.allByes)
+			}
+		}
 		d.mu.Unlock()
 	}
 }

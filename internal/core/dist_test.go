@@ -326,34 +326,19 @@ func TestDistExitNow(t *testing.T) {
 	rig.shutdown(t)
 }
 
-// TestDistChaosBounce runs the spawn-everywhere workload while killing
-// every wire link mid-run.  The kernel's reliable layer is off (no
-// FaultPlan): the socket links alone must replay what each cut took and
-// drop what they replay twice, so the runs converge to the right answer
-// with not one kernel retry, dedup or dead letter.
+// TestDistChaosBounce runs the spawn-everywhere workload on three
+// processes whose FaultPlan keeps cutting every wire link, in both
+// directions, on about one frame in sixteen.  The kernel's reliable layer
+// is off: the socket links alone must replay what each cut took and drop
+// what they replay twice, so the runs converge to the right answer with
+// not one kernel retry, dedup or dead letter.
 func TestDistChaosBounce(t *testing.T) {
 	const nodes = 8
 	rig := startDistRig(t, nodes, 3, func(cfg *Config) {
+		cfg.Faults = &amnet.FaultPlan{Drop: 0.02, Dup: 0.02, Delay: 0.02}
 		cfg.StallTimeout = 30 * time.Second
 	}, registerDistTypes)
 	typ := rig.leader().TypeByName("dist-counter")
-
-	stopChaos := make(chan struct{})
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() {
-		defer chaosWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stopChaos:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			// Bounce a different link each round, on both sides.
-			tr := rig.trans[i%len(rig.trans)]
-			tr.Bounce((i + 1) % len(rig.trans))
-		}
-	}()
 
 	const rounds = 20
 	total := 0
@@ -371,23 +356,19 @@ func TestDistChaosBounce(t *testing.T) {
 			}
 		})
 		if err != nil {
-			close(stopChaos)
-			chaosWG.Wait()
 			t.Fatalf("round %d: %v", r, err)
 		}
 		total += v.(int)
 	}
-	close(stopChaos)
-	chaosWG.Wait()
 	want := rounds * nodes * (nodes - 1) / 2
 	if total != want {
 		t.Fatalf("chaos total = %d, want %d", total, want)
 	}
 	rig.shutdown(t)
-	redials := uint64(0)
+	var cuts, redials uint64
 	for i, m := range rig.machines {
 		if m.relOn {
-			t.Errorf("process %d: the reliable layer is on without a FaultPlan", i)
+			t.Errorf("process %d: the reliable layer is on", i)
 		}
 		st := m.Stats()
 		if tot := st.Total; tot.Retries != 0 || tot.DupsFiltered != 0 || tot.DeadLetters != 0 {
@@ -397,22 +378,28 @@ func TestDistChaosBounce(t *testing.T) {
 		if st.Wire.WireDropped != 0 {
 			t.Errorf("process %d: WireDropped = %d, want 0", i, st.Wire.WireDropped)
 		}
+		cuts += st.Wire.FaultCuts
 		redials += st.Wire.Redials
 	}
-	if redials == 0 {
-		t.Error("the chaos never bounced a link")
+	if cuts == 0 || redials == 0 {
+		t.Errorf("the chaos cut %d links and redialed %d times, want both above 0", cuts, redials)
 	}
 }
 
-// TestDistNoReliableLayerWithoutFaults pins which machines run
-// reliable.go: one with a FaultPlan, spanning processes or not, and no
-// other.
-func TestDistNoReliableLayerWithoutFaults(t *testing.T) {
+// TestReliableLayerOnlyInMemoryWithPlan pins which machines run
+// reliable.go: an in-memory one with a FaultPlan, and no other.  A
+// machine spanning processes leaves its faults to the socket link.
+func TestReliableLayerOnlyInMemoryWithPlan(t *testing.T) {
 	for _, faults := range []*amnet.FaultPlan{nil, {Drop: 0.01}} {
+		cfg := DefaultConfig(4)
+		cfg.Faults = faults
+		if m := testMachine(t, cfg); m.relOn != (faults != nil) {
+			t.Errorf("in memory, Faults=%v: relOn = %v", faults != nil, m.relOn)
+		}
 		rig := startDistRig(t, 4, 2, func(cfg *Config) { cfg.Faults = faults }, registerDistTypes)
 		for i, m := range rig.machines {
-			if m.relOn != (faults != nil) {
-				t.Errorf("Faults=%v, process %d: relOn = %v", faults != nil, i, m.relOn)
+			if m.relOn {
+				t.Errorf("across processes, Faults=%v, process %d: relOn = true", faults != nil, i)
 			}
 		}
 		rig.shutdown(t)
@@ -467,15 +454,14 @@ func TestDistPeerGoneStalls(t *testing.T) {
 	rig.trans[0].Close() // or the leader's Shutdown waits out its bye timeout on a worker that cannot answer
 }
 
-// TestDistFaultPlan layers the deterministic fault injector on top of
-// the socket transport: a packet that crossed the wire passes the same
-// per-packet fault filter at Inject as ring traffic does at receive, so
-// drop/dup/delay plans and connection loss compose, and the reliable
-// layer recovers both.
+// TestDistFaultPlan runs a FaultPlan on a machine spanning processes.
+// Its drops, dups and delays become cuts of the socket links, the links'
+// replay is the only recovery (the kernel retries, dedups and
+// dead-letters nothing), and its pause windows still pause the nodes.
 func TestDistFaultPlan(t *testing.T) {
 	const nodes = 6
 	rig := startDistRig(t, nodes, 2, func(cfg *Config) {
-		cfg.Faults = &amnet.FaultPlan{Drop: 0.03, Dup: 0.03, Delay: 0.05}
+		cfg.Faults = &amnet.FaultPlan{Drop: 0.03, Dup: 0.03, Delay: 0.05, PauseEvery: time.Millisecond}
 		cfg.StallTimeout = 30 * time.Second
 	}, registerDistTypes)
 	typ := rig.leader().TypeByName("dist-counter")
@@ -501,6 +487,25 @@ func TestDistFaultPlan(t *testing.T) {
 		}
 	}
 	rig.shutdown(t)
+	var cuts, pauses uint64
+	for i, m := range rig.machines {
+		if m.relOn {
+			t.Errorf("process %d: the reliable layer is on", i)
+		}
+		st := m.Stats()
+		if tot := st.Total; tot.Retries != 0 || tot.DupsFiltered != 0 || tot.DeadLetters != 0 || tot.Dropped != 0 {
+			t.Errorf("process %d: retries=%d dedup=%d deadletters=%d dropped=%d, want all 0",
+				i, tot.Retries, tot.DupsFiltered, tot.DeadLetters, tot.Dropped)
+		}
+		cuts += st.Wire.FaultCuts
+		pauses += st.Total.Net.Pauses
+	}
+	if cuts == 0 {
+		t.Error("the plan never cut a link")
+	}
+	if pauses == 0 {
+		t.Error("the plan never paused a node")
+	}
 }
 
 // TestDistWorkerLaunchRefused pins the leader-only program-load rule.

@@ -42,10 +42,10 @@ type Machine struct {
 	// for (node.go freeMsg), for whichever node allocates next.
 	msgSpill sync.Pool
 
-	// relOn is set when cfg.Faults is non-nil, and only then: kernel
-	// packets are sequenced and retried (reliable.go).  A machine that
-	// spans processes does not need it for the wire — the socket link
-	// delivers exactly once across redials on its own.
+	// relOn is set on an in-memory machine with cfg.Faults, and only
+	// then: kernel packets are sequenced and retried (reliable.go).  A
+	// machine that spans processes never sets it — its faults cut the
+	// socket link, which replays what a cut took on its own.
 	relOn bool
 	// relExhausted latches when any node abandoned a control packet
 	// after its retry budget; it turns a subsequent stall into a clear
@@ -147,7 +147,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	registerKernelHandlers(m)
 	if cfg.Faults != nil {
-		m.relOn = true
+		m.relOn = cfg.Dist == nil
 		// Program loading models the front end writing the executable
 		// into each PE's memory, not network traffic.
 		nw.MarkLossless(hLoadProgram)

@@ -111,7 +111,7 @@ type node struct {
 	stealSent    time.Time // when the outstanding request left (fault mode)
 
 	// rel is the reliable-channel state (reliable.go); consulted only
-	// when the machine runs with fault injection.
+	// when the machine runs in memory with fault injection.
 	rel relState
 
 	treeBuf  []amnet.NodeID
@@ -242,7 +242,7 @@ func (n *node) idle() {
 	if n.m.relOn {
 		if len(n.rel.pending) > 0 {
 			// Unacknowledged control packets: wake in time to retry.
-			timeout = sooner(timeout, n.m.cfg.retryBase())
+			timeout = sooner(timeout, retryBase)
 		}
 		if n.ep.FaultBacklog() > 0 {
 			// Delayed packets re-inject only on a poll; don't park long.
@@ -252,7 +252,7 @@ func (n *node) idle() {
 	polling := n.m.cfg.LoadBalance && n.m.live.sum() > 0 && n.spawnq.Empty()
 	if polling {
 		//halvet:allowwallclock lost-steal watchdog: an idle PE's VT is frozen, so fault recovery must pace on the host clock
-		if n.stealOut && n.m.relOn && !n.stealSent.IsZero() && time.Since(n.stealSent) > n.m.cfg.retryMax()*8 {
+		if n.stealOut && n.m.relOn && !n.stealSent.IsZero() && time.Since(n.stealSent) > retryMax*8 {
 			// The request or its grant exceeded any plausible recovery
 			// time (lost victim escalation, or a grant dead-lettered on
 			// the victim).  Poll anew; a late grant still lands safely.

@@ -267,8 +267,10 @@ func (m *Machine) Shutdown() {
 	if !m.running.Load() {
 		return
 	}
-	if m.dist != nil && m.dist.leader {
-		m.dist.broadcastShutdown(false, "")
+	leader := m.dist != nil && m.dist.leader
+	var shutErr error
+	if leader {
+		shutErr = m.dist.broadcastShutdown(false, "")
 	}
 	m.finish(nil)
 	if m.dist != nil {
@@ -280,7 +282,7 @@ func (m *Machine) Shutdown() {
 	m.wg.Wait()
 	close(m.monDone)
 	<-m.monExited
-	if m.dist != nil && m.dist.leader {
+	if leader && shutErr == nil {
 		m.dist.awaitByes()
 	}
 	m.running.Store(false)

@@ -1,6 +1,7 @@
 package core
 
-// Self-healing control plane (active only under fault injection).
+// Self-healing control plane (active only under fault injection on an
+// in-memory machine; across processes the socket link recovers).
 //
 // The kernel's protocols — message delivery, FIR repair, cache updates,
 // remote creation and alias binding, migration, stealing, broadcast
@@ -36,15 +37,6 @@ package core
 // in the kernel's two send verbs below, sendCtl (in order and now) and
 // sendCtlStaged (may wait for the next poll boundary); packets carrying
 // several units call sequence themselves and then ep.Send.
-//
-// That holds for a machine spanning several processes too.  The socket
-// link between two processes delivers exactly once and in order by
-// itself (amnet/sock/link.go), as CMAM did for the paper's kernel, so a
-// dist machine without a FaultPlan runs none of this.  With one, the
-// injected drops, dups and delays happen where a packet enters the
-// destination endpoint — above the link, after it was delivered — and
-// this layer recovers them exactly as it does in memory, with the laxer
-// timers Config.retryBase explains.
 
 import (
 	"time"
@@ -203,13 +195,12 @@ func (n *node) sequence(p *amnet.Packet, unit relUnit, extra []relUnit) {
 	r := &n.rel
 	r.nextSeq[p.Dst]++
 	p.Seq = r.nextSeq[p.Dst]
-	base := n.m.cfg.retryBase()
 	//halvet:allowwallclock retransmit timers model host-time recovery, not simulated cost; the sender's VT does not advance while it waits
-	due := time.Now().Add(base)
+	due := time.Now().Add(retryBase)
 	r.pending[relKey{dst: p.Dst, seq: p.Seq}] = &relEntry{
 		pkt:      *p,
 		due:      due,
-		interval: base,
+		interval: retryBase,
 		unit:     unit,
 		extra:    extra,
 	}
@@ -243,7 +234,6 @@ func (n *node) pumpRetries() {
 		return
 	}
 	r.nextDue = time.Time{}
-	maxIv := n.m.cfg.retryMax()
 	for k, e := range r.pending {
 		if now.Before(e.due) {
 			r.noteDue(e.due)
@@ -257,10 +247,7 @@ func (n *node) pumpRetries() {
 		e.tries++
 		n.stats.Retries++
 		n.trace(EvRetry, Nil, k.dst)
-		iv := e.interval * 2
-		if iv > maxIv {
-			iv = maxIv
-		}
+		iv := min(e.interval*2, retryMax)
 		e.interval = iv
 		// +-25% jitter so retransmit storms from many nodes decorrelate.
 		jit := iv / 4

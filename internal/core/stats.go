@@ -155,8 +155,8 @@ func (m MachineStats) String() string {
 		b.WriteString("recover: retries=0 dedup=0 exhausted=0\n")
 	}
 	if wired {
-		fmt.Fprintf(&b, "wire:    sent=%d recvd=%d out=%dB in=%dB dropped=%d redials=%d ctl-sent=%d ctl-recvd=%d replayed=%d ackframes=%d dupframes=%d\n",
-			w.WireSent, w.WireRecvd, w.WireBytesOut, w.WireBytesIn, w.WireDropped, w.Redials,
+		fmt.Fprintf(&b, "wire:    sent=%d recvd=%d out=%dB in=%dB dropped=%d cuts=%d redials=%d ctl-sent=%d ctl-recvd=%d replayed=%d ackframes=%d dupframes=%d\n",
+			w.WireSent, w.WireRecvd, w.WireBytesOut, w.WireBytesIn, w.WireDropped, w.FaultCuts, w.Redials,
 			w.CtlSent, w.CtlRecvd, w.Replayed, w.AckFrames, w.DupFrames)
 	}
 	if t.FIRRepair.N+t.StealWait.N+t.Net.GrantWait.N > 0 {
