@@ -104,16 +104,11 @@ func runDistLeader(network, addr string, workers int, spec distSpec, faulty, sta
 	if stats {
 		fmt.Print(m.Stats()) // wire counters included
 	}
-	switch {
-	case runErr != nil:
-		reportRecoveryOnError(faulty, m.Stats(), wall)
+	reportRecovery(faulty, m.Stats(), wall)
+	if runErr != nil {
 		return runErr
-	case obsErr != nil:
-		return obsErr
-	case faulty:
-		return reportRecovery(m.Stats())
 	}
-	return nil
+	return obsErr
 }
 
 func runDistWorker(network, addr string, stats bool,

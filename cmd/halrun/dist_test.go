@@ -150,9 +150,9 @@ func freeTCPAddr() (string, error) {
 }
 
 // TestDistSmoke3ProcFibFaults runs the fib workload over three processes
-// WITH fault injection: the same chaos-under-faults assertions as the
-// in-memory fault tests (drop/dup/delay survive, result exact), now with
-// the socket transport and reliable.go recovery underneath.
+// WITH fault injection: the plan cuts the socket links, their replay is
+// the only recovery, and the result is still exact with nothing
+// dead-lettered.
 func TestDistSmoke3ProcFibFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fault run is not short")
@@ -160,7 +160,7 @@ func TestDistSmoke3ProcFibFaults(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "hal.sock")
 	leader := spawnHalrun(t, "leader", append([]string{"dist", "-listen", sock,
 		"-workers", "2", "-nodes", "6", "-app", "fib", "-n", "14",
-		"-faults", "drop=0.01,dup=0.01,delay=0.03", "-stats"},
+		"-faults", "cut=0.05", "-stats"},
 		flightArgs(t, "leader")...)...)
 	w1 := spawnHalrun(t, "worker1", append([]string{"dist", "-join", sock}, flightArgs(t, "worker1")...)...)
 	w2 := spawnHalrun(t, "worker2", append([]string{"dist", "-join", sock}, flightArgs(t, "worker2")...)...)
@@ -168,6 +168,9 @@ func TestDistSmoke3ProcFibFaults(t *testing.T) {
 	requireDistOK(t, leader, w1, w2)
 	if !strings.Contains(leader.out.String(), "fib(14) = 377  (verified)") {
 		t.Fatalf("leader did not verify fib(14):\n%s", leader.out.String())
+	}
+	if !strings.Contains(leader.out.String(), "retries=0 dedup=0 deadletters=0") {
+		t.Fatalf("leader's recovery line shows work above the link:\n%s", leader.out.String())
 	}
 }
 

@@ -17,9 +17,8 @@
 // run the leader and -workers workers concurrently (see dist.go).
 //
 // Every subcommand also accepts -faults and -fault-seed to run the
-// workload over a lossy network with the kernel's recovery protocols on
-// (see faults.go); the run then reports a recovery summary and fails if
-// the retry budget was exhausted.  The observability flags -trace-out,
+// workload over links that keep being cut and replayed (see faults.go);
+// the run then reports a recovery summary.  The observability flags -trace-out,
 // -flight-out, and -debug-addr (see observe.go) stream a Chrome trace,
 // arm the stall flight recorder, and serve live statistics over HTTP.
 package main
@@ -102,20 +101,15 @@ func shell(fs *flag.FlagSet, args []string, configure func() (hal.Config, error)
 	summary, st, wall, err := run(cfg)
 	obsErr := finishObs()
 	if err != nil {
-		reportRecoveryOnError(faulty, st, wall)
+		reportRecovery(faulty, st, wall)
 		return err
 	}
 	fmt.Print(summary)
 	if *stats {
 		fmt.Print(st)
 	}
-	if obsErr != nil {
-		return obsErr
-	}
-	if faulty {
-		return reportRecovery(st)
-	}
-	return nil
+	reportRecovery(faulty, st, wall)
+	return obsErr
 }
 
 func runFib(args []string) error {

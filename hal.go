@@ -90,10 +90,10 @@ type (
 	// run several programs concurrently, as the paper's kernels do).
 	Program = core.Program
 	// FaultPlan describes deterministic network fault injection
-	// (Config.Faults).  With a plan set an in-memory machine runs its
-	// reliable control-plane protocols: sequencing, retry with backoff,
-	// and bounded escalation to dead letters; across processes the plan
-	// cuts the socket links, whose replay recovers.
+	// (Config.Faults): the plan cuts links, in memory at the receiving
+	// endpoint and across processes on the socket, and every cut link
+	// replays what it held in order, so the kernel runs the same code
+	// with or without a plan.
 	FaultPlan = amnet.FaultPlan
 	// DistConfig places one process's Machine inside a multi-process
 	// partition (Config.Dist): the Transport carries packets between

@@ -29,7 +29,7 @@
 // per-(src,dst) FIFO (packets within a batch are delivered in append
 // order, and every Send drains the link's staging buffer before it
 // injects), and runs the fault filter once per PACKET on arrival, so a
-// fault plan's drop/dup/delay decisions are identical staged or not.
+// fault plan cuts a link at the same packets staged or not.
 // What may be staged is the caller's decision alone; nothing here looks
 // inside a packet to second-guess it.
 //
@@ -76,11 +76,7 @@ type Packet struct {
 	// VT is the packet's virtual arrival time at the destination, in
 	// microseconds of simulated time (see package core's virtual
 	// clocks).  The network layer carries it untouched.
-	VT float64
-	// Seq is a reliability sequence number stamped by the kernel's
-	// reliable-delivery layer when fault injection is on; 0 means
-	// unsequenced.  Like VT, the network carries it untouched.
-	Seq     uint64
+	VT      float64
 	Payload any
 	Data    []float64
 }
@@ -156,7 +152,6 @@ type Network struct {
 	cfg       Config
 	eps       []*Endpoint
 	handlers  [256]Handler
-	lossless  [256]bool
 	observer  FaultObserver
 	sealed    atomic.Bool
 	batchPool sync.Pool
@@ -581,7 +576,7 @@ const remoteStallPause = 50 * time.Microsecond
 // retries, so a wait cycle across processes resolves exactly like one
 // across full in-memory links (every stalled PE keeps consuming, which
 // frees its peers).  The packet comes by pointer, and is not retained,
-// because one more 104-byte copy here is measurable (3 % of the unloaded
+// because one more 96-byte copy here is measurable (3 % of the unloaded
 // send/poll round: EXPERIMENTS.md, "The send path, collapsed").
 //
 //halvet:allowblock the sanctioned poll-while-stalled discipline: the retry loop drains this endpoint's own ring between TrySend attempts, exactly like stall on a full in-memory link
@@ -781,22 +776,6 @@ func (ep *Endpoint) dispatch(p Packet) {
 	ep.depth--
 }
 
-// drainDelayed re-injects packets the fault plan delayed on an earlier
-// poll, returning how many.  Re-injected packets dispatch directly: they
-// already went through the filter once.
-func (ep *Endpoint) drainDelayed() int {
-	f := ep.faults
-	if f == nil || len(f.delayq) == 0 {
-		return 0
-	}
-	q := f.delayq
-	f.delayq = nil
-	for _, p := range q {
-		ep.dispatch(p)
-	}
-	return len(q)
-}
-
 // PollOne handles at most one pending inbox item (a coalesced batch
 // counts as one item) and reports whether it did.  During a fault-plan
 // pause window it handles nothing.
@@ -809,8 +788,8 @@ func (ep *Endpoint) PollOne() bool {
 
 // PollAll drains and handles every packet currently queued, returning the
 // number handled.  Packets that arrive while draining are handled too.
-// Packets delayed by the fault plan on an earlier poll are re-injected
-// first; during a pause window nothing is handled.  Returning, it flushes
+// Packets the fault plan held behind a cut link on an earlier poll are
+// handled first; during a pause window nothing is handled.  Returning, it flushes
 // the endpoint's staged SendBatched packets — a poll boundary is a point
 // where the PE may go on to block, and coalesced traffic must not be held
 // across that.
@@ -820,7 +799,7 @@ func (ep *Endpoint) PollAll() int {
 		if f.pausedNow(ep) {
 			return 0
 		}
-		n += ep.drainDelayed()
+		n += ep.drainHeld()
 	}
 	for {
 		q, ok := ep.ring.pop()
@@ -940,11 +919,9 @@ type Stats struct {
 	WaitParks   uint64 // waits that really parked the goroutine
 
 	// Fault injection (zero unless Config.Faults is set).
-	Dropped     uint64 // packets discarded by the fault plan
-	Duplicated  uint64 // packets delivered twice by the fault plan
-	Delayed     uint64 // packets parked for out-of-order re-injection
-	Pauses      uint64 // pause windows entered
-	BulkRetries uint64 // bulk requests re-sent after a grant timeout
+	Cuts   uint64 // links the fault plan cut at this endpoint
+	Held   uint64 // packets held behind a cut link until the next poll
+	Pauses uint64 // pause windows entered
 
 	// Distribution metrics (internal/hist; owned by the endpoint's
 	// goroutine like every other field).
@@ -968,11 +945,9 @@ func (s *Stats) Add(other Stats) {
 	s.BulkQueued += other.BulkQueued
 	s.WaitYields += other.WaitYields
 	s.WaitParks += other.WaitParks
-	s.Dropped += other.Dropped
-	s.Duplicated += other.Duplicated
-	s.Delayed += other.Delayed
+	s.Cuts += other.Cuts
+	s.Held += other.Held
 	s.Pauses += other.Pauses
-	s.BulkRetries += other.BulkRetries
 	s.FlushOcc.Merge(&other.FlushOcc)
 	s.GrantWait.Merge(&other.GrantWait)
 }

@@ -1,6 +1,7 @@
 package amnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -189,36 +190,36 @@ func TestRecvBlockFlushesStaged(t *testing.T) {
 }
 
 // TestRecvBlockDrainsDelayed is the regression test for the stranded-
-// delayq bug: a packet the fault plan delayed during an earlier poll must
-// be re-injected when the node blocks idle, not stranded until the next
+// hold bug: a packet held behind a link cut during an earlier poll must
+// be dispatched when the node blocks idle, not stranded until the next
 // PollAll that may never come.
 func TestRecvBlockDrainsDelayed(t *testing.T) {
 	delivered := 0
-	nw := newTestNet(t, Config{Nodes: 2, Faults: &FaultPlan{Delay: 1}}, map[HandlerID]Handler{
+	nw := newTestNet(t, Config{Nodes: 2, Faults: &FaultPlan{Cut: 1}}, map[HandlerID]Handler{
 		hCount: func(*Endpoint, Packet) { delivered++ },
 	})
 	src, dst := nw.Endpoint(0), nw.Endpoint(1)
 	src.Send(Packet{Handler: hCount, Dst: 1})
-	// The first consume parks the packet in the delay queue.
+	// The first consume cuts the link and holds the packet.
 	if !dst.PollOne() {
 		t.Fatal("PollOne found no inbox item")
 	}
 	if delivered != 0 {
-		t.Fatal("packet dispatched despite Delay=1")
+		t.Fatal("packet dispatched despite Cut=1")
 	}
-	if dst.FaultBacklog() != 1 {
-		t.Fatalf("FaultBacklog() = %d, want 1", dst.FaultBacklog())
+	if heldCount(dst) != 1 {
+		t.Fatalf("held = %d, want 1", heldCount(dst))
 	}
-	// Blocking idle must re-inject the delayed packet instead of sleeping
+	// Blocking idle must dispatch the held packet instead of sleeping
 	// on an empty inbox with work stranded.
 	if !dst.RecvBlock(nil, 50*time.Millisecond) {
-		t.Fatal("RecvBlock returned false with a delayed packet pending")
+		t.Fatal("RecvBlock returned false with a held packet pending")
 	}
 	if delivered != 1 {
 		t.Fatalf("delivered = %d after RecvBlock, want 1", delivered)
 	}
-	if dst.FaultBacklog() != 0 {
-		t.Fatalf("FaultBacklog() = %d after drain, want 0", dst.FaultBacklog())
+	if heldCount(dst) != 0 {
+		t.Fatalf("held = %d after drain, want 0", heldCount(dst))
 	}
 }
 
@@ -310,14 +311,15 @@ func TestTrySendCountsTryStalls(t *testing.T) {
 	}
 }
 
-// TestBatchFaultDrawsPerPacket checks that the fault filter runs once per
-// packet of a batch: with a given seed, the set of packets dropped must be
-// identical whether the packets traveled individually or coalesced.
+// TestBatchFaultDrawsPerPacket checks a coalesced batch is not one
+// fault draw: each packet arriving on an open link draws, so batched and
+// unbatched streams cut the link at the same packets and deliver the same
+// order.
 func TestBatchFaultDrawsPerPacket(t *testing.T) {
-	run := func(batched bool) []uint64 {
-		var got []uint64
-		nw := newTestNet(t, Config{Nodes: 2, Faults: &FaultPlan{Drop: 0.5, Seed: 42}},
+	run := func(batched bool) (got, cuts []uint64) {
+		nw := newTestNet(t, Config{Nodes: 2, Faults: &FaultPlan{Cut: 0.3, Seed: 42}},
 			map[HandlerID]Handler{hCount: func(_ *Endpoint, p Packet) { got = append(got, p.U0) }})
+		nw.SetFaultObserver(func(_ NodeID, _ FaultKind, p Packet) { cuts = append(cuts, p.U0) })
 		src, dst := nw.Endpoint(0), nw.Endpoint(1)
 		for i := uint64(0); i < 64; i++ {
 			if batched {
@@ -325,23 +327,25 @@ func TestBatchFaultDrawsPerPacket(t *testing.T) {
 			} else {
 				src.Send(Packet{Handler: hCount, Dst: 1, U0: i})
 			}
+			if i%8 == 7 { // a round per poll, so a cut link reopens
+				src.flushOut()
+				dst.PollAll()
+			}
 		}
-		src.flushOut()
-		for dst.Pending() > 0 {
+		for heldCount(dst) > 0 {
 			dst.PollAll()
 		}
-		return got
+		return got, cuts
 	}
-	plain, batched := run(false), run(true)
-	if len(plain) == 0 || len(plain) == 64 {
-		t.Fatalf("degenerate drop pattern: %d of 64 delivered", len(plain))
+	plain, plainCuts := run(false)
+	batched, batchedCuts := run(true)
+	if len(plainCuts) < 2 || len(plain) != 64 {
+		t.Fatalf("degenerate cut pattern: %d cuts, %d of 64 delivered", len(plainCuts), len(plain))
 	}
-	if len(plain) != len(batched) {
-		t.Fatalf("drop decisions differ: %d plain vs %d batched", len(plain), len(batched))
+	if !slices.Equal(plainCuts, batchedCuts) {
+		t.Fatalf("cut decisions differ: plain %v vs batched %v", plainCuts, batchedCuts)
 	}
-	for i := range plain {
-		if plain[i] != batched[i] {
-			t.Fatalf("survivor %d differs: plain %d vs batched %d", i, plain[i], batched[i])
-		}
+	if !slices.Equal(plain, batched) {
+		t.Fatalf("delivery differs: plain %v vs batched %v", plain, batched)
 	}
 }

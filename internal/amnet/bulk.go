@@ -77,15 +77,12 @@ type outXfer struct {
 	off   int
 	fin   Packet
 	ready bool      // granted; segments may flow
-	reqAt time.Time // when the request was (re)sent, for fault recovery
+	reqAt time.Time // when the request was sent, for GrantWait
 }
 
 type inXfer struct {
 	buf     []float64
-	got     int
-	want    int
-	granted bool      // holds the FlowOneActive grant
-	grantAt time.Time // when the grant was issued, for fault recovery
+	granted bool // holds the FlowOneActive grant
 }
 
 type xferKey struct {
@@ -143,37 +140,16 @@ func (ep *Endpoint) BulkSend(dst NodeID, data []float64, fin Packet) {
 		return
 	}
 
-	// reqAt doubles as the fault-recovery re-request clock and the start
-	// of the grant-wait latency measurement.
-	//halvet:allowwallclock reqAt seeds the GrantWait host-latency histogram and the fault-recovery re-request timer, both host-time by design
+	//halvet:allowwallclock reqAt seeds the GrantWait host-latency histogram, host-time by design
 	x := &outXfer{id: id, dst: dst, data: data, fin: fin, reqAt: time.Now()}
 	b.out = append(b.out, x)
 	ep.Send(Packet{Handler: HBulkReq, Dst: dst, U0: id, U1: uint64(len(data))})
 }
 
 func registerBulkHandlers(nw *Network) {
-	// Data segments and the finishing message model a DMA channel with
-	// link-level reliability: the request/grant handshake is recoverable
-	// (re-request below), the data phase is not, so it is exempt from
-	// fault injection.
-	nw.lossless[HBulkSeg] = true
-	nw.lossless[HBulkFin] = true
 	nw.Register(HBulkReq, func(ep *Endpoint, p Packet) {
 		b := &ep.bulk
-		k := xferKey{src: p.Src, id: p.U0}
-		if b.in[k] != nil {
-			// Duplicate request (fault dup, or a re-request racing the
-			// grant): the transfer is already set up, so just re-send
-			// the grant in case the first one was lost.
-			ep.Send(Packet{Handler: HBulkAck, Dst: p.Src, U0: p.U0})
-			return
-		}
 		if nw.cfg.Flow == FlowOneActive && b.granted > 0 {
-			for _, q := range b.grantQ {
-				if q.Src == p.Src && q.U0 == p.U0 {
-					return // duplicate of a queued request
-				}
-			}
 			ep.stats.BulkQueued++
 			b.grantQ = append(b.grantQ, p)
 			return
@@ -185,9 +161,6 @@ func registerBulkHandlers(nw *Network) {
 		for _, x := range b.out {
 			if x.id == p.U0 && x.dst == p.Src {
 				if !x.ready {
-					// Wait measured from the most recent (re-)request, so a
-					// fault-recovery retry does not inflate the figure with
-					// the lost request's timeout.
 					//halvet:allowwallclock GrantWait is a host-microsecond latency histogram (observability plane, not simulation state)
 					ep.stats.GrantWait.Observe(float64(time.Since(x.reqAt)) / 1e3)
 				}
@@ -203,11 +176,10 @@ func registerBulkHandlers(nw *Network) {
 		x := b.in[k]
 		if x == nil {
 			// Inline (ungranted) transfer: allocate on first segment.
-			x = &inXfer{want: int(p.U2), buf: make([]float64, int(p.U2))}
+			x = &inXfer{buf: make([]float64, int(p.U2))}
 			b.in[k] = x
 		}
 		copy(x.buf[p.U1:], p.Data)
-		x.got += len(p.Data)
 		ep.stats.BulkWords += uint64(len(p.Data))
 	})
 	nw.Register(HBulkFin, func(ep *Endpoint, p Packet) {
@@ -241,16 +213,12 @@ func (ep *Endpoint) grant(req Packet) {
 	k := xferKey{src: req.Src, id: req.U0}
 	x := b.in[k]
 	if x == nil {
-		x = &inXfer{want: int(req.U1), buf: make([]float64, int(req.U1))}
+		x = &inXfer{buf: make([]float64, int(req.U1))}
 		b.in[k] = x
 	}
 	if ep.net.cfg.Flow == FlowOneActive && !x.granted {
 		b.granted++
 		x.granted = true
-		if ep.faults != nil {
-			//halvet:allowwallclock grantAt feeds the stale-grant reaper, which recovers from injected faults on the host clock
-			x.grantAt = time.Now()
-		}
 	}
 	ep.Send(Packet{Handler: HBulkAck, Dst: req.Src, U0: req.U0})
 }
@@ -259,21 +227,10 @@ func (ep *Endpoint) grant(req Packet) {
 // PE never stalls on bulk data.  Called from PollAll and from the ack
 // handler.  Transfers complete in FIFO order per sender.
 func (b *bulkState) pump(ep *Endpoint) {
-	if ep.faults != nil && b.granted > 0 {
-		b.reapStaleGrants(ep)
-	}
 	seg := ep.net.cfg.SegWords
 	for len(b.out) > 0 {
 		x := b.out[0]
 		if !x.ready {
-			// Under fault injection the request or its grant may have
-			// been lost; re-request after a timeout.  The receiver
-			// dedups, so a merely-slow grant is harmless.
-			if ep.faults != nil && time.Since(x.reqAt) > bulkRetry { //halvet:allowwallclock fault-recovery re-request timer paces on the host clock; a lost grant makes no VT progress to wait on
-				x.reqAt = time.Now()
-				ep.stats.BulkRetries++
-				ep.Send(Packet{Handler: HBulkReq, Dst: x.dst, U0: x.id, U1: uint64(len(x.data))})
-			}
 			return // head-of-line transfer not yet granted
 		}
 		for x.off < len(x.data) {
@@ -288,29 +245,6 @@ func (b *bulkState) pump(ep *Endpoint) {
 			return // retry the fin on the next pump
 		}
 		b.out = b.out[1:]
-	}
-}
-
-// reapStaleGrants revokes FlowOneActive grants whose transfer has moved no
-// data within 4×bulkRetry.  Under fault injection a lost request can
-// scramble grant order: the receiver grants a LATER transfer from a sender
-// that pumps strictly FIFO and is head-of-line blocked on an EARLIER one,
-// wedging the one-active slot.  Revoking is always safe before the first
-// segment: if the sender does push the transfer later, the segment handler
-// rebuilds it ungranted and the payload still arrives intact.
-func (b *bulkState) reapStaleGrants(ep *Endpoint) {
-	for k, x := range b.in {
-		//halvet:allowwallclock stale-grant reaping recovers from injected faults, which exist only in host time
-		if !x.granted || x.got > 0 || time.Since(x.grantAt) <= 4*bulkRetry {
-			continue
-		}
-		delete(b.in, k)
-		b.granted--
-		if len(b.grantQ) > 0 {
-			req := b.grantQ[0]
-			b.grantQ = b.grantQ[1:]
-			ep.grant(req)
-		}
 	}
 }
 

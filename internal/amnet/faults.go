@@ -3,36 +3,33 @@ package amnet
 // Deterministic fault injection for the simulated interconnect.
 //
 // The CM-5 data network that CMAM runs on is reliable and FIFO, and the
-// rest of this package reproduces that faithfully.  A production
-// deployment of the same kernel does not get that luxury, so a Network
-// can optionally be built with a FaultPlan that perturbs delivery:
-// packets may be dropped, duplicated, or delayed past other traffic, and
-// individual nodes may stop polling entirely for short pause windows
-// (modelling GC pauses, scheduler preemption, or a slow NIC).
+// rest of this package reproduces that faithfully.  A Network can
+// optionally be built with a FaultPlan that perturbs delivery the way a
+// real link does when it fails and recovers: a link from one node to
+// another is CUT, holds everything that arrives on it, and then replays
+// it in order, while other links overtake it.  Individual nodes may also
+// stop polling for short pause windows (modelling GC pauses, scheduler
+// preemption, or a slow NIC).
 //
 // Faults are injected at the RECEIVER, between the inbox and the handler
 // dispatch.  That keeps every piece of fault state confined to the
 // endpoint's owning goroutine — no locks, no atomics — and makes the
 // injection deterministic: each (src, dst) link draws from its own PRNG
-// seeded from FaultPlan.Seed, so a given plan produces the identical
-// fault sequence on every run regardless of goroutine scheduling.
-// (Wall-clock-dependent behaviour — pause windows and retry timing in
-// the layers above — still varies run to run; the drop/dup/delay
-// decision for the Nth packet on a link does not.)
+// seeded from FaultPlan.Seed, one draw per packet that arrives on the
+// open link, so a given plan and the same polls cut at the same packets.
+// (Where a node polls, and pause windows, are host-time and vary run to
+// run.)
 //
-// Delayed packets park in a per-endpoint queue and are re-injected at
-// the head of the receiver's next PollAll, after any packets that
-// overtook them — an out-of-order delivery, not just added latency.
+// A cut link's packets wait in a per-source hold queue in arrival order.
+// The next PollAll (or Wait) dispatches them first and reopens the link.
+// So a cut loses nothing, duplicates nothing and keeps per-link FIFO,
+// exactly as a socket link's redial and replay does (amnet/sock), and
+// the layers above need no recovery of their own; what it perturbs is
+// the order ACROSS links, and the time a link's packets take.
 //
-// A network with a Remote transport draws no drop, dup or delay here: its
-// losses are cuts of the socket link (amnet/sock), which the link's replay
-// recovers.  Pause windows stay at the endpoints; they lose nothing.
-//
-// Handlers registered as lossless (see Network.MarkLossless, and the
-// bulk data segments below) bypass injection entirely: the bulk
-// three-phase protocol recovers lost requests and grants by re-request,
-// but the data segments themselves model a DMA channel with its own
-// link-level reliability, and the layers above treat them as such.
+// A network with a Remote transport draws no cuts here: its cuts are of
+// the socket link itself, which the link's replay recovers.  Pause
+// windows stay at the endpoints; they lose nothing.
 import (
 	"fmt"
 	"math/rand"
@@ -43,12 +40,9 @@ import (
 type FaultKind uint8
 
 const (
-	// FaultDrop: the packet was discarded before dispatch.
-	FaultDrop FaultKind = iota + 1
-	// FaultDup: the packet was dispatched twice back to back.
-	FaultDup
-	// FaultDelay: the packet was parked and re-injected on a later poll.
-	FaultDelay
+	// FaultCut: the packet cut its link; it and the link's later packets
+	// are held until the receiver's next poll.
+	FaultCut FaultKind = iota + 1
 	// FaultPause: the endpoint entered a pause window (Packet is zero).
 	FaultPause
 )
@@ -56,12 +50,8 @@ const (
 // String returns the kind's name.
 func (k FaultKind) String() string {
 	switch k {
-	case FaultDrop:
-		return "drop"
-	case FaultDup:
-		return "dup"
-	case FaultDelay:
-		return "delay"
+	case FaultCut:
+		return "cut"
 	case FaultPause:
 		return "pause"
 	default:
@@ -71,18 +61,13 @@ func (k FaultKind) String() string {
 
 // FaultPlan describes the faults to inject.  A nil plan (the default)
 // means a perfect network and costs one pointer test per packet.
-// Probabilities are per packet and must satisfy
-// Drop + Dup + Delay <= 1; the remainder is delivered normally.  On a
-// socket link the three sum to one per-frame chance that the receiver
-// cuts the connection, which the link's replay then recovers.
 type FaultPlan struct {
-	// Drop is the probability a packet is discarded.
-	Drop float64
-	// Dup is the probability a packet is delivered twice.
-	Dup float64
-	// Delay is the probability a packet is parked until the receiver's
-	// next poll, letting later traffic on the link overtake it.
-	Delay float64
+	// Cut is the chance, per packet arriving on an open link, that the
+	// packet cuts its link: in memory the link holds its packets until
+	// the receiver's next poll, on a socket the connection drops and the
+	// link replays.  Either way nothing is lost or reordered within the
+	// link.
+	Cut float64
 
 	// PauseEvery, when positive, schedules recurring pause windows on
 	// the nodes in PauseNodes (all nodes when PauseNodes is empty): the
@@ -101,16 +86,9 @@ type FaultPlan struct {
 	Seed int64
 }
 
-// bulkRetry is how long a bulk sender waits for a grant before
-// re-requesting the transfer (recovering a lost HBulkReq or HBulkAck).
-const bulkRetry = 500 * time.Microsecond
-
 func (p *FaultPlan) applyDefaults() error {
-	if p.Drop < 0 || p.Dup < 0 || p.Delay < 0 {
-		return fmt.Errorf("amnet: negative fault probability (drop=%g dup=%g delay=%g)", p.Drop, p.Dup, p.Delay)
-	}
-	if sum := p.Drop + p.Dup + p.Delay; sum > 1 {
-		return fmt.Errorf("amnet: fault probabilities sum to %g > 1", sum)
+	if p.Cut < 0 || p.Cut > 1 {
+		return fmt.Errorf("amnet: cut probability %g outside [0, 1]", p.Cut)
 	}
 	if p.PauseEvery < 0 || p.PauseDur < 0 {
 		return fmt.Errorf("amnet: negative pause duration")
@@ -138,16 +116,6 @@ func (nw *Network) SetFaultObserver(ob FaultObserver) {
 	nw.observer = ob
 }
 
-// MarkLossless exempts handler id from fault injection.  Must be called
-// before traffic starts.  The bulk data handlers are lossless by
-// construction; the runtime kernel additionally exempts program loading.
-func (nw *Network) MarkLossless(id HandlerID) {
-	if nw.sealed.Load() {
-		panic("amnet: MarkLossless after network traffic started")
-	}
-	nw.lossless[id] = true
-}
-
 // linkSeed derives the PRNG seed for the src->dst link (splitmix64).
 func linkSeed(seed int64, src, dst NodeID) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(src)*1000003+uint64(dst)+1)
@@ -163,11 +131,14 @@ func linkSeed(seed int64, src, dst NodeID) int64 {
 // owned by the endpoint's goroutine.
 type epFaults struct {
 	plan *FaultPlan
-	// rngs[src] drives the drop/dup/delay decision for packets arriving
-	// from src, one uniform draw per packet.
+	// rngs[src] draws the cut decision for packets arriving on the open
+	// link from src, one uniform draw per packet.
 	rngs []*rand.Rand
-	// delayq holds delayed packets until the next PollAll.
-	delayq []Packet
+	// held[src] is the cut link from src's packets in arrival order,
+	// empty while the link is open; cut lists the sources whose links
+	// are cut, in the order they were cut.
+	held [][]Packet
+	cut  []NodeID
 
 	// Pause scheduling (only when this node is in the plan's pause set).
 	pauses     bool
@@ -177,7 +148,7 @@ type epFaults struct {
 }
 
 func newEPFaults(plan *FaultPlan, nodes int, id NodeID) *epFaults {
-	f := &epFaults{plan: plan}
+	f := &epFaults{plan: plan, held: make([][]Packet, nodes)}
 	f.rngs = make([]*rand.Rand, nodes)
 	for src := range f.rngs {
 		f.rngs[src] = rand.New(rand.NewSource(linkSeed(plan.Seed, NodeID(src), id)))
@@ -240,59 +211,67 @@ func (f *epFaults) pauseRemaining(ep *Endpoint) time.Duration {
 	return time.Until(f.pauseUntil)
 }
 
-// receive runs the fault filter on p and dispatches it zero, one, or two
-// times accordingly.  Every inbound packet funnels through here.
+// receive runs the fault filter on p: it dispatches p, or holds it
+// behind its cut link.  Every inbound packet funnels through here.
 func (ep *Endpoint) receive(p Packet) {
 	f := ep.faults
-	if f == nil || ep.net.remote != nil || ep.net.lossless[p.Handler] {
+	if f == nil || ep.net.remote != nil {
 		ep.dispatch(p)
 		return
 	}
-	plan := f.plan
-	r := f.rngs[p.Src].Float64()
-	switch {
-	case r < plan.Drop:
-		ep.stats.Dropped++
-		ep.observe(FaultDrop, p)
-	case r < plan.Drop+plan.Dup:
-		ep.stats.Duplicated++
-		ep.observe(FaultDup, p)
-		ep.dispatch(p)
-		ep.dispatch(p)
-	case r < plan.Drop+plan.Dup+plan.Delay:
-		ep.stats.Delayed++
-		ep.observe(FaultDelay, p)
-		f.delayq = append(f.delayq, p)
-	default:
-		ep.dispatch(p)
+	if q := f.held[p.Src]; len(q) > 0 {
+		f.held[p.Src] = append(q, p)
+		ep.stats.Held++
+		return
 	}
-}
-
-func (ep *Endpoint) observe(k FaultKind, p Packet) {
+	if f.rngs[p.Src].Float64() >= f.plan.Cut {
+		ep.dispatch(p)
+		return
+	}
+	ep.stats.Cuts++
+	ep.stats.Held++
+	f.held[p.Src] = append(f.held[p.Src], p)
+	f.cut = append(f.cut, p.Src)
 	if ob := ep.net.observer; ob != nil {
-		ob(ep.id, k, p)
+		ob(ep.id, FaultCut, p)
 	}
 }
 
-// FaultBacklog reports the number of delayed packets awaiting
-// re-injection.  Zero when fault injection is off.  Used by the node
-// idle loop so parked nodes still flush their delay queues.
-func (ep *Endpoint) FaultBacklog() int {
-	if ep.faults == nil {
+// drainHeld dispatches the packets of every link cut before this call,
+// in order, and reopens those links, returning how many it dispatched.  A
+// link stays cut until its queue is empty, so a packet from it that a
+// handler's stalled send consumes meanwhile queues behind the rest.
+func (ep *Endpoint) drainHeld() int {
+	f := ep.faults
+	if f == nil || len(f.cut) == 0 {
 		return 0
 	}
-	return len(ep.faults.delayq)
+	n, k := 0, len(f.cut)
+	for _, src := range f.cut[:k] {
+		for i := 0; i < len(f.held[src]); i++ {
+			ep.dispatch(f.held[src][i])
+			n++
+		}
+		clear(f.held[src])
+		f.held[src] = f.held[src][:0]
+	}
+	f.cut = append(f.cut[:0], f.cut[k:]...)
+	return n
 }
 
-// FaultReset discards delayed packets and pause schedules, for reuse of
-// the network across machine runs.  Must be called from the owning
-// goroutine with no traffic in flight.
+// FaultReset discards held packets and pause schedules, for reuse of the
+// network across machine runs.  Must be called from the owning goroutine
+// with no traffic in flight.
 func (ep *Endpoint) FaultReset() {
 	f := ep.faults
 	if f == nil {
 		return
 	}
-	f.delayq = nil
+	for _, src := range f.cut {
+		clear(f.held[src])
+		f.held[src] = f.held[src][:0]
+	}
+	f.cut = f.cut[:0]
 	f.nextPause = time.Time{}
 	f.pauseUntil = time.Time{}
 }

@@ -1,16 +1,27 @@
 package amnet
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
 
+// heldCount is the number of packets ep holds behind cut links.
+func heldCount(ep *Endpoint) int {
+	n := 0
+	if f := ep.faults; f != nil {
+		for _, src := range f.cut {
+			n += len(f.held[src])
+		}
+	}
+	return n
+}
+
 func TestFaultPlanValidation(t *testing.T) {
 	bad := []FaultPlan{
-		{Drop: -0.1},
-		{Dup: -1},
-		{Delay: -0.5},
-		{Drop: 0.6, Dup: 0.3, Delay: 0.2},
+		{Cut: -0.1},
+		{Cut: 1.5},
 		{PauseEvery: -time.Second},
 		{PauseEvery: time.Second, PauseDur: -time.Second},
 	}
@@ -37,8 +48,7 @@ func TestFaultPlanDefaults(t *testing.T) {
 
 func TestFaultKindString(t *testing.T) {
 	cases := map[FaultKind]string{
-		FaultDrop: "drop", FaultDup: "dup", FaultDelay: "delay",
-		FaultPause: "pause", FaultKind(0): "invalid",
+		FaultCut: "cut", FaultPause: "pause", FaultKind(0): "invalid",
 	}
 	for k, want := range cases {
 		if k.String() != want {
@@ -47,191 +57,186 @@ func TestFaultKindString(t *testing.T) {
 	}
 }
 
-// faultTrafficRun sends count packets 0->1 under plan and returns the
-// delivery order (by U0) and the receiver's stats.
-func faultTrafficRun(t *testing.T, plan FaultPlan, count int) ([]uint64, Stats) {
+// faultTrafficRun sends count packets 0->1 under plan, eight per poll so
+// that a cut link reopens between rounds, and returns the delivery order
+// (by U0), the packets that cut the link, and the receiver's stats.
+func faultTrafficRun(t *testing.T, plan FaultPlan, count int) (seen, cuts []uint64, s Stats) {
 	t.Helper()
-	var seen []uint64
 	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan}, map[HandlerID]Handler{
 		hCount: func(ep *Endpoint, p Packet) { seen = append(seen, p.U0) },
 	})
+	nw.SetFaultObserver(func(_ NodeID, k FaultKind, p Packet) {
+		if k == FaultCut {
+			cuts = append(cuts, p.U0)
+		}
+	})
+	dst := nw.Endpoint(1)
 	for i := 0; i < count; i++ {
 		nw.Endpoint(0).Send(Packet{Handler: hCount, Dst: 1, U0: uint64(i)})
-	}
-	// First poll drains the inbox (parking delayed packets); the second
-	// re-injects the delay queue.
-	nw.Endpoint(1).PollAll()
-	nw.Endpoint(1).PollAll()
-	return seen, nw.Endpoint(1).Stats()
-}
-
-// TestFaultDeterminism checks the same plan and traffic produce the
-// identical fault sequence on every run, and that the seed changes it.
-func TestFaultDeterminism(t *testing.T) {
-	plan := FaultPlan{Drop: 0.1, Dup: 0.1, Delay: 0.1, Seed: 7}
-	a, as := faultTrafficRun(t, plan, 400)
-	b, bs := faultTrafficRun(t, plan, 400)
-	if as.Dropped != bs.Dropped || as.Duplicated != bs.Duplicated || as.Delayed != bs.Delayed {
-		t.Fatalf("same seed, different faults: %+v vs %+v", as, bs)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed, different delivery counts: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed, different delivery order at %d: %d vs %d", i, a[i], b[i])
+		if i%8 == 7 {
+			dst.PollAll()
 		}
 	}
-	if as.Dropped == 0 || as.Duplicated == 0 || as.Delayed == 0 {
-		t.Errorf("400 packets at 10%% each injected nothing: %+v", as)
+	for dst.Pending() > 0 || heldCount(dst) > 0 {
+		dst.PollAll()
+	}
+	return seen, cuts, dst.Stats()
+}
+
+// TestFaultDeterminism checks the same plan and traffic cut the link at
+// the same packets on every run, that the seed changes where, and that
+// every packet is still delivered once and in order.
+func TestFaultDeterminism(t *testing.T) {
+	plan := FaultPlan{Cut: 0.2, Seed: 7}
+	a, acuts, as := faultTrafficRun(t, plan, 400)
+	b, bcuts, bs := faultTrafficRun(t, plan, 400)
+	if as.Cuts != bs.Cuts || as.Held != bs.Held || !slices.Equal(acuts, bcuts) {
+		t.Fatalf("same seed, different cuts: %v vs %v", acuts, bcuts)
+	}
+	if as.Cuts == 0 || uint64(len(acuts)) != as.Cuts {
+		t.Fatalf("400 packets at 20%% cut nothing, or the observer disagrees: cuts=%d observed=%d", as.Cuts, len(acuts))
+	}
+	for _, seen := range [][]uint64{a, b} {
+		if len(seen) != 400 {
+			t.Fatalf("%d of 400 packets delivered", len(seen))
+		}
+		for i, v := range seen {
+			if v != uint64(i) {
+				t.Fatalf("delivery %d is packet %d: a cut reordered its link", i, v)
+			}
+		}
 	}
 	plan.Seed = 8
-	c, cs := faultTrafficRun(t, plan, 400)
-	sameOrder := len(c) == len(a)
-	for i := 0; sameOrder && i < len(a); i++ {
-		sameOrder = c[i] == a[i]
-	}
-	if cs == as && sameOrder {
-		t.Error("different seeds produced an identical fault sequence")
+	if _, ccuts, _ := faultTrafficRun(t, plan, 400); slices.Equal(ccuts, acuts) {
+		t.Error("different seeds cut at the same packets")
 	}
 }
 
-func TestFaultDropAll(t *testing.T) {
-	seen, s := faultTrafficRun(t, FaultPlan{Drop: 1}, 50)
-	if len(seen) != 0 {
-		t.Fatalf("%d packets delivered with Drop=1", len(seen))
-	}
-	if s.Dropped != 50 {
-		t.Errorf("Dropped=%d, want 50", s.Dropped)
-	}
-	if s.Received != 0 {
-		t.Errorf("Received=%d for all-dropped traffic", s.Received)
-	}
-}
-
-func TestFaultDupAll(t *testing.T) {
-	seen, s := faultTrafficRun(t, FaultPlan{Dup: 1}, 50)
-	if len(seen) != 100 {
-		t.Fatalf("%d deliveries with Dup=1, want 100", len(seen))
-	}
-	for i, v := range seen {
-		if v != uint64(i/2) {
-			t.Fatalf("duplicate not back to back at %d: got %d", i, v)
-		}
-	}
-	if s.Duplicated != 50 {
-		t.Errorf("Duplicated=%d, want 50", s.Duplicated)
-	}
-}
-
-// TestFaultDelayReinjection checks a delayed packet is NOT handled by the
-// poll that drained it but IS re-injected — ahead of the inbox — by the
-// next PollAll, i.e. later traffic overtakes it.
+// TestFaultDelayReinjection checks that a cut link's packets are not
+// handled by the poll that held them, that other links overtake them, and
+// that the next PollAll handles them first and in order, reopening the
+// link.
 func TestFaultDelayReinjection(t *testing.T) {
 	var seen []uint64
-	plan := FaultPlan{Delay: 1, Seed: 3}
-	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan}, map[HandlerID]Handler{
+	plan := FaultPlan{Cut: 1, Seed: 3}
+	nw := newTestNet(t, Config{Nodes: 3, Faults: &plan}, map[HandlerID]Handler{
 		hCount: func(ep *Endpoint, p Packet) { seen = append(seen, p.U0) },
 	})
+	// Only the first packet cuts: the observer closes the plan after it.
+	nw.SetFaultObserver(func(NodeID, FaultKind, Packet) { plan.Cut = 0 })
 	ep := nw.Endpoint(1)
 	nw.Endpoint(0).Send(Packet{Handler: hCount, Dst: 1, U0: 1})
-	ep.PollAll()
-	if len(seen) != 0 {
-		t.Fatalf("delayed packet handled on the first poll: %v", seen)
-	}
-	if ep.FaultBacklog() != 1 {
-		t.Fatalf("FaultBacklog=%d, want 1", ep.FaultBacklog())
-	}
-	// A second packet arrives while the first is parked.  The parked one
-	// re-injects first on the next poll; the newcomer gets parked in turn.
 	nw.Endpoint(0).Send(Packet{Handler: hCount, Dst: 1, U0: 2})
+	nw.Endpoint(2).Send(Packet{Handler: hCount, Dst: 1, U0: 3})
 	ep.PollAll()
-	if len(seen) != 1 || seen[0] != 1 {
-		t.Fatalf("second poll delivered %v, want [1]", seen)
+	if !slices.Equal(seen, []uint64{3}) {
+		t.Fatalf("first poll delivered %v, want [3]: link 2->1 overtakes the cut 0->1", seen)
 	}
+	if heldCount(ep) != 2 {
+		t.Fatalf("held=%d, want 2", heldCount(ep))
+	}
+	nw.Endpoint(0).Send(Packet{Handler: hCount, Dst: 1, U0: 4})
 	ep.PollAll()
-	if len(seen) != 2 || seen[1] != 2 {
-		t.Fatalf("third poll delivered %v, want [1 2]", seen)
+	if !slices.Equal(seen, []uint64{3, 1, 2, 4}) {
+		t.Fatalf("second poll delivered %v, want [3 1 2 4]", seen)
 	}
-	if s := ep.Stats(); s.Delayed != 2 {
-		t.Errorf("Delayed=%d, want 2", s.Delayed)
+	if s := ep.Stats(); s.Cuts != 1 || s.Held != 2 || heldCount(ep) != 0 {
+		t.Errorf("Cuts=%d Held=%d backlog=%d, want 1, 2, 0", s.Cuts, s.Held, heldCount(ep))
 	}
 }
 
-// TestFaultResetDiscardsBacklog checks FaultReset clears parked packets
+// TestFaultResetDiscardsBacklog checks FaultReset clears held packets
 // (the machine calls it between runs, after the drain barrier).
 func TestFaultResetDiscardsBacklog(t *testing.T) {
-	plan := FaultPlan{Delay: 1}
+	plan := FaultPlan{Cut: 1}
 	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan}, map[HandlerID]Handler{
-		hCount: func(*Endpoint, Packet) { t.Error("stale delayed packet dispatched") },
+		hCount: func(*Endpoint, Packet) { t.Error("stale held packet dispatched") },
 	})
 	ep := nw.Endpoint(1)
 	nw.Endpoint(0).Send(Packet{Handler: hCount, Dst: 1})
 	ep.PollAll()
-	if ep.FaultBacklog() != 1 {
-		t.Fatalf("FaultBacklog=%d, want 1", ep.FaultBacklog())
+	if heldCount(ep) != 1 {
+		t.Fatalf("held=%d, want 1", heldCount(ep))
 	}
 	ep.FaultReset()
-	if ep.FaultBacklog() != 0 {
-		t.Fatalf("FaultBacklog=%d after reset", ep.FaultBacklog())
+	if heldCount(ep) != 0 {
+		t.Fatalf("held=%d after reset", heldCount(ep))
 	}
 	ep.PollAll()
 }
 
-// TestLosslessBypassesInjection checks MarkLossless exempts a handler from
-// the fault filter entirely.
-func TestLosslessBypassesInjection(t *testing.T) {
-	hits := 0
-	plan := FaultPlan{Drop: 1}
-	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan}, map[HandlerID]Handler{
-		hPing: func(*Endpoint, Packet) { hits++ },
-	})
-	nw.MarkLossless(hPing)
-	for i := 0; i < 50; i++ {
-		nw.Endpoint(0).Send(Packet{Handler: hPing, Dst: 1})
+func TestFaultObserverSeesEachKind(t *testing.T) {
+	_, cuts, s := faultTrafficRun(t, FaultPlan{Cut: 0.2, Seed: 11}, 300)
+	if len(cuts) == 0 || uint64(len(cuts)) != s.Cuts {
+		t.Errorf("observer saw %d cuts, stats count %d", len(cuts), s.Cuts)
 	}
-	nw.Endpoint(1).PollAll()
-	if hits != 50 {
-		t.Fatalf("lossless handler ran %d times under Drop=1, want 50", hits)
-	}
-	if s := nw.Endpoint(1).Stats(); s.Dropped != 0 {
-		t.Errorf("Dropped=%d for lossless-only traffic", s.Dropped)
+	if s.Held < s.Cuts {
+		t.Errorf("Held=%d < Cuts=%d: a cutting packet is held too", s.Held, s.Cuts)
 	}
 }
 
-func TestFaultObserverSeesEachKind(t *testing.T) {
-	kinds := map[FaultKind]int{}
-	plan := FaultPlan{Drop: 0.2, Dup: 0.2, Delay: 0.2, Seed: 11}
-	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan}, map[HandlerID]Handler{
-		hCount: func(*Endpoint, Packet) {},
+// TestCutLinksDeliverExactlyOnceInOrder streams numbered packets from
+// three senders into one paused, heavily cut endpoint and checks what a
+// link that recovers by replay promises: every packet is dispatched once,
+// and each sender's packets in the order it sent them.
+func TestCutLinksDeliverExactlyOnceInOrder(t *testing.T) {
+	const senders, count = 3, 10000
+	plan := FaultPlan{Cut: 0.3, PauseEvery: time.Millisecond, PauseDur: 200 * time.Microsecond,
+		PauseNodes: []NodeID{senders}, Seed: 5}
+	var next [senders]uint64
+	bad, total := 0, 0
+	nw := newTestNet(t, Config{Nodes: senders + 1, InboxCap: 64, Faults: &plan}, map[HandlerID]Handler{
+		hCount: func(_ *Endpoint, p Packet) {
+			total++
+			if p.U0 != next[p.Src] {
+				bad++
+			}
+			next[p.Src] = p.U0 + 1
+		},
 	})
-	nw.SetFaultObserver(func(dst NodeID, k FaultKind, p Packet) {
-		if dst != 1 {
-			t.Errorf("fault observed at node %d, traffic only targets 1", dst)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(ep *Endpoint) {
+			defer wg.Done()
+			for i := uint64(0); i < count; i++ {
+				ep.Send(Packet{Handler: hCount, Dst: senders, U0: i})
+			}
+		}(nw.Endpoint(NodeID(s)))
+	}
+	ep := nw.Endpoint(senders)
+	deadline := time.Now().Add(20 * time.Second)
+	for total < senders*count && time.Now().Before(deadline) {
+		if ep.PollAll() == 0 {
+			ep.RecvBlock(nil, 100*time.Microsecond)
 		}
-		kinds[k]++
-	})
-	for i := 0; i < 300; i++ {
-		nw.Endpoint(0).Send(Packet{Handler: hCount, Dst: 1})
 	}
-	nw.Endpoint(1).PollAll()
-	nw.Endpoint(1).PollAll()
-	if kinds[FaultDrop] == 0 || kinds[FaultDup] == 0 || kinds[FaultDelay] == 0 {
-		t.Errorf("observer missed a kind: %v", kinds)
+	if total < senders*count {
+		t.Fatalf("dispatched %d of %d packets before the deadline", total, senders*count)
 	}
-	s := nw.Endpoint(1).Stats()
-	if uint64(kinds[FaultDrop]) != s.Dropped || uint64(kinds[FaultDup]) != s.Duplicated || uint64(kinds[FaultDelay]) != s.Delayed {
-		t.Errorf("observer counts %v disagree with stats %+v", kinds, s)
+	wg.Wait()
+	for ep.PollAll() > 0 {
+	}
+	if total != senders*count || bad != 0 {
+		t.Fatalf("dispatched %d of %d packets, %d out of order or repeated", total, senders*count, bad)
+	}
+	for s, n := range next {
+		if n != count {
+			t.Errorf("sender %d: last packet %d, want %d", s, n, count)
+		}
+	}
+	if st := ep.Stats(); st.Cuts == 0 || st.Pauses == 0 {
+		t.Errorf("Cuts=%d Pauses=%d: the plan injected nothing", st.Cuts, st.Pauses)
 	}
 }
 
 // TestFaultRemoteKeepsOnlyPauses checks that a network with a Remote
-// transport leaves drops to the transport — its endpoints deliver every
-// packet under Drop=1 — and still opens pause windows.
+// transport leaves cuts to the transport — its endpoints deliver every
+// packet at once under Cut=1 — and still opens pause windows.
 func TestFaultRemoteKeepsOnlyPauses(t *testing.T) {
 	wire, _ := newFakePair(2, 8) // side 0 hosts both nodes
 	hits := 0
-	plan := FaultPlan{Drop: 1, PauseEvery: time.Millisecond, PauseDur: 20 * time.Millisecond}
+	plan := FaultPlan{Cut: 1, PauseEvery: time.Millisecond, PauseDur: 20 * time.Millisecond}
 	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan, Remote: wire}, map[HandlerID]Handler{
 		hPing: func(*Endpoint, Packet) { hits++ },
 	})
@@ -243,10 +248,10 @@ func TestFaultRemoteKeepsOnlyPauses(t *testing.T) {
 		nw.Endpoint(0).Send(Packet{Handler: hPing, Dst: 1})
 	}
 	if ep.PollAll() != 50 || hits != 50 {
-		t.Fatalf("handled %d of 50 packets under Drop=1 with a Remote transport", hits)
+		t.Fatalf("handled %d of 50 packets under Cut=1 with a Remote transport", hits)
 	}
-	if s := ep.Stats(); s.Dropped != 0 {
-		t.Errorf("Dropped=%d at an endpoint of a Remote network", s.Dropped)
+	if s := ep.Stats(); s.Cuts != 0 || s.Held != 0 {
+		t.Errorf("Cuts=%d Held=%d at an endpoint of a Remote network", s.Cuts, s.Held)
 	}
 	time.Sleep(2 * time.Millisecond) // past the first pause's due time
 	if !ep.faults.pausedNow(ep) || ep.Stats().Pauses == 0 {
@@ -302,15 +307,13 @@ func TestFaultPauseWindow(t *testing.T) {
 	}
 }
 
-// TestBulkRecoversUnderDrops runs bulk transfers with a lossy control
-// plane: requests and grants can vanish or duplicate, and the re-request
-// timer plus idempotent granting must still complete every transfer
-// exactly once.  The data segments themselves are lossless by
-// construction.
-func TestBulkRecoversUnderDrops(t *testing.T) {
+// TestBulkRecoversUnderCuts runs FlowOneActive bulk transfers over links
+// that keep being cut: requests, grants, segments and fins are held and
+// replayed, and every transfer must still complete exactly once.
+func TestBulkRecoversUnderCuts(t *testing.T) {
 	var got []bulkRecord
-	plan := FaultPlan{Drop: 0.15, Dup: 0.15, Seed: 42}
-	nw, err := NewNetwork(Config{Nodes: 2, Flow: FlowOneActive, SegWords: 8, InboxCap: 64, Faults: &plan})
+	plan := FaultPlan{Cut: 0.3, Seed: 42}
+	nw, err := NewNetwork(Config{Nodes: 3, Flow: FlowOneActive, SegWords: 8, InboxCap: 64, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,25 +323,25 @@ func TestBulkRecoversUnderDrops(t *testing.T) {
 	const transfers = 5
 	for k := uint64(0); k < transfers; k++ {
 		nw.Endpoint(0).BulkSend(1, ramp(100), Packet{Handler: hBulkDone, U0: k})
+		nw.Endpoint(2).BulkSend(1, ramp(100), Packet{Handler: hBulkDone, U0: 100 + k})
 	}
-	pumpUntil(t, nw, func() bool { return len(got) == transfers })
-	for _, r := range got {
-		checkRamp(t, r.data, 100)
-	}
+	pumpUntil(t, nw, func() bool { return len(got) == 2*transfers })
 	tags := map[uint64]bool{}
 	for _, r := range got {
+		checkRamp(t, r.data, 100)
 		if tags[r.tag] {
 			t.Fatalf("transfer %d completed twice", r.tag)
 		}
 		tags[r.tag] = true
 	}
-	// A few extra polling rounds must not conjure more completions.
-	for i := 0; i < 200; i++ {
-		nw.Endpoint(0).PollAll()
-		nw.Endpoint(1).PollAll()
-		time.Sleep(10 * time.Microsecond)
+	var cuts uint64
+	for i := 0; i < nw.Nodes(); i++ {
+		cuts += nw.Endpoint(NodeID(i)).Stats().Cuts
 	}
-	if len(got) != transfers {
-		t.Fatalf("%d completions after settling, want %d", len(got), transfers)
+	if cuts == 0 {
+		t.Error("no link was cut")
+	}
+	if q := nw.Endpoint(1).Stats().BulkQueued; q == 0 {
+		t.Error("no request waited for the one-active grant")
 	}
 }

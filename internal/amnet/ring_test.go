@@ -23,6 +23,14 @@ func TestRingCapRounding(t *testing.T) {
 	}
 }
 
+// TestPacketSize pins a Packet at twelve words: every send, ring slot and
+// stall-loop drain copies one, so a new field is a deliberate edit.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 96", got)
+	}
+}
+
 // TestRingSlotLayout pins the padding arithmetic: a slot must occupy a
 // whole number of cache lines or neighboring slots share a line and the
 // MPSC ring inherits exactly the false sharing it exists to remove.

@@ -8,7 +8,7 @@
 //	u32 LE body length | kind byte | u64 LE link word | rest
 //
 // The kind byte selects the frame: a packet frame carries one
-// amnet.Packet (fixed 72-byte word section, then the codec-encoded
+// amnet.Packet (fixed 64-byte word section, then the codec-encoded
 // payload bytes, then the bulk data words), a control frame carries an
 // out-of-band message for the kernel's distributed control plane or the
 // transport's own handshake (control kind byte, then the body), and an
@@ -50,8 +50,8 @@ const (
 	frAck     byte = 3
 
 	// packetWords is the fixed word section of a packet body: three
-	// meta words (packFrameMeta) + U0..U3 + VT bits + Seq.
-	packetWords = 9
+	// meta words (packFrameMeta) + U0..U3 + VT bits.
+	packetWords = 8
 	packetFixed = packetWords * 8
 
 	// frameHeadBytes is what every frame body starts with: the kind byte
@@ -120,7 +120,6 @@ func beginPacketFrame(buf []byte, p *amnet.Packet) []byte {
 	binary.LittleEndian.PutUint64(head[frameMetaOff+40:], p.U2)
 	binary.LittleEndian.PutUint64(head[frameMetaOff+48:], p.U3)
 	binary.LittleEndian.PutUint64(head[frameMetaOff+56:], math.Float64bits(p.VT))
-	binary.LittleEndian.PutUint64(head[frameMetaOff+64:], p.Seq)
 	return append(buf, head[:]...)
 }
 
@@ -164,7 +163,6 @@ func parsePacketBody(body []byte) (p amnet.Packet, payload []byte, err error) {
 	p.U2 = binary.LittleEndian.Uint64(body[40:])
 	p.U3 = binary.LittleEndian.Uint64(body[48:])
 	p.VT = math.Float64frombits(binary.LittleEndian.Uint64(body[56:]))
-	p.Seq = binary.LittleEndian.Uint64(body[64:])
 	rest := body[packetFixed:]
 	if uint64(payLen)+uint64(dataLen) != uint64(len(rest)) {
 		return amnet.Packet{}, nil, fmt.Errorf("sock: packet frame sections (%d payload + %d data) disagree with body length %d",

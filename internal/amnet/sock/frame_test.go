@@ -31,7 +31,6 @@ func randomPacket(rng *rand.Rand) (amnet.Packet, []byte) {
 		U2:      rng.Uint64(),
 		U3:      rng.Uint64(),
 		VT:      rng.Float64() * 1e6,
-		Seq:     rng.Uint64(),
 	}
 	if rng.Intn(2) == 0 {
 		p.Data = make([]float64, rng.Intn(64))
@@ -53,7 +52,7 @@ func randomPacket(rng *rand.Rand) (amnet.Packet, []byte) {
 func packetsEqual(a, b amnet.Packet) bool {
 	if a.Handler != b.Handler || a.Src != b.Src || a.Dst != b.Dst ||
 		a.U0 != b.U0 || a.U1 != b.U1 || a.U2 != b.U2 || a.U3 != b.U3 ||
-		math.Float64bits(a.VT) != math.Float64bits(b.VT) || a.Seq != b.Seq ||
+		math.Float64bits(a.VT) != math.Float64bits(b.VT) ||
 		len(a.Data) != len(b.Data) {
 		return false
 	}
@@ -195,7 +194,7 @@ func TestPacketFrameRoundTrip(t *testing.T) {
 // cleanly: header short-reads surface the io error, body short-reads wrap
 // it as a mid-frame death, and no prefix ever parses as a frame.
 func TestReadFrameTruncation(t *testing.T) {
-	p := amnet.Packet{Handler: 7, Src: 1, Dst: 2, U0: 42, VT: 3.5, Seq: 9,
+	p := amnet.Packet{Handler: 7, Src: 1, Dst: 2, U0: 42, VT: 3.5,
 		Data: []float64{1, 2, 3}}
 	whole, err := appendPacketFrame(nil, &p, []byte("payload"))
 	if err != nil {

@@ -25,7 +25,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	seed, _ := appendControlFrame(nil, 3, []byte("hello"))
 	f.Add(seed)
 	p := amnet.Packet{Handler: 9, Src: 3, Dst: 1, U0: 1, U1: 2, U2: 3, U3: 4,
-		VT: 2.5, Seq: 77, Data: []float64{1, 2}}
+		VT: 2.5, Data: []float64{1, 2}}
 	seed2, _ := appendPacketFrame(nil, &p, []byte{0xCA, 0xFE})
 	f.Add(seed2)
 	f.Add(appendAckFrame(nil, 1<<31))
@@ -42,18 +42,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			Src:     amnet.NodeID(int32(word(1))),
 			Dst:     amnet.NodeID(int32(word(2))),
 			U0:      word(3), U1: word(4), U2: word(5), U3: word(6),
-			VT:  math.Float64frombits(word(7)),
-			Seq: word(8),
+			VT: math.Float64frombits(word(7)),
 		}
 		var payload []byte
-		if len(in) > 72 {
-			payload = in[72:min(len(in), 72+512):min(len(in), 72+512)]
+		if len(in) > 64 {
+			payload = in[64:min(len(in), 64+512):min(len(in), 64+512)]
 		}
-		nData := int(word(9) % 65)
+		nData := int(word(8) % 65)
 		if nData > 0 {
 			pkt.Data = make([]float64, nData)
 			for i := range pkt.Data {
-				pkt.Data[i] = math.Float64frombits(word(10 + i))
+				pkt.Data[i] = math.Float64frombits(word(9 + i))
 			}
 		}
 		frame, err := appendPacketFrame(nil, &pkt, payload)

@@ -182,7 +182,7 @@ func TestBounceSequenceWrap(t *testing.T) {
 // the cuts must still allocate nothing.
 func TestCutStreamExactlyOnce(t *testing.T) {
 	const n = 100_000
-	leader, worker := startSeqMesh(t, 0, true, &amnet.FaultPlan{Drop: 0.05, Seed: 7})
+	leader, worker := startSeqMesh(t, 0, true, &amnet.FaultPlan{Cut: 0.05, Seed: 7})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); leader.stream(n) }()

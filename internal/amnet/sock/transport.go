@@ -508,10 +508,10 @@ func (t *Transport) Start(nw *amnet.Network) error {
 		return fmt.Errorf("sock: transport started twice")
 	}
 	t.nw = nw
-	if plan := nw.Faults(); plan != nil && plan.Drop+plan.Dup+plan.Delay > 0 {
+	if plan := nw.Faults(); plan != nil && plan.Cut > 0 {
 		for _, l := range t.links {
 			if l != nil {
-				l.cut = plan.Drop + plan.Dup + plan.Delay
+				l.cut = plan.Cut
 				l.dice = rand.New(rand.NewSource(plan.Seed + int64(t.self)*1000003 + int64(l.peer)))
 			}
 		}

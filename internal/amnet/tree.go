@@ -61,21 +61,6 @@ func TreeParent(root, self NodeID, p int) NodeID {
 	return NodeID(abs)
 }
 
-// TreeSubtree describes self's subtree of the binomial tree rooted at root
-// over p nodes: it is the size nodes numbered lo, lo+1, … relative to the
-// root (node (root+rel) mod p), self first.  Descendants only set bits
-// below self's lowest set bit, so the range is contiguous; p cuts it off.
-func TreeSubtree(root, self NodeID, p int) (lo, size int) {
-	rel := int(self) - int(root)
-	if rel < 0 {
-		rel += p
-	}
-	if rel == 0 {
-		return 0, p
-	}
-	return rel, min(1<<bits.TrailingZeros(uint(rel)), p-rel)
-}
-
 // TreeDepth returns the depth of self below root in the binomial tree
 // (root has depth 0).
 func TreeDepth(root, self NodeID, p int) int {

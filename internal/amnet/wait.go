@@ -140,7 +140,7 @@ func (ep *Endpoint) popOne() bool {
 	return ok
 }
 
-//halvet:allowwallclock a waiting PE's VT is frozen: its deadlines (steal back-off, re-pump, retransmit, pause windows) are host-time by nature
+//halvet:allowwallclock a waiting PE's VT is frozen: its deadlines (steal back-off, re-pump, pause windows) are host-time by nature
 func (ep *Endpoint) wait(stop, sel <-chan struct{}, timeout time.Duration) bool {
 	ep.flushOut()
 	nw := ep.net
@@ -170,7 +170,7 @@ func (ep *Endpoint) wait(stop, sel <-chan struct{}, timeout time.Duration) bool 
 			ep.block(stop, sel, t.C)
 			return false
 		}
-		if ep.drainDelayed() > 0 {
+		if ep.drainHeld() > 0 {
 			return true
 		}
 	}

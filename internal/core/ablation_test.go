@@ -260,14 +260,13 @@ func TestHeterogeneousLoadBalancing(t *testing.T) {
 	}
 }
 
-// TestRepairTrafficNeverStaged: the kernel stages two things — a
-// word-encoded reply (sendReply) and an ack under faults (ackCtl) — so a
-// workload that migrates an actor and chases it with stale sends, but
-// never Requests, must leave every staging buffer untouched: creation,
-// migration bundles, acks of them, FIRs and cache updates all went out
-// in order and at once.  This is the property the retired repairplane
-// analyzer guarded; a repair packet that reached SendBatched would show
-// here as a flush.
+// TestRepairTrafficNeverStaged: the kernel stages one thing — a
+// word-encoded reply (sendReply) — so a workload that migrates an actor
+// and chases it with stale sends, but never Requests, must leave every
+// staging buffer untouched: creation, migration bundles, FIRs and cache
+// updates all went out in order and at once.  This is the property the
+// retired repairplane analyzer guarded; a repair packet that reached
+// SendBatched would show here as a flush.
 func TestRepairTrafficNeverStaged(t *testing.T) {
 	m := testMachine(t, Config{Nodes: 4})
 	dumpFlightOnFailure(t, m)

@@ -14,8 +14,7 @@ import (
 // and asserts the steady-state hot path performs no heap allocation.
 //
 // The guards are skipped under the race detector (its instrumentation
-// allocates).  They construct fault-free machines on purpose: with
-// Config.Faults set the retry table allocates by design.
+// allocates).
 
 // allocMachine builds an unstarted fault-free machine with a registered
 // program whose live count is pre-based at 1, so the measured loops can
@@ -368,6 +367,50 @@ func TestAllocRequestReply(t *testing.T) {
 		if got != 201*y {
 			t.Fatalf("%d nodes: replies summed to %d, want %d", nodes, got, 201*y)
 		}
+	}
+}
+
+// TestAllocFaultedRequestReply: the two-node round trip of
+// TestAllocRequestReply on a machine whose FaultPlan cuts a link on about
+// one packet in three.  A cut link's packets wait in a hold queue that
+// keeps its backing array, and nothing above the link keeps a copy of what
+// it sent, so the plan costs no allocation.  The reply is a small int,
+// which Go boxes without allocating, so the guard is exact: zero.
+func TestAllocFaultedRequestReply(t *testing.T) {
+	m, prog := allocMachineCfg(t, Config{Nodes: 2, Faults: &amnet.FaultPlan{Cut: 0.3, Seed: 3}})
+	n0, srv := m.nodes[0], m.nodes[1]
+	a := srv.createLocal(allocEcho{})
+	a.prog = prog
+	ctx := &n0.ctx
+	ctx.prog = prog
+	to := a.Addr()
+	cacheRemote(n0, a)
+	got := 0
+	onReply := JoinFunc(func(_ *Context, slots []any) { got += slots[0].(int) })
+	x, y := allocArgs[0], 7
+	trip := func() {
+		ctx.Request(to, 1, ctx.NewJoin(1, onReply), 0, x, y)
+		drainNode(srv)
+		drainNode(n0)
+	}
+	settle := func() { // every held packet and staged reply through
+		for i := 0; i < 8; i++ {
+			drainNode(srv)
+			drainNode(n0)
+		}
+	}
+	for i := 0; i < 2*msgPoolCap; i++ {
+		trip()
+	}
+	settle()
+	got = 0
+	requireZeroAllocs(t, "request/reply round trip under link cuts", trip)
+	settle()
+	if want := (8 + 201) * y; got != want {
+		t.Fatalf("replies summed to %d, want %d", got, want)
+	}
+	if c := n0.ep.Stats().Cuts + srv.ep.Stats().Cuts; c == 0 {
+		t.Fatal("the plan cut no link")
 	}
 }
 

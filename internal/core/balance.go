@@ -27,7 +27,7 @@ import (
 // sendSteal issues one steal request if none is outstanding and the
 // backoff window has elapsed.
 //
-//halvet:allowwallclock steal-poll backoff and the stealSent escalation clock pace on host time: the polling PE is idle, so its VT is frozen
+//halvet:allowwallclock steal-poll backoff and the StealWait clock pace on host time: the polling PE is idle, so its VT is frozen
 func (n *node) sendSteal() {
 	if len(n.m.nodes) < 2 {
 		return
@@ -37,10 +37,9 @@ func (n *node) sendSteal() {
 	}
 	n.stealOut = true
 	n.stats.StealReqs++
-	// stealSent doubles as the fault-mode escalation clock (idle) and the
-	// start of the steal-wait latency measurement.
+	// stealSent starts the steal-wait latency measurement.
 	n.stealSent = time.Now()
-	n.sendCtl(amnet.Packet{Handler: hStealReq, Dst: n.randomVictim(), VT: n.stamp(0)}, nil, 0, 0)
+	n.emit(amnet.Packet{Handler: hStealReq, Dst: n.randomVictim(), VT: n.stamp(0)})
 }
 
 // handleStealReq serves a thief from the front (oldest) of the spawn
@@ -57,10 +56,10 @@ func (n *node) handleStealReq(thief amnet.NodeID, vt float64) {
 		}
 		rec.vt += costSteal + costNetLatency
 		// The granted record is one accounted (deferred-creation) unit.
-		n.sendCtl(amnet.Packet{Handler: hStealGrant, Dst: thief, VT: rec.vt, Payload: rec}, rec.prog, 1, 1)
+		n.emit(amnet.Packet{Handler: hStealGrant, Dst: thief, VT: rec.vt, Payload: rec})
 		return
 	}
-	n.sendCtl(amnet.Packet{Handler: hStealDeny, Dst: thief, VT: vt + costSteal + costNetLatency}, nil, 0, 0)
+	n.emit(amnet.Packet{Handler: hStealDeny, Dst: thief, VT: vt + costSteal + costNetLatency})
 }
 
 func (n *node) handleStealGrant(rec *spawnRecord) {

@@ -62,18 +62,14 @@ type Config struct {
 	// seed selects a fixed default, keeping runs reproducible.
 	Seed int64
 
-	// Faults, when non-nil, injects deterministic network faults (drop,
-	// duplication, delay, node pauses — see amnet.FaultPlan) where the
-	// interconnect can lose.  In memory that is the receiving endpoint,
-	// and the plan arms the kernel's reliable-delivery layer
-	// (reliable.go): control packets are sequenced, deduplicated,
-	// acknowledged, and retried with backoff (retryBase doubling up to
-	// retryMax), escalating to dead letters after retryBudget attempts.
-	// With Dist set it is the socket link, which the plan cuts and whose
-	// replay is the only recovery; pause windows stay at the endpoints.
-	// Nil (the default) keeps the fault-free fast path: no sequencing,
-	// no acks, no retry state.  A zero Faults.Seed inherits Seed.  The
-	// plan is normalized in place and may be shared across machines.
+	// Faults, when non-nil, injects deterministic network faults (link
+	// cuts and node pauses — see amnet.FaultPlan).  A cut holds a link's
+	// packets and replays them in order: in memory at the receiving
+	// endpoint, and with Dist set by dropping the socket connection,
+	// whose redial replays it.  Either way the link recovers on its own
+	// and the kernel runs the same code as without a plan.  A zero
+	// Faults.Seed inherits Seed.  The plan is normalized in place and
+	// may be shared across machines.
 	Faults *amnet.FaultPlan
 
 	// Out receives front-end output (ctx.Printf).  Default os.Stdout.
@@ -158,18 +154,6 @@ const reportEvery = 2 * time.Millisecond
 // stealBackoffBase is the pause between steal attempts after a denial
 // (receiver-initiated polling is otherwise continuous).
 const stealBackoffBase = 20 * time.Microsecond
-
-// retryBase is the first retransmit timeout of an unacknowledged control
-// packet, and retryMax caps the exponential backoff between retransmits
-// (reliable.go: an in-memory machine with Faults set).
-const (
-	retryBase = 500 * time.Microsecond
-	retryMax  = 10 * time.Millisecond
-)
-
-// retryBudget is how many retransmissions a control packet gets before it
-// is abandoned and dead-lettered.
-const retryBudget = 24
 
 // DefaultConfig returns a configuration for nodes PEs with the paper's
 // defaults (flow control on, LD caching on, no load balancing).

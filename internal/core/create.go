@@ -38,7 +38,7 @@ func (n *node) createRemote(dst amnet.NodeID, t TypeID, args []any, prog *Progra
 	n.incLive(prog, 1)
 	rec := n.newSpawn()
 	rec.alias, rec.typ, rec.args, rec.prog = alias, t, args, prog
-	n.sendCtl(amnet.Packet{Handler: hCreate, Dst: dst, VT: n.stamp(0), Payload: rec}, prog, 1, 1)
+	n.emit(amnet.Packet{Handler: hCreate, Dst: dst, VT: n.stamp(0), Payload: rec})
 	return alias
 }
 

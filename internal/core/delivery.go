@@ -132,7 +132,7 @@ func (n *node) netSendMsg(dst amnet.NodeID, msg *Message) {
 			// ONE sequenced frame instead (the socket's own flow control
 			// replaces the grant protocol), and the receiving handler
 			// reattaches it exactly as the transfer fin would.
-			n.sendCtl(amnet.Packet{Handler: hDeliverMsg, Dst: dst, VT: vt, Payload: msg, Data: data}, msg.prog, 1, 1)
+			n.emit(amnet.Packet{Handler: hDeliverMsg, Dst: dst, VT: vt, Payload: msg, Data: data})
 			return
 		}
 		if n.m.cfg.Flow == amnet.FlowEager {
@@ -140,15 +140,11 @@ func (n *node) netSendMsg(dst amnet.NodeID, msg *Message) {
 			// for the whole transfer (Table 1's pathology).
 			n.charge(float64(len(data)) * costPerWord)
 		}
-		// The bulk data phase is lossless (see amnet faults.go); only the
-		// handshake needs recovery, which the bulk layer does itself.
 		n.settle()
 		n.ep.BulkSend(dst, data, amnet.Packet{Handler: hDeliverMsg, VT: vt, Payload: msg})
 		return
 	}
-	// The message is one accounted live unit; if delivery proves
-	// impossible under faults it must retire as a dead letter.
-	n.sendCtl(amnet.Packet{Handler: hDeliverMsg, Dst: dst, VT: vt, Payload: msg}, msg.prog, 1, 1)
+	n.emit(amnet.Packet{Handler: hDeliverMsg, Dst: dst, VT: vt, Payload: msg})
 }
 
 // hold parks msg on an unresolved descriptor.

@@ -328,14 +328,13 @@ func TestDistExitNow(t *testing.T) {
 
 // TestDistChaosBounce runs the spawn-everywhere workload on three
 // processes whose FaultPlan keeps cutting every wire link, in both
-// directions, on about one frame in sixteen.  The kernel's reliable layer
-// is off: the socket links alone must replay what each cut took and drop
-// what they replay twice, so the runs converge to the right answer with
-// not one kernel retry, dedup or dead letter.
+// directions, on about one frame in sixteen.  The socket links alone
+// replay what each cut took and drop what they replay twice, so the runs
+// converge to the right answer with not one dead letter.
 func TestDistChaosBounce(t *testing.T) {
 	const nodes = 8
 	rig := startDistRig(t, nodes, 3, func(cfg *Config) {
-		cfg.Faults = &amnet.FaultPlan{Drop: 0.02, Dup: 0.02, Delay: 0.02}
+		cfg.Faults = &amnet.FaultPlan{Cut: 0.06}
 		cfg.StallTimeout = 30 * time.Second
 	}, registerDistTypes)
 	typ := rig.leader().TypeByName("dist-counter")
@@ -367,13 +366,9 @@ func TestDistChaosBounce(t *testing.T) {
 	rig.shutdown(t)
 	var cuts, redials uint64
 	for i, m := range rig.machines {
-		if m.relOn {
-			t.Errorf("process %d: the reliable layer is on", i)
-		}
 		st := m.Stats()
-		if tot := st.Total; tot.Retries != 0 || tot.DupsFiltered != 0 || tot.DeadLetters != 0 {
-			t.Errorf("process %d: retries=%d dedup=%d deadletters=%d, want all 0",
-				i, tot.Retries, tot.DupsFiltered, tot.DeadLetters)
+		if st.Total.DeadLetters != 0 {
+			t.Errorf("process %d: deadletters=%d, want 0", i, st.Total.DeadLetters)
 		}
 		if st.Wire.WireDropped != 0 {
 			t.Errorf("process %d: WireDropped = %d, want 0", i, st.Wire.WireDropped)
@@ -383,26 +378,6 @@ func TestDistChaosBounce(t *testing.T) {
 	}
 	if cuts == 0 || redials == 0 {
 		t.Errorf("the chaos cut %d links and redialed %d times, want both above 0", cuts, redials)
-	}
-}
-
-// TestReliableLayerOnlyInMemoryWithPlan pins which machines run
-// reliable.go: an in-memory one with a FaultPlan, and no other.  A
-// machine spanning processes leaves its faults to the socket link.
-func TestReliableLayerOnlyInMemoryWithPlan(t *testing.T) {
-	for _, faults := range []*amnet.FaultPlan{nil, {Drop: 0.01}} {
-		cfg := DefaultConfig(4)
-		cfg.Faults = faults
-		if m := testMachine(t, cfg); m.relOn != (faults != nil) {
-			t.Errorf("in memory, Faults=%v: relOn = %v", faults != nil, m.relOn)
-		}
-		rig := startDistRig(t, 4, 2, func(cfg *Config) { cfg.Faults = faults }, registerDistTypes)
-		for i, m := range rig.machines {
-			if m.relOn {
-				t.Errorf("across processes, Faults=%v, process %d: relOn = true", faults != nil, i)
-			}
-		}
-		rig.shutdown(t)
 	}
 }
 
@@ -448,20 +423,20 @@ func TestDistPeerGoneStalls(t *testing.T) {
 		t.Errorf("flight record does not show the dead link:\n%s", rec)
 	}
 	st := rig.leader().StatsNow()
-	if tot := st.Total; tot.Retries != 0 || tot.DeadLetters != 0 {
-		t.Errorf("retries=%d deadletters=%d on the leader, want 0: nothing above the link retries", tot.Retries, tot.DeadLetters)
+	if n := st.Total.DeadLetters; n != 0 {
+		t.Errorf("deadletters=%d on the leader, want 0: nothing above the link gives up", n)
 	}
 	rig.trans[0].Close() // or the leader's Shutdown waits out its bye timeout on a worker that cannot answer
 }
 
 // TestDistFaultPlan runs a FaultPlan on a machine spanning processes.
-// Its drops, dups and delays become cuts of the socket links, the links'
-// replay is the only recovery (the kernel retries, dedups and
-// dead-letters nothing), and its pause windows still pause the nodes.
+// Its cuts are of the socket links, not of the endpoints' hold queues;
+// the links' replay recovers them (nothing is dead-lettered), and its
+// pause windows still pause the nodes.
 func TestDistFaultPlan(t *testing.T) {
 	const nodes = 6
 	rig := startDistRig(t, nodes, 2, func(cfg *Config) {
-		cfg.Faults = &amnet.FaultPlan{Drop: 0.03, Dup: 0.03, Delay: 0.05, PauseEvery: time.Millisecond}
+		cfg.Faults = &amnet.FaultPlan{Cut: 0.11, PauseEvery: time.Millisecond}
 		cfg.StallTimeout = 30 * time.Second
 	}, registerDistTypes)
 	typ := rig.leader().TypeByName("dist-counter")
@@ -489,13 +464,9 @@ func TestDistFaultPlan(t *testing.T) {
 	rig.shutdown(t)
 	var cuts, pauses uint64
 	for i, m := range rig.machines {
-		if m.relOn {
-			t.Errorf("process %d: the reliable layer is on", i)
-		}
 		st := m.Stats()
-		if tot := st.Total; tot.Retries != 0 || tot.DupsFiltered != 0 || tot.DeadLetters != 0 || tot.Dropped != 0 {
-			t.Errorf("process %d: retries=%d dedup=%d deadletters=%d dropped=%d, want all 0",
-				i, tot.Retries, tot.DupsFiltered, tot.DeadLetters, tot.Dropped)
+		if tot := st.Total; tot.DeadLetters != 0 || tot.Net.Cuts != 0 {
+			t.Errorf("process %d: deadletters=%d endpoint cuts=%d, want both 0", i, tot.DeadLetters, tot.Net.Cuts)
 		}
 		cuts += st.Wire.FaultCuts
 		pauses += st.Total.Net.Pauses

@@ -76,17 +76,9 @@ func (n *node) newGroup(t TypeID, count int, base amnet.NodeID, args []any, prog
 // the members homed on this node.  vt is the request's virtual arrival
 // time; each tree hop adds one network latency.
 func (n *node) handleGroupCreate(gc groupCreate, vt float64) {
-	p := len(n.m.nodes)
-	n.treeBuf = amnet.TreeChildren(n.treeBuf[:0], gc.g.Birth, n.id, p)
+	n.treeBuf = amnet.TreeChildren(n.treeBuf[:0], gc.g.Birth, n.id, len(n.m.nodes))
 	for _, c := range n.treeBuf {
-		pkt := amnet.Packet{Handler: hGroupCreate, Dst: c, VT: vt + costNetLatency, Payload: gc}
-		if n.m.relOn {
-			// A lost fan-out packet strands one accounted creation per
-			// member homed anywhere in the child's subtree.
-			cnt := subtreeMembers(gc.g, gc.g.Birth, c, p)
-			n.sequence(&pkt, relUnit{prog: gc.prog, live: cnt, letters: uint64(cnt)}, nil)
-		}
-		n.emit(pkt)
+		n.emit(amnet.Packet{Handler: hGroupCreate, Dst: c, VT: vt + costNetLatency, Payload: gc})
 	}
 	e := &groupEntry{g: gc.g}
 	for i := gc.g.firstOn(n.id); i < gc.g.N; i += gc.g.Nodes {
@@ -129,18 +121,11 @@ type pendingCast struct {
 // local members (or parks the cast until the group create arrives).  vt is
 // the cast's virtual arrival time at this node.
 func (n *node) handleBcast(bw *bcastWork, vt float64) {
-	p := len(n.m.nodes)
-	n.treeBuf = amnet.TreeChildren(n.treeBuf[:0], bw.root, n.id, p)
+	n.treeBuf = amnet.TreeChildren(n.treeBuf[:0], bw.root, n.id, len(n.m.nodes))
 	hopVT := vt + costNetLatency + float64(len(bw.msg.Data))*costPerWord
 	for _, c := range n.treeBuf {
 		n.stats.BcastRelays++
-		pkt := amnet.Packet{Handler: hGroupCast, Dst: c, VT: hopVT, Payload: bw}
-		if n.m.relOn {
-			// One accounted delivery per member in the child's subtree.
-			cnt := subtreeMembers(bw.g, bw.root, c, p)
-			n.sequence(&pkt, relUnit{prog: bw.msg.prog, live: cnt, letters: uint64(cnt)}, nil)
-		}
-		n.emit(pkt)
+		n.emit(amnet.Packet{Handler: hGroupCast, Dst: c, VT: hopVT, Payload: bw})
 	}
 	if _, known := n.groups[bw.g.ID]; !known {
 		n.pendingCasts[bw.g.ID] = append(n.pendingCasts[bw.g.ID], pendingCast{bw: bw, vt: vt})

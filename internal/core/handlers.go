@@ -28,7 +28,6 @@ const (
 	hGroupCast
 	hReply
 	hLoadProgram
-	hCtlAck
 )
 
 // learnLoc handles a cache update, an FIR answer and a migration notice:
@@ -43,33 +42,7 @@ func (m *Machine) learnLoc(ep *amnet.Endpoint, p amnet.Packet) {
 func registerKernelHandlers(m *Machine) {
 	at := func(ep *amnet.Endpoint) *node { return m.nodes[ep.ID()] }
 
-	// Under fault injection, kernel packets arrive sequenced (Packet.Seq
-	// != 0, see reliable.go): acknowledge each one and suppress
-	// duplicates BEFORE the handler runs, so every handler below behaves
-	// exactly-once without being individually idempotent.  Fault-free,
-	// the wrapper costs one branch.
-	reg := func(id amnet.HandlerID, h amnet.Handler) {
-		m.nw.Register(id, func(ep *amnet.Endpoint, p amnet.Packet) {
-			if p.Seq != 0 {
-				n := at(ep)
-				ok := n.rel.accept(p.Src, p.Seq)
-				n.ackCtl(p.Src, p.Seq)
-				if !ok {
-					n.stats.DupsFiltered++
-					n.trace(EvDedup, Nil, p.Src)
-					return
-				}
-			}
-			h(ep, p)
-		})
-	}
-
-	// Acks themselves are unsequenced and idempotent.
-	m.nw.Register(hCtlAck, func(ep *amnet.Endpoint, p amnet.Packet) {
-		at(ep).handleCtlAck(p.Src, p.U0)
-	})
-
-	reg(hDeliverMsg, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hDeliverMsg, func(ep *amnet.Endpoint, p amnet.Packet) {
 		n := at(ep)
 		msg := p.Payload.(*Message)
 		msg.vt = p.VT
@@ -83,11 +56,11 @@ func registerKernelHandlers(m *Machine) {
 		n.deliverHere(msg)
 	})
 
-	reg(hCacheUpdate, m.learnLoc)
-	reg(hFIRFound, m.learnLoc)
-	reg(hMigrateAck, m.learnLoc)
+	m.nw.Register(hCacheUpdate, m.learnLoc)
+	m.nw.Register(hFIRFound, m.learnLoc)
+	m.nw.Register(hMigrateAck, m.learnLoc)
 
-	reg(hCreate, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hCreate, func(ep *amnet.Endpoint, p amnet.Packet) {
 		// Queue the creation through the dispatcher heap instead of
 		// serving it at (real) arrival time: its stamp may lie in this
 		// node's virtual future, and instantiating early would drag the
@@ -98,7 +71,7 @@ func registerKernelHandlers(m *Machine) {
 		n.ready.Push(rec, rec.vt)
 	})
 
-	reg(hAliasBind, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hAliasBind, func(ep *amnet.Endpoint, p amnet.Packet) {
 		n := at(ep)
 		alias, node, seq := decodeLoc(p)
 		if ld := n.arena.Get(alias.Seq); ld != nil && ld.State != names.LDLocal {
@@ -106,36 +79,36 @@ func registerKernelHandlers(m *Machine) {
 		}
 	})
 
-	reg(hFIR, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hFIR, func(ep *amnet.Endpoint, p amnet.Packet) {
 		n := at(ep)
 		n.handleFIR(n.decodeFIR(p))
 	})
 
-	reg(hMigrate, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hMigrate, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleMigrate(p.Src, p.Payload.(*migBundle), p.VT)
 	})
 
-	reg(hStealReq, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hStealReq, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleStealReq(p.Src, p.VT)
 	})
 
-	reg(hStealGrant, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hStealGrant, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleStealGrant(p.Payload.(*spawnRecord))
 	})
 
-	reg(hStealDeny, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hStealDeny, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleStealDeny()
 	})
 
-	reg(hGroupCreate, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hGroupCreate, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleGroupCreate(p.Payload.(groupCreate), p.VT)
 	})
 
-	reg(hGroupCast, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hGroupCast, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleBcast(p.Payload.(*bcastWork), p.VT)
 	})
 
-	reg(hReply, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hReply, func(ep *amnet.Endpoint, p amnet.Packet) {
 		n := at(ep)
 		slot := int32(uint32(p.U1))
 		if env, ok := p.Payload.(replyEnvelope); ok { // boxed fallback
@@ -145,7 +118,7 @@ func registerKernelHandlers(m *Machine) {
 		n.applyReply(p.U0, slot, wordValue(byte(p.U1>>32), p.U2), n.m.progByID(p.U3), p.VT)
 	})
 
-	reg(hLoadProgram, func(ep *amnet.Endpoint, p amnet.Packet) {
+	m.nw.Register(hLoadProgram, func(ep *amnet.Endpoint, p amnet.Packet) {
 		at(ep).handleLoadProgram(p.Payload.(progLaunch))
 	})
 }

@@ -175,7 +175,7 @@ func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
 	tag, w, ok := wordOf(v)
 	if !ok {
 		pkt.Payload = replyEnvelope{v: ownValue(v), prog: prog}
-		n.sendCtl(pkt, prog, 1, 1)
+		n.emit(pkt)
 		return
 	}
 	pkt.U1 |= uint64(tag) << 32
@@ -183,5 +183,12 @@ func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
 	if prog != nil {
 		pkt.U3 = prog.id
 	}
-	n.sendCtlStaged(pkt, prog, 1, 1)
+	// The one packet the kernel stages (amnet.SendBatched): a burst of
+	// replies leaves one node for one requester when a barrier or a join
+	// releases, and nothing routes by what a reply says.  Everything else,
+	// location repair above all, is emitted now: a repair that sat in a
+	// staging buffer would let routed traffic keep paying the forwarding
+	// chain it shortens.
+	n.settle()
+	n.ep.SendBatched(pkt)
 }

@@ -42,16 +42,6 @@ type Machine struct {
 	// for (node.go freeMsg), for whichever node allocates next.
 	msgSpill sync.Pool
 
-	// relOn is set on an in-memory machine with cfg.Faults, and only
-	// then: kernel packets are sequenced and retried (reliable.go).  A
-	// machine that spans processes never sets it — its faults cut the
-	// socket link, which replays what a cut took on its own.
-	relOn bool
-	// relExhausted latches when any node abandoned a control packet
-	// after its retry budget; it turns a subsequent stall into a clear
-	// diagnosis and lets callers distinguish degraded success.
-	relExhausted atomic.Bool
-
 	// live counts undone work: queued messages, held messages, deferred
 	// creations, scheduled continuations.  Sharded per node (slot cfg.Nodes
 	// is the front end's); a node adds its ledger's net at each settle
@@ -147,24 +137,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	registerKernelHandlers(m)
 	if cfg.Faults != nil {
-		m.relOn = cfg.Dist == nil
-		// Program loading models the front end writing the executable
-		// into each PE's memory, not network traffic.
-		nw.MarkLossless(hLoadProgram)
 		nw.SetFaultObserver(func(dst amnet.NodeID, kind amnet.FaultKind, p amnet.Packet) {
 			if int(dst) >= len(m.nodes) {
 				return // front-end endpoint
 			}
-			n := m.nodes[dst]
-			switch kind {
-			case amnet.FaultDrop:
-				n.trace(EvFaultDrop, Nil, p.Src)
-			case amnet.FaultDup:
-				n.trace(EvFaultDup, Nil, p.Src)
-			case amnet.FaultDelay:
-				n.trace(EvFaultDelay, Nil, p.Src)
-			case amnet.FaultPause:
-				n.trace(EvFaultPause, Nil, amnet.NoNode)
+			if kind == amnet.FaultCut {
+				m.nodes[dst].trace(EvFaultCut, Nil, p.Src)
+			} else {
+				m.nodes[dst].trace(EvFaultPause, Nil, amnet.NoNode)
 			}
 		})
 	}
@@ -324,11 +304,7 @@ func (m *Machine) monitor(stop <-chan struct{}, done <-chan struct{}) {
 				if m.cfg.FlightPath != "" {
 					m.writeFlightFile()
 				}
-				err := fmt.Errorf("%w: %d work item(s) remain", ErrStalled, live)
-				if m.relExhausted.Load() {
-					err = fmt.Errorf("%w (control-plane retry budget exhausted under fault injection; see NodeStats.RetryExhausted)", err)
-				}
-				m.finish(err)
+				m.finish(fmt.Errorf("%w: %d work item(s) remain", ErrStalled, live))
 				return
 			}
 		} else {
@@ -381,10 +357,9 @@ func (m *Machine) StatsNow() MachineStats {
 	return out
 }
 
-// RetryExhausted reports whether any node abandoned a control packet
-// after exhausting its retry budget (fault injection only): the run may
-// have completed, but with dead-lettered control work.
-func (m *Machine) RetryExhausted() bool { return m.relExhausted.Load() }
+// RetryExhausted is always false: no layer above the link retries or
+// abandons a packet.  It stays for the benchmark harness, which reads it.
+func (m *Machine) RetryExhausted() bool { return false }
 
 // registerProg appends prog to the id->program table.  Caller holds
 // launchMu, so prog.id == len(table)+1 exactly.

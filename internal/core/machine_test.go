@@ -78,7 +78,7 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{Config{}, 18},
 		{DistConfig{}, 4},
-		{amnet.FaultPlan{}, 7},
+		{amnet.FaultPlan{}, 5},
 	} {
 		if typ := reflect.TypeOf(c.v); typ.NumField() != c.want {
 			t.Errorf("%v has %d fields, want %d", typ, typ.NumField(), c.want)

@@ -69,21 +69,7 @@ func (n *node) startMigration(a *Actor) {
 	a.dead = true // the local husk; the identity lives on at dst
 
 	n.incLive(a.prog, 1)
-	pkt := amnet.Packet{Handler: hMigrate, Dst: dst, VT: n.stamp(0), Payload: bundle}
-	if n.m.relOn {
-		// A lost bundle strands the bundle unit AND every queued message;
-		// the receiver recycles messages after dispatch, so capture their
-		// accounting now rather than chase pointers at escalation time.
-		extra := make([]relUnit, 0, len(bundle.msgs)+len(bundle.pending))
-		for _, ms := range bundle.msgs {
-			extra = append(extra, relUnit{prog: ms.prog, live: 1, letters: 1})
-		}
-		for _, ms := range bundle.pending {
-			extra = append(extra, relUnit{prog: ms.prog, live: 1, letters: 1})
-		}
-		n.sequence(&pkt, relUnit{prog: a.prog, live: 1, letters: 0}, extra)
-	}
-	n.emit(pkt)
+	n.emit(amnet.Packet{Handler: hMigrate, Dst: dst, VT: n.stamp(0), Payload: bundle})
 }
 
 // handleMigrate installs a migrated-in actor, re-registers its addresses,

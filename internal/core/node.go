@@ -108,11 +108,7 @@ type node struct {
 	stealOut     bool // a steal request is outstanding
 	stealBackoff time.Duration
 	nextSteal    time.Time // backoff gate for the next steal attempt
-	stealSent    time.Time // when the outstanding request left (fault mode)
-
-	// rel is the reliable-channel state (reliable.go); consulted only
-	// when the machine runs in memory with fault injection.
-	rel relState
+	stealSent    time.Time // when the outstanding request left (StealWait)
 
 	treeBuf  []amnet.NodeID
 	groupSeq uint64
@@ -146,8 +142,6 @@ func newNode(m *Machine, id amnet.NodeID) *node {
 	n.events.init(m.cfg.TraceBuffer)
 	n.sink = m.cfg.TraceSink
 	n.jc.init()
-	// Peers include the front-end endpoint (index cfg.Nodes).
-	n.rel.init(m.cfg.Nodes + 1)
 	n.ctx = Context{n: n}
 	n.ep.OnPark(n.publishStats)
 	return n
@@ -174,9 +168,6 @@ func (n *node) run() {
 			n.settle()
 		}
 		progressed := n.ep.PollAll() > 0
-		if n.m.relOn && len(n.rel.pending) > 0 {
-			n.pumpRetries()
-		}
 
 		if n.ready.Len() > 0 || n.spawnq.Len() > 0 {
 			// About to start work: publish our state and respect the
@@ -207,14 +198,11 @@ func (n *node) run() {
 }
 
 // snapshot fills *s with the node's counters and the network layer's:
-// amnet's fault and wait counters are mirrored into the node's own fields
-// so MachineStats.Total reports them directly.
+// amnet's wait counters are mirrored into the node's own fields so
+// MachineStats.Total reports them directly.
 func (n *node) snapshot(s *NodeStats) {
 	*s = n.stats
 	s.Net = n.ep.Stats()
-	s.Dropped = s.Net.Dropped
-	s.Duplicated = s.Net.Duplicated
-	s.Delayed = s.Net.Delayed
 	s.IdleYields = s.Net.WaitYields
 	s.IdleParks = s.Net.WaitParks
 }
@@ -239,25 +227,8 @@ func (n *node) idle() {
 		// An outbound transfer needs re-pumping; don't sleep long.
 		timeout = sooner(timeout, 20*time.Microsecond)
 	}
-	if n.m.relOn {
-		if len(n.rel.pending) > 0 {
-			// Unacknowledged control packets: wake in time to retry.
-			timeout = sooner(timeout, retryBase)
-		}
-		if n.ep.FaultBacklog() > 0 {
-			// Delayed packets re-inject only on a poll; don't park long.
-			timeout = sooner(timeout, 20*time.Microsecond)
-		}
-	}
 	polling := n.m.cfg.LoadBalance && n.m.live.sum() > 0 && n.spawnq.Empty()
 	if polling {
-		//halvet:allowwallclock lost-steal watchdog: an idle PE's VT is frozen, so fault recovery must pace on the host clock
-		if n.stealOut && n.m.relOn && !n.stealSent.IsZero() && time.Since(n.stealSent) > retryMax*8 {
-			// The request or its grant exceeded any plausible recovery
-			// time (lost victim escalation, or a grant dead-lettered on
-			// the victim).  Poll anew; a late grant still lands safely.
-			n.stealOut = false
-		}
 		if !n.stealOut {
 			n.sendSteal()
 		}
@@ -313,7 +284,6 @@ func (n *node) purge() {
 	n.stealOut = false
 	n.nextSteal = time.Time{}
 	n.stealSent = time.Time{}
-	n.rel.reset()
 	n.ep.DiscardOutbound() // staged batches must not leak into the next run
 	n.ep.FaultReset()
 	n.arena.ForEach(func(seq uint64, ld *names.LD) {

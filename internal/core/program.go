@@ -194,7 +194,6 @@ func (m *Machine) Start() error {
 	m.failed = nil
 	m.mu.Unlock()
 	m.stallDump = ""
-	m.relExhausted.Store(false)
 
 	for _, n := range m.nodes {
 		n.vclock = 0

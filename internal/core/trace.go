@@ -38,14 +38,9 @@ const (
 	EvStolenFrom
 	EvBroadcast
 	EvDeadLetter
-	// Fault injection & recovery (Config.Faults runs only).
-	EvFaultDrop  // the network dropped an inbound packet here
-	EvFaultDup   // the network duplicated an inbound packet here
-	EvFaultDelay // the network reordered an inbound packet here
+	// Fault injection (Config.Faults runs only).
+	EvFaultCut   // an inbound packet cut its link here (Peer is the source)
 	EvFaultPause // this node entered a pause window
-	EvDedup      // a duplicate control packet was suppressed
-	EvRetry      // an unacknowledged control packet was re-sent
-	EvRetryDrop  // a control packet was abandoned (budget exhausted)
 )
 
 // String names the kind.
@@ -81,20 +76,10 @@ func (k EventKind) String() string {
 		return "broadcast"
 	case EvDeadLetter:
 		return "dead-letter"
-	case EvFaultDrop:
-		return "fault-drop"
-	case EvFaultDup:
-		return "fault-dup"
-	case EvFaultDelay:
-		return "fault-delay"
+	case EvFaultCut:
+		return "fault-cut"
 	case EvFaultPause:
 		return "fault-pause"
-	case EvDedup:
-		return "dedup"
-	case EvRetry:
-		return "retry"
-	case EvRetryDrop:
-		return "retry-drop"
 	default:
 		return "unknown"
 	}

@@ -372,15 +372,6 @@ func (g Group) firstOn(x amnet.NodeID) int {
 	return (int(x) - int(g.Base) + g.Nodes) % g.Nodes
 }
 
-// membersOn counts the members homed on node x.
-func (g Group) membersOn(x amnet.NodeID) int64 {
-	i0 := g.firstOn(x)
-	if i0 >= g.N {
-		return 0
-	}
-	return int64((g.N - i0 + g.Nodes - 1) / g.Nodes)
-}
-
 // spawnRecord is a deferred (load-balanceable) or remote creation request.
 type spawnRecord struct {
 	alias Addr

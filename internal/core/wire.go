@@ -58,10 +58,18 @@ func decodeLoc(p amnet.Packet) (addr Addr, node amnet.NodeID, seq uint64) {
 		amnet.NodeID(int32(uint32(p.U2))), p.U3
 }
 
-// sendLoc transmits a word-encoded location triple as an unaccounted
-// control packet.
+// emit puts p on the wire in order and now, after settling the ledger: a
+// packet is the only way a unit of work (or any word of what this node did)
+// reaches another node, so whoever reads it finds every unit it carries
+// already counted.
+func (n *node) emit(p amnet.Packet) {
+	n.settle()
+	n.ep.Send(p)
+}
+
+// sendLoc transmits a word-encoded location triple as a control packet.
 func (n *node) sendLoc(h amnet.HandlerID, dst amnet.NodeID, addr Addr, node amnet.NodeID, seq uint64) {
-	n.sendCtl(locPacket(h, dst, addr, node, seq), nil, 0, 0)
+	n.emit(locPacket(h, dst, addr, node, seq))
 }
 
 // sendCacheUpdate tells dst that addr lives on node under descriptor slot
@@ -136,11 +144,11 @@ func (n *node) decodeFIR(p amnet.Packet) firReq {
 // packet (and on to the receiver).
 func (n *node) sendFIR(dst amnet.NodeID, req firReq) {
 	if p, ok := encodeFIRPacket(dst, req.addr, req.path); ok {
-		n.sendCtl(p, nil, 0, 0)
+		n.emit(p)
 		n.freePath(req.path)
 		return
 	}
-	n.sendCtl(amnet.Packet{Handler: hFIR, Dst: dst, Payload: req}, nil, 0, 0)
+	n.emit(amnet.Packet{Handler: hFIR, Dst: dst, Payload: req})
 }
 
 // --- per-node control-plane arenas --------------------------------------
@@ -151,14 +159,6 @@ func (n *node) sendFIR(dst amnet.NodeID, req firReq) {
 // it into its own pool (objects may be allocated on one node and freed on
 // another — a pool entry is just memory, not node state, and the handoff
 // through the network channel orders the accesses).
-//
-// The pools stay on under fault injection and on dist machines: the
-// reliable layer's retry table keeps a sent packet, payload pointer
-// included, until it is acknowledged, but nothing dereferences that
-// pointer again — a retransmit the receiver already consumed is dropped
-// by rel.accept before any handler runs (handlers.go reg), and escalate
-// reads only the units captured at send time and by-value addresses.
-// The message pool (freeMsg) rests on the same argument.
 
 const (
 	spawnPoolCap = 1024
