@@ -22,13 +22,10 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The project's own analyzer suite, as the lint CI job runs it: SARIF
-# emitted beside it (CI uploads it to code scanning), per-analyzer wall
-# time printed, and a failure if any single analyzer spends over a minute
-# on the module — the interprocedural summary layer runs fixed points, and
-# a divergence should surface as a red lint run, not a hung CI job.
+# The project's own analyzer suite, as the lint CI job runs it, with the
+# SARIF log emitted beside it (CI uploads it to code scanning).
 lint:
-	$(GO) run ./cmd/halvet -sarif halvet.sarif -timing -timing-budget 60s ./...
+	$(GO) run ./cmd/halvet -sarif halvet.sarif ./...
 
 tables:
 	$(GO) run ./cmd/haltables

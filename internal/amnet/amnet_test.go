@@ -118,7 +118,8 @@ func TestSendPollsWhenFull(t *testing.T) {
 	var mu sync.Mutex
 	recv := map[NodeID]int{}
 	nw := newTestNet(t, Config{Nodes: 2, InboxCap: 4}, map[HandlerID]Handler{
-		//lint:ignore halvet-handlernoblock test recorder: the lock guards a counter map and is held for two instructions, never across network progress
+		// The lock guards a counter map and is held for two
+		// instructions, never across network progress.
 		hCount: func(ep *Endpoint, p Packet) {
 			mu.Lock()
 			recv[ep.ID()]++
@@ -188,7 +189,8 @@ func TestRecvBlockStop(t *testing.T) {
 func TestRecvBlockDelivers(t *testing.T) {
 	hit := make(chan uint64, 1)
 	nw := newTestNet(t, Config{Nodes: 2}, map[HandlerID]Handler{
-		//lint:ignore halvet-handlernoblock cannot block: hit is buffered (cap 1) and the test sends exactly one packet
+		// Cannot block: hit is buffered (cap 1) and the test sends
+		// exactly one packet.
 		hPing: func(ep *Endpoint, p Packet) { hit <- p.U0 },
 	})
 	go func() {

@@ -1,8 +1,8 @@
 // Package analysis is `halvet`: a static-analysis suite that mechanically
 // enforces the runtime invariants the rest of this repository states only
-// in prose — handlers never block (amnet package comment), pooled values
-// are consumer-freed exactly once (core/wire.go), and an Endpoint's
-// receive side belongs to one goroutine (amnet.Endpoint doc).
+// in prose — handlers never block (amnet package comment), an Endpoint's
+// receive side belongs to one goroutine (amnet.Endpoint doc), and the
+// simulation's only clock is virtual time (vtclock).
 //
 // The framework below is a deliberately small, dependency-free mirror of
 // golang.org/x/tools/go/analysis: the same Analyzer/Pass/Diagnostic shape,
@@ -11,10 +11,6 @@
 // becomes available the analyzers port mechanically.
 //
 // Annotation mechanisms, each requiring a justification:
-//
-//	//lint:ignore halvet-<analyzer> <reason>
-//	    on the flagged line (or the line above) suppresses one diagnostic
-//	    from that analyzer; `halvet` alone suppresses all analyzers.
 //
 //	//halvet:allowblock <reason>
 //	    on a function declaration (or immediately above a statement) marks
@@ -129,8 +125,8 @@ func (p *Pass) ImportFacts(pkgPath string, into any) bool {
 }
 
 // runOne executes a single analyzer over a loaded package and returns its
-// diagnostics (suppressions already applied) and exported facts.  used, if
-// non-nil, accumulates the suppression directives that fired.
+// diagnostics and exported facts.  used, if non-nil, accumulates the
+// suppression directives that fired.
 func runOne(az *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package,
 	info *types.Info, factsOnly bool, depFacts func(pkgPath, analyzer string) json.RawMessage,
 	used map[DirectiveKey]bool,
@@ -148,7 +144,7 @@ func runOne(az *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 	if err := az.Run(pass); err != nil {
 		return nil, nil, fmt.Errorf("%s: %s: %v", az.Name, pkg.Path(), err)
 	}
-	diags := filterSuppressed(fset, files, pass.diags, used)
+	diags := pass.diags
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, pass.facts, nil
 }
@@ -166,38 +162,24 @@ type DirectiveKey struct {
 type Directive struct {
 	Key    DirectiveKey
 	Pos    token.Pos
-	Kind   string // "ignore", "allowblock", or "allowwallclock"
-	Arg    string // for "ignore": the targeted analyzer name ("" = all)
+	Kind   string // "allowblock" or "allowwallclock"
 	Reason string
 }
 
 // parseDirective recognizes the suppression comment forms.  A directive
 // without a reason is not honored (ok=false): unexplained suppressions are
 // exactly the convention rot this suite exists to prevent.
-func parseDirective(text string) (kind, arg, reason string, ok bool) {
-	if rest, found := strings.CutPrefix(text, "//lint:ignore "); found {
-		fields := strings.Fields(rest)
-		if len(fields) < 2 { // checker name plus at least one word of reason
-			return "", "", "", false
-		}
-		switch {
-		case fields[0] == "halvet":
-			return "ignore", "", strings.Join(fields[1:], " "), true
-		case strings.HasPrefix(fields[0], "halvet-"):
-			return "ignore", strings.TrimPrefix(fields[0], "halvet-"), strings.Join(fields[1:], " "), true
-		}
-		return "", "", "", false
-	}
+func parseDirective(text string) (kind, reason string, ok bool) {
 	for _, k := range [...]string{"allowblock", "allowwallclock"} {
 		if rest, found := strings.CutPrefix(text, "//halvet:"+k); found {
 			fields := strings.Fields(rest)
 			if len(fields) == 0 {
-				return "", "", "", false
+				return "", "", false
 			}
-			return k, "", strings.Join(fields, " "), true
+			return k, strings.Join(fields, " "), true
 		}
 	}
-	return "", "", "", false
+	return "", "", false
 }
 
 // collectDirectives parses every suppression comment in files.
@@ -206,7 +188,7 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) []Directive {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				kind, arg, reason, ok := parseDirective(c.Text)
+				kind, reason, ok := parseDirective(c.Text)
 				if !ok {
 					continue
 				}
@@ -215,7 +197,6 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) []Directive {
 					Key:    DirectiveKey{File: pos.Filename, Line: pos.Line},
 					Pos:    c.Pos(),
 					Kind:   kind,
-					Arg:    arg,
 					Reason: reason,
 				})
 			}
@@ -224,27 +205,19 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) []Directive {
 	return out
 }
 
-// useDirective records that the directive at (file, line) suppressed
-// something during this pass.
-func (p *Pass) useDirective(file string, line int) {
-	if p.used != nil {
-		p.used[DirectiveKey{File: file, Line: line}] = true
-	}
-}
-
 // allowAt reports whether an allow directive of the given kind covers the
 // given line of file (the directive's own line, for trailing comments, or
 // the line above), recording a hit for the staleness sweep.
 func (p *Pass) allowAt(kind string, file *ast.File, line int) bool {
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			k, _, _, ok := parseDirective(c.Text)
+			k, _, ok := parseDirective(c.Text)
 			if !ok || k != kind {
 				continue
 			}
 			pos := p.Fset.Position(c.Pos())
 			if pos.Line == line || pos.Line == line-1 {
-				p.useDirective(pos.Filename, pos.Line)
+				p.UseKey(DirectiveKey{File: pos.Filename, Line: pos.Line})
 				return true
 			}
 		}
@@ -262,7 +235,7 @@ func (p *Pass) funcDirective(kind string, fd *ast.FuncDecl) (DirectiveKey, bool)
 		return DirectiveKey{}, false
 	}
 	for _, c := range fd.Doc.List {
-		if k, _, _, ok := parseDirective(c.Text); ok && k == kind {
+		if k, _, ok := parseDirective(c.Text); ok && k == kind {
 			pos := p.Fset.Position(c.Pos())
 			return DirectiveKey{File: pos.Filename, Line: pos.Line}, true
 		}
@@ -279,103 +252,30 @@ func (p *Pass) UseKey(k DirectiveKey) {
 
 // StaleDirectives returns one Finding (analyzer "staleallow") per
 // suppression comment in files that did not suppress anything during the
-// run that populated used.  Ignore directives naming an analyzer outside
-// suite are skipped: staleness can only be judged for checks that ran.
+// run that populated used.  A directive whose analyzer is outside suite is
+// skipped: staleness can only be judged for checks that ran.
 func StaleDirectives(fset *token.FileSet, files []*ast.File, suite []*Analyzer, used map[DirectiveKey]bool) []Finding {
 	inSuite := map[string]bool{}
 	for _, az := range suite {
 		inSuite[az.Name] = true
 	}
+	owner := map[string]string{
+		"allowblock":     HandlerNoBlock.Name,
+		"allowwallclock": VTClock.Name,
+	}
 	var out []Finding
 	for _, d := range collectDirectives(fset, files) {
-		if used[d.Key] {
-			continue
-		}
-		var what string
-		switch d.Kind {
-		case "ignore":
-			if d.Arg != "" && !inSuite[d.Arg] {
-				continue
-			}
-			what = "//lint:ignore halvet"
-			if d.Arg != "" {
-				what = "//lint:ignore halvet-" + d.Arg
-			}
-		case "allowblock":
-			if !inSuite[HandlerNoBlock.Name] {
-				continue
-			}
-			what = "//halvet:allowblock"
-		case "allowwallclock":
-			if !inSuite[VTClock.Name] {
-				continue
-			}
-			what = "//halvet:allowwallclock"
-		default:
+		if used[d.Key] || !inSuite[owner[d.Kind]] {
 			continue
 		}
 		out = append(out, Finding{
 			Pos:      fset.Position(d.Pos),
 			Analyzer: "staleallow",
-			Message: fmt.Sprintf("stale suppression: %s no longer suppresses any diagnostic; delete it before it licenses whatever lands here next (reason was: %s)",
-				what, d.Reason),
+			Message: fmt.Sprintf("stale suppression: //halvet:%s no longer suppresses any diagnostic; delete it before it licenses whatever lands here next (reason was: %s)",
+				d.Kind, d.Reason),
 		})
 	}
 	return out
-}
-
-// --- suppression ---------------------------------------------------------
-
-// filterSuppressed drops diagnostics whose line (or the line above) carries
-// a matching //lint:ignore directive, recording fired directives in used.
-func filterSuppressed(fset *token.FileSet, files []*ast.File, diags []Diagnostic, used map[DirectiveKey]bool) []Diagnostic {
-	if len(diags) == 0 {
-		return diags
-	}
-	// file name -> (covered line, suppressed analyzer or "" for all) ->
-	// the directive's own line (for staleness accounting).
-	type key struct {
-		line int
-		name string
-	}
-	sup := map[string]map[key]int{}
-	for _, d := range collectDirectives(fset, files) {
-		if d.Kind != "ignore" {
-			continue
-		}
-		m := sup[d.Key.File]
-		if m == nil {
-			m = map[key]int{}
-			sup[d.Key.File] = m
-		}
-		// The directive covers its own line and the next one, so it
-		// works both as a trailing comment and on the line above.
-		m[key{d.Key.Line, d.Arg}] = d.Key.Line
-		m[key{d.Key.Line + 1, d.Arg}] = d.Key.Line
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		m := sup[pos.Filename]
-		if m == nil {
-			kept = append(kept, d)
-			continue
-		}
-		if dl, ok := m[key{pos.Line, d.Analyzer}]; ok {
-			if used != nil {
-				used[DirectiveKey{File: pos.Filename, Line: dl}] = true
-			}
-			continue
-		}
-		if dl, ok := m[key{pos.Line, ""}]; ok {
-			if used != nil {
-				used[DirectiveKey{File: pos.Filename, Line: dl}] = true
-			}
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
 }
 
 // shortPos renders a position as "file.go:line" for diagnostic chains.

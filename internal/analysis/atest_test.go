@@ -4,7 +4,7 @@ package analysis
 // declare expectations with `// want` comments on the line a diagnostic is
 // reported for:
 //
-//	freePath(p) // want `pooled FIR path "p" freed twice`
+//	hSleepy: func(ep *amnet.Endpoint, p amnet.Packet) { // want `time\.Sleep parks the PE goroutine`
 //
 // Each quoted (double- or back-quoted) string is a regexp that must match
 // exactly one finding's message on that line; unmatched expectations and
@@ -64,7 +64,7 @@ func getWorld() (*fixtureWorld, error) {
 				worldErr = fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 				return
 			}
-			_, facts, err := AnalyzeUnit(loaded, Suite(), true, depFacts, nil, nil)
+			_, facts, err := AnalyzeUnit(loaded, Suite(), true, depFacts, nil)
 			if err != nil {
 				worldErr = err
 				return
@@ -105,7 +105,7 @@ func runFixture(t *testing.T, az *Analyzer, fixture string) {
 	depFacts := func(pkgPath, analyzer string) json.RawMessage {
 		return w.facts[pkgPath][analyzer]
 	}
-	findings, _, err := AnalyzeUnit(loaded, []*Analyzer{az}, false, depFacts, nil, nil)
+	findings, _, err := AnalyzeUnit(loaded, []*Analyzer{az}, false, depFacts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

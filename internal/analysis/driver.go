@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/token"
-	"time"
 )
 
-// Suite returns the four halvet analyzers in their canonical order.
+// Suite returns the three halvet analyzers in their canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		HandlerNoBlock,
-		PoolOwner,
 		EndpointAffinity,
 		VTClock,
 	}
@@ -29,21 +27,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (halvet-%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// AnalyzerTimings accumulates wall-clock time per analyzer across every
-// package of a driver run, keyed by analyzer name.  The interprocedural
-// passes make per-analyzer cost worth watching: CI prints this table and
-// fails if any single analyzer exceeds its budget.
-type AnalyzerTimings map[string]time.Duration
-
 // AnalyzeModule loads the packages matching patterns (relative to dir),
 // runs the analyzers over each non-dependency match, and returns every
 // finding.  Dependencies inside the same module are analyzed in
-// FactsOnly mode first so cross-package facts (handler reachability,
-// pool summaries) are available.
-// With staleSweep set, every suppression comment in a pattern-matched
-// package that suppressed nothing is reported as a "staleallow" finding.
-// timings, if non-nil, accumulates per-analyzer wall time.
-func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer, staleSweep bool, timings AnalyzerTimings) ([]Finding, error) {
+// FactsOnly mode first so cross-package facts (handler reachability) are
+// available.  Every suppression comment in a pattern-matched package that
+// suppressed nothing is reported as a "staleallow" finding.
+func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -68,13 +58,13 @@ func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer, staleSw
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 		}
-		found, facts, err := AnalyzeUnit(loaded, analyzers, lp.DepOnly, depFacts, used, timings)
+		found, facts, err := AnalyzeUnit(loaded, analyzers, lp.DepOnly, depFacts, used)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, found...)
 		allFacts[lp.ImportPath] = facts
-		if staleSweep && !lp.DepOnly {
+		if !lp.DepOnly {
 			findings = append(findings, StaleDirectives(fset, loaded.Files, analyzers, used)...)
 		}
 	}
@@ -85,20 +75,15 @@ func AnalyzeModule(dir string, patterns []string, analyzers []*Analyzer, staleSw
 // given dependency facts, returning diagnostics and the package's exported
 // facts: AnalyzeModule's per-package step, and the fixture harness's entry
 // point.  used, if non-nil, accumulates fired suppression directives for a
-// subsequent StaleDirectives sweep; timings, if non-nil, per-analyzer wall
-// time.
+// subsequent StaleDirectives sweep.
 func AnalyzeUnit(lp *LoadedPackage, analyzers []*Analyzer, factsOnly bool,
 	depFacts func(pkgPath, analyzer string) json.RawMessage,
-	used map[DirectiveKey]bool, timings AnalyzerTimings,
+	used map[DirectiveKey]bool,
 ) ([]Finding, PackageFacts, error) {
 	facts := PackageFacts{}
 	var findings []Finding
 	for _, az := range analyzers {
-		start := time.Now()
 		diags, blob, err := runOne(az, lp.Fset, lp.Files, lp.Pkg, lp.Info, factsOnly, depFacts, used)
-		if timings != nil {
-			timings[az.Name] += time.Since(start)
-		}
 		if err != nil {
 			return nil, nil, err
 		}

@@ -68,7 +68,7 @@ type sarifRegion struct {
 // staleAllowRuleDoc describes the driver's staleness sweep, which emits
 // findings under the synthetic analyzer name "staleallow" without being a
 // suite member.
-const staleAllowRuleDoc = "flag suppression comments (//lint:ignore, //halvet:allowblock, //halvet:allowwallclock) that no longer suppress any diagnostic"
+const staleAllowRuleDoc = "flag //halvet:allowblock and //halvet:allowwallclock comments that no longer suppress any diagnostic"
 
 // EncodeSARIF renders findings as a SARIF 2.1.0 log for GitHub code
 // scanning.  Rule IDs are "halvet-<analyzer>"; file URIs are made

@@ -35,7 +35,7 @@ func TestStaleDirectives(t *testing.T) {
 		return w.facts[pkgPath][analyzer]
 	}
 	used := map[DirectiveKey]bool{}
-	findings, _, err := AnalyzeUnit(loaded, Suite(), false, depFacts, used, nil)
+	findings, _, err := AnalyzeUnit(loaded, Suite(), false, depFacts, used)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +47,10 @@ func TestStaleDirectives(t *testing.T) {
 	wantStale := []string{
 		"the blocking call was removed long ago", // onClean's allowblock
 		"the clock read was removed",             // quiet's allowwallclock
-		"obsolete suppression",                   // fine's lint:ignore
 	}
 	liveReasons := []string{
 		"sanctioned blocking for the test",
 		"host pacing for the test",
-		"sanctioned host observation",
 	}
 	for _, want := range wantStale {
 		hit := false

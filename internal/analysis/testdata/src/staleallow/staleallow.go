@@ -48,15 +48,3 @@ func quiet() int {
 	//halvet:allowwallclock fixture: the clock read was removed
 	return 0
 }
-
-// Stale: no vtclock diagnostic lands on the covered line.
-func fine() int {
-	//lint:ignore halvet-vtclock fixture: obsolete suppression
-	return 1
-}
-
-// Live: the ignore suppresses a real vtclock diagnostic.
-func hot() int64 {
-	//lint:ignore halvet-vtclock fixture: sanctioned host observation
-	return time.Now().UnixNano()
-}

@@ -560,6 +560,30 @@ func TestFIREncodingRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPoolPoison pins what a freed pool object looks like: every hop of a
+// freed FIR path reads NoNode, and a second free of a path or a spawn
+// record panics instead of handing one object to two later owners.
+func TestPoolPoison(t *testing.T) {
+	m, _ := allocMachine(t, 2)
+	n := m.nodes[0]
+	path := append(n.newPath(), 0, 1, 1)
+	n.freePath(path)
+	for i, h := range path {
+		if h != amnet.NoNode {
+			t.Errorf("freed hop %d reads %d, want NoNode", i, h)
+		}
+	}
+	mustPanic(t, "second freePath", func() { n.freePath(path) })
+
+	rec := n.newSpawn()
+	rec.alias = Addr{Birth: 0, Hint: 1, Seq: 5}
+	n.freeSpawn(rec)
+	if rec.alias != (Addr{}) {
+		t.Errorf("freed spawn record keeps alias %+v", rec.alias)
+	}
+	mustPanic(t, "second freeSpawn", func() { n.freeSpawn(rec) })
+}
+
 // TestLocEncodingRoundTrip pins the location-triple layout, including
 // NoNode survival.
 func TestLocEncodingRoundTrip(t *testing.T) {

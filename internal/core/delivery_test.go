@@ -256,6 +256,95 @@ func TestFIRChainRepair(t *testing.T) {
 	}
 }
 
+// TestFIRChainPastWordPath walks an actor along a chain longer than a
+// word-encoded FIR path holds, so the repair travels boxed between nodes.
+//
+// Cast: wanderer W (born on node 0, so its birthplace learns every move);
+// controller C (node 0) moves W to node 1, has driver D (node 11) cache W
+// there, then walks W on through nodes 2..10.  D's late letter goes to
+// node 1, which holds it and sends an FIR that nodes 2..9 relay; from node
+// 8 on the path has more than firMaxHops hops and rides the packet boxed.
+func TestFIRChainPastWordPath(t *testing.T) {
+	const last = 10 // W's final node; the chain is nodes 1..last
+	m := testMachine(t, Config{Nodes: last + 2})
+	p := &probe{}
+	wanderer := m.RegisterType("wanderer", func(args []any) Behavior {
+		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			switch msg.Sel {
+			case selEcho:
+				ctx.Reply(msg, ctx.Node())
+			case selPing:
+				ctx.Migrate(msg.Int(0))
+			case selWork:
+				p.add(ctx.Node())
+			}
+		}}
+	})
+	controller := m.RegisterType("controller", func(args []any) Behavior {
+		var w, d Addr
+		step := 0
+		var hop func(ctx *Context)
+		hop = func(ctx *Context) {
+			step++
+			if step > last {
+				ctx.Send(d, selStop)
+				return
+			}
+			ctx.Send(w, selPing, step)
+			j := ctx.NewJoin(1, func(ctx *Context, _ []any) {
+				if step == 1 {
+					ctx.Send(d, selInit, w, ctx.Self()) // D caches W@1
+					return
+				}
+				hop(ctx)
+			})
+			ctx.Request(w, selEcho, j, 0)
+		}
+		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			switch msg.Sel {
+			case selInit:
+				w, d = msg.Addr(0), msg.Addr(1)
+				hop(ctx)
+			case selPong:
+				hop(ctx)
+			}
+		}}
+	})
+	driver := m.RegisterType("driver", func(args []any) Behavior {
+		var w Addr
+		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			switch msg.Sel {
+			case selInit:
+				w = msg.Addr(0)
+				c := msg.Addr(1)
+				j := ctx.NewJoin(1, func(ctx *Context, _ []any) { ctx.Send(c, selPong) })
+				ctx.Request(w, selEcho, j, 0)
+			case selStop:
+				ctx.Send(w, selWork)
+			}
+		}}
+	})
+	run(t, m, func(ctx *Context) {
+		w := ctx.NewOn(0, wanderer)
+		c := ctx.NewOn(0, controller)
+		d := ctx.NewOn(last+1, driver)
+		ctx.Send(c, selInit, w, d)
+	})
+	if vals := p.snapshot(); len(vals) != 1 || vals[0] != last {
+		t.Fatalf("late letter deliveries %v, want [%d]", vals, last)
+	}
+	s := m.Stats().Total
+	if s.FIRRelayed < last-2 {
+		t.Errorf("FIRRelayed=%d, want >= %d: the FIR did not walk the chain", s.FIRRelayed, last-2)
+	}
+	if s.DeadLetters != 0 {
+		t.Errorf("DeadLetters=%d want 0", s.DeadLetters)
+	}
+	if s.Migrations != last {
+		t.Errorf("Migrations=%d want %d", s.Migrations, last)
+	}
+}
+
 // TestSynchronizationConstraints: disabled messages wait in the pending
 // queue and run once the actor's state enables them.
 func TestSynchronizationConstraints(t *testing.T) {

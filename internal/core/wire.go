@@ -158,7 +158,11 @@ func (n *node) sendFIR(dst amnet.NodeID, req firReq) {
 // Recycling is OWNERSHIP-BASED: whichever node consumes the object frees
 // it into its own pool (objects may be allocated on one node and freed on
 // another — a pool entry is just memory, not node state, and the handoff
-// through the network channel orders the accesses).
+// through the network channel orders the accesses).  A freed object is
+// poisoned, so breaking the rule fails loudly in any test that runs it: a
+// freed spawn record is zeroed and a freed path holds NoNode in every hop,
+// which no live path does.  Reading a freed path sends to a node that does
+// not exist, and freeing either object twice panics.
 
 const (
 	spawnPoolCap = 1024
@@ -175,8 +179,13 @@ func (n *node) newSpawn() *spawnRecord {
 	return &spawnRecord{}
 }
 
-// freeSpawn recycles a consumed spawn record.
+// freeSpawn recycles a consumed spawn record.  A live record always names
+// its alias, and arena seq 0 is never handed out, so a zero alias.Seq
+// marks a record that was already freed.
 func (n *node) freeSpawn(rec *spawnRecord) {
+	if rec.alias.Seq == 0 {
+		panic("core: spawn record freed twice")
+	}
 	*rec = spawnRecord{}
 	if len(n.spawnFree) < spawnPoolCap {
 		n.spawnFree = append(n.spawnFree, rec)
@@ -193,10 +202,16 @@ func (n *node) newPath() []amnet.NodeID {
 	return make([]amnet.NodeID, 0, firMaxHops+1)
 }
 
-// freePath recycles a consumed FIR path.
+// freePath recycles a consumed FIR path, poisoning its hops.
 func (n *node) freePath(p []amnet.NodeID) {
 	if cap(p) == 0 {
 		return
+	}
+	if len(p) > 0 && p[0] == amnet.NoNode {
+		panic("core: FIR path freed twice")
+	}
+	for i := range p {
+		p[i] = amnet.NoNode
 	}
 	if len(n.pathFree) < pathPoolCap {
 		n.pathFree = append(n.pathFree, p[:0])

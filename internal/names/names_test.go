@@ -129,8 +129,7 @@ func TestArenaDoubleFreeNoop(t *testing.T) {
 	a := NewArena()
 	seq, _ := a.Alloc()
 	a.Free(seq)
-	//lint:ignore halvet-poolowner deliberate double free: this test pins the arena's stale-seq noop guarantee
-	a.Free(seq) // stale: must not corrupt
+	a.Free(seq) // deliberate double free of a stale seq: must not corrupt
 	seq2, _ := a.Alloc()
 	if a.Get(seq2) == nil {
 		t.Fatal("arena corrupted by double free")
