@@ -69,7 +69,9 @@ type Transport interface {
 type PayloadCodec interface {
 	// AppendPayload appends p.Payload's wire form to buf, so a transport
 	// encodes straight into its frame buffer.  On error the returned
-	// slice is buf at its original length.
+	// slice is buf at its original length.  A payload that encoded is
+	// consumed (the codec may recycle it): the caller must not touch it
+	// again.
 	AppendPayload(buf []byte, p *Packet) ([]byte, error)
 	// DecodePayload rebuilds a payload from the bytes AppendPayload
 	// wrote.  It must not retain b.

@@ -250,32 +250,33 @@ func TestAllocTracedFIRRoundTrip(t *testing.T) {
 }
 
 // TestAllocPayloadCodecMessage: the common cross-process message (two int
-// arguments) encodes into a reused frame buffer without allocating, and
-// decoding allocates the Message the receiver keeps and nothing else: the
-// arguments are read straight into its inline words.
+// arguments) encodes into a reused frame buffer and is consumed — zeroed
+// and back in the machine's spill pool — and decoding takes its Message
+// from there and reads the arguments straight into its inline words, so a
+// round trip through a warm pool allocates nothing.
 func TestAllocPayloadCodecMessage(t *testing.T) {
 	m, prog := allocMachine(t, 2)
 	c := &payloadCodec{m: m}
-	pkt := amnet.Packet{Payload: msgWith(&Message{
-		To: Addr{Birth: 1, Hint: 1, Seq: 7}, Sel: 1,
-		origin: 0, originLD: 3, vt: 12.5, prog: prog,
-	}, 1<<20, -(1 << 30))}
+	msg := &Message{}
+	var pkt amnet.Packet
 	var buf []byte
-	requireZeroAllocs(t, "AppendPayload", func() {
+	requireZeroAllocs(t, "AppendPayload+DecodePayload", func() {
+		msg.To, msg.Sel, msg.originLD, msg.vt, msg.prog = Addr{Birth: 1, Hint: 1, Seq: 7}, 1, 3, 12.5, prog
+		pkt.Payload = msgWith(msg, allocArgs[0], -allocArgs[1])
 		var err error
 		if buf, err = c.AppendPayload(buf[:0], &pkt); err != nil {
 			t.Fatal(err)
 		}
-	})
-	allocs := testing.AllocsPerRun(200, func() {
+		if msg.prog != nil || msg.nargs != 0 {
+			t.Fatal("AppendPayload left the encoded message intact, want it consumed")
+		}
 		v, err := c.DecodePayload(buf)
-		if err != nil || v.(*Message).prog != prog || v.(*Message).Int(1) != -(1<<30) {
+		out, _ := v.(*Message)
+		if err != nil || out == nil || out.prog != prog || out.Int(1) != -allocArgs[1] {
 			t.Fatalf("decode: %v, %v", v, err)
 		}
+		msg = out
 	})
-	if allocs != 1 {
-		t.Errorf("DecodePayload: %.2f allocs/op, want 1 (the Message)", allocs)
-	}
 }
 
 // The message path's guards: arguments ≥ 256 throughout, because the

@@ -148,7 +148,10 @@ func (d *DistConfig) validate(nodes int) error {
 // Data payloads larger than this ride the three-phase protocol.
 const segWords = 512
 
-// reportEvery is the dist leader's termination-probe period.
+// reportEvery is the quiet spell before the dist leader's next
+// termination wave when the last one confirmed nothing (a wave that finds
+// a balanced program is confirmed at once), and the resend period of a
+// probe the transport refused.
 const reportEvery = 2 * time.Millisecond
 
 // stealBackoffBase is the pause between steal attempts after a denial

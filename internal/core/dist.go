@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hal/internal/amnet"
@@ -25,10 +26,21 @@ import (
 // so a unit retiring mid-snapshot skews the sums toward "not yet done",
 // never toward a false finish.
 //
-// Wall-clock use in this file is sanctioned: probe pacing, the stall
-// watchdog, and the shutdown handshake all must keep ticking precisely
-// when virtual time does not (a wedged machine makes no VT progress to
-// observe), mirroring Machine.monitor.
+// A wave costs a round trip, not a timer tick.  The leader wakes the
+// moment the last report of a wave lands (onCtl signals reportc), and a
+// wave that finds a live program balanced but not yet confirmed is
+// followed at once by the confirming wave; reportEvery only spaces the
+// first wave after a quiet spell.  Wave k+1 still opens only after every
+// report of wave k arrived, which is what keeps the two separated.
+// Reports and the leader's fold carry live programs only: a worker learns
+// a program is done from the leader's dcDone alone, so a done program's
+// counters can no longer matter to anyone.
+//
+// Wall-clock use in this file is sanctioned: the quiet spell between
+// waves, the refused-probe resend, the stall watchdogs, and the shutdown
+// handshake all must keep ticking precisely when virtual time does not (a
+// wedged machine makes no VT progress to observe), mirroring
+// Machine.monitor.
 
 // Control-message kinds.  These ride Transport.SendControl and must stay
 // below the transport's own handshake range (0xF0, sock/transport.go).
@@ -92,6 +104,8 @@ type distState struct {
 	probeSeen time.Time             // worker: last probe arrival
 	shutErr   error                 // worker: what the leader reported
 
+	reportc   chan struct{} // leader: one slot, signalled by every report
+	doneBelow atomic.Int64  // every program below this progTab index is done
 	allByes   chan struct{} // leader: closed once every worker said bye
 	shutOnce  sync.Once
 	shutdownc chan struct{} // worker: closed on dcShutdown (DistWait)
@@ -106,6 +120,7 @@ func newDistState(m *Machine, d *DistConfig) *distState {
 		reports:   make(map[int]reportMsg),
 		box:       make(map[uint64]resultWire),
 		byes:      make(map[int]bool),
+		reportc:   make(chan struct{}, 1),
 		allByes:   make(chan struct{}),
 		shutdownc: make(chan struct{}),
 	}
@@ -132,17 +147,33 @@ func (p *Program) isDone() bool {
 	}
 }
 
-// localCounts snapshots this process's cumulative counters, reading each
-// program's consumed counter BEFORE its created counter: a unit retiring
-// between the two reads inflates created relative to consumed, which can
-// only delay the all-equal verdict, never fake it.
+// livePrograms returns the programs in tab that may still be running: the
+// table from the first one not yet done.  Done is final, so the cursor
+// only moves forward; callers still skip done programs past it.
+func (d *distState) livePrograms(tab []*Program) []*Program {
+	i := min(int(d.doneBelow.Load()), len(tab)) // tab may predate the cursor
+	for i < len(tab) && tab[i].isDone() {
+		i++
+	}
+	d.doneBelow.Store(int64(i)) // a racing caller may store less: it is a hint
+	return tab[i:]
+}
+
+// localCounts snapshots this process's cumulative counters of the programs
+// still running, reading each program's consumed counter BEFORE its
+// created counter: a unit retiring between the two reads inflates created
+// relative to consumed, which can only delay the all-equal verdict, never
+// fake it.
 func (d *distState) localCounts() []progCountWire {
 	tab := d.m.progTab.Load()
 	if tab == nil {
 		return nil
 	}
-	out := make([]progCountWire, 0, len(*tab))
-	for _, p := range *tab {
+	var out []progCountWire
+	for _, p := range d.livePrograms(*tab) {
+		if p.isDone() {
+			continue
+		}
 		consumed := p.consumed.Load()
 		created := p.created.Load()
 		out = append(out, progCountWire{ID: p.id, Created: created, Consumed: consumed})
@@ -152,14 +183,19 @@ func (d *distState) localCounts() []progCountWire {
 
 // --- leader --------------------------------------------------------------
 
-// leaderLoop drives probe waves until the machine stops.
+// leaderLoop drives probe waves until the machine stops.  A wave that
+// leaves a live program balanced but unconfirmed is followed at once by
+// the confirming wave; otherwise the next wave waits out reportEvery.
 //
-//halvet:allowwallclock termination probing and stall detection pace on the host clock — a quiescent or wedged machine makes no VT progress to observe
+//halvet:allowwallclock the quiet spell between waves and stall detection pace on the host clock — a quiescent or wedged machine makes no VT progress to observe
 func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 	prev := make(map[uint64][2]int64) // prog id -> {created, consumed}
+	cur := make(map[uint64][2]int64)
+	tm := time.NewTimer(reportEvery)
+	tm.Stop() // the first wave goes at once
 	lastChange := time.Now()
 	for wave := uint64(1); ; wave++ {
-		reports, ok := d.collectWave(wave, stop, done)
+		reports, ok := d.collectWave(wave, stop, done, tm)
 		if !ok {
 			return
 		}
@@ -173,7 +209,7 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 			}
 		}
 
-		cur := make(map[uint64][2]int64, len(prev))
+		clear(cur)
 		for _, pc := range d.localCounts() {
 			cur[pc.ID] = [2]int64{pc.Created, pc.Consumed}
 		}
@@ -186,46 +222,70 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 			}
 		}
 
-		changed, anyLive, outstanding := false, false, int64(0)
+		var v waveVerdict
 		if tab := d.m.progTab.Load(); tab != nil {
-			for _, prog := range *tab {
-				t := cur[prog.id]
-				p, had := prev[prog.id]
-				if !had || p != t {
-					changed = true
-				}
-				if prog.isDone() {
-					continue
-				}
-				if had && p == t && t[0] == t[1] && t[0] > 0 {
-					// Two separated waves, identical balanced counters:
-					// the program is globally quiescent.
-					prog.finishProg()
-					d.t.SendControl(-1, dcDone, doneMsg{Prog: prog.id}.encode())
-					changed = true
-					continue
-				}
-				anyLive = true
-				outstanding += t[0] - t[1]
-			}
+			v = judge(d.livePrograms(*tab), prev, cur)
 		}
-		prev = cur
-		if changed {
+		for _, prog := range v.finished {
+			prog.finishProg()
+			d.t.SendControl(-1, dcDone, doneMsg{Prog: prog.id}.encode())
+		}
+		prev, cur = cur, prev
+		if v.changed {
 			lastChange = time.Now()
 		}
-		if st := d.m.cfg.StallTimeout; st > 0 && anyLive && time.Since(lastChange) > st {
-			d.stall(fmt.Sprintf("cross-process counters stable for %v with %d unit(s) outstanding", st, outstanding))
+		if st := d.m.cfg.StallTimeout; st > 0 && v.live && time.Since(lastChange) > st {
+			d.stall(fmt.Sprintf("cross-process counters stable for %v with %d unit(s) outstanding", st, v.outstanding))
 			return
 		}
-
+		if v.confirm {
+			continue
+		}
+		tm.Reset(reportEvery)
 		select {
 		case <-stop:
 			return
 		case <-done:
 			return
-		case <-time.After(reportEvery):
+		case <-tm.C:
 		}
 	}
+}
+
+// waveVerdict is what one wave says about the programs still running.
+type waveVerdict struct {
+	finished    []*Program // two separated waves agree, and balance
+	confirm     bool       // a program balances, not yet confirmed: wave again now
+	changed     bool       // a program's totals moved, or it finished
+	live        bool       // a program is still running
+	outstanding int64      // units created and not consumed, over those
+}
+
+// judge compares one wave's totals (cur: program id -> {created,
+// consumed}, summed over every process) with the previous wave's for each
+// program in progs not yet done.  A program is finished when both waves
+// hold the same totals and created == consumed > 0.
+func judge(progs []*Program, prev, cur map[uint64][2]int64) (v waveVerdict) {
+	for _, prog := range progs {
+		if prog.isDone() {
+			continue
+		}
+		t := cur[prog.id]
+		p, had := prev[prog.id]
+		balanced := t[0] == t[1] && t[0] > 0
+		if had && p == t && balanced {
+			v.finished = append(v.finished, prog)
+			v.changed = true
+			continue
+		}
+		if !had || p != t {
+			v.changed = true
+			v.confirm = v.confirm || balanced
+		}
+		v.live = true
+		v.outstanding += t[0] - t[1]
+	}
+	return v
 }
 
 // stall ends the run as stalled: the flight record is written while the
@@ -241,25 +301,27 @@ func (d *distState) stall(detail string) {
 }
 
 // collectWave broadcasts a probe and blocks until every worker has
-// answered for this wave.  A probe the transport accepted reaches every
-// worker exactly once, however often a link is cut; one it refused (a
-// backlog behind a dead peer) is sent again on the next tick, and workers
-// answer every copy (reports are idempotent snapshots).  A worker silent
-// for twice the stall timeout is a stall like any other.
+// answered for this wave, waking on each report.  A probe the transport
+// accepted reaches every worker exactly once, however often a link is
+// cut; one it refused (a backlog behind a dead peer) is sent again after
+// reportEvery, and workers answer every copy (reports are idempotent
+// snapshots).  A worker silent for twice the stall timeout is a stall
+// like any other.  tm is the caller's timer, stopped.
 //
-//halvet:allowwallclock the poll tick and the worker-silence deadline pace on the host clock — a silent worker leaves no VT signal
-func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]reportMsg, bool) {
+//halvet:allowwallclock the refused-probe resend and the worker-silence deadline pace on the host clock — a silent worker leaves no VT signal
+func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}, tm *time.Timer) ([]reportMsg, bool) {
 	probe := probeMsg{Wave: wave}.encode()
 	sent := false
 	var deadline time.Time
 	if st := d.m.cfg.StallTimeout; st > 0 {
 		deadline = time.Now().Add(2 * st)
 	}
+	got := make([]reportMsg, 0, d.procs-1)
 	for {
 		if !sent {
 			sent = d.t.SendControl(-1, dcProbe, probe) == nil
 		}
-		got := make([]reportMsg, 0, d.procs-1)
+		got = got[:0]
 		d.mu.Lock()
 		for p := 1; p < d.procs; p++ {
 			if r, ok := d.reports[p]; ok && r.Wave == wave {
@@ -270,13 +332,26 @@ func (d *distState) collectWave(wave uint64, stop, done <-chan struct{}) ([]repo
 		if len(got) == d.procs-1 {
 			return got, true
 		}
+		var tick <-chan time.Time
+		switch {
+		case !sent:
+			tm.Reset(reportEvery)
+			tick = tm.C
+		case !deadline.IsZero():
+			tm.Reset(time.Until(deadline))
+			tick = tm.C
+		}
 		select {
 		case <-stop:
+			tm.Stop()
 			return nil, false
 		case <-done:
+			tm.Stop()
 			return nil, false
-		case <-time.After(reportEvery / 4):
+		case <-d.reportc:
+		case <-tick:
 		}
+		tm.Stop()
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			d.stall(fmt.Sprintf("a worker process stopped answering termination probes (wave %d)", wave))
 			return nil, false
@@ -414,6 +489,10 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		d.mu.Lock()
 		d.reports[peer] = rm // the link is FIFO: the newest wave arrives last
 		d.mu.Unlock()
+		select {
+		case d.reportc <- struct{}{}:
+		default: // a wake is already pending
+		}
 	case dcDone:
 		dm, err := decodeDone(body)
 		if err != nil || dm.Prog > d.m.progSeq.Load()+maxProgAhead {

@@ -7,8 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,7 +35,7 @@ type distRig struct {
 // configure (optional) tweaks each process's Config identically;
 // register installs behavior types and must register the same types in
 // the same order on every machine.
-func startDistRig(t *testing.T, nodes, procs int, configure func(*Config), register func(*Machine)) *distRig {
+func startDistRig(t testing.TB, nodes, procs int, configure func(*Config), register func(*Machine)) *distRig {
 	t.Helper()
 	addr := filepath.Join(t.TempDir(), "hal.sock")
 
@@ -95,6 +97,7 @@ func startDistRig(t *testing.T, nodes, procs int, configure func(*Config), regis
 		if register != nil {
 			register(m)
 		}
+		dumpFlightOnFailure(t, m)
 		rig.machines[i] = m
 	}
 	for i, m := range rig.machines {
@@ -109,7 +112,7 @@ func (r *distRig) leader() *Machine { return r.machines[0] }
 
 // shutdown runs the production teardown order: leader Shutdown
 // broadcasts, workers observe it via DistWait, everyone closes.
-func (r *distRig) shutdown(t *testing.T) {
+func (r *distRig) shutdown(t testing.TB) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for i := 1; i < len(r.machines); i++ {
@@ -479,6 +482,166 @@ func TestDistFaultPlan(t *testing.T) {
 	}
 }
 
+// TestDistNoEarlyFinish bounces one token between the two processes of a
+// machine whose links keep being cut and whose nodes keep pausing, so
+// exactly one unit of the program is always in flight — often held in a
+// link's replay, or in a paused node's inbox, while a wave is taken.  The
+// waves confirm back-to-back, so the four-counter rule is what stands
+// between a balanced snapshot and an early finish: Wait must return after
+// the last bounce and not before it.
+func TestDistNoEarlyFinish(t *testing.T) {
+	const nodes, bounces = 4, 500
+	var seen atomic.Int64
+	rig := startDistRig(t, nodes, 2, func(cfg *Config) {
+		cfg.Faults = &amnet.FaultPlan{Cut: 0.1, PauseEvery: time.Millisecond}
+		cfg.StallTimeout = 30 * time.Second
+	}, func(m *Machine) {
+		m.RegisterType("bouncer", func(args []any) Behavior {
+			return BehaviorFunc(func(ctx *Context, msg *Message) {
+				n := seen.Add(1)
+				if left := msg.Int(1); left > 1 {
+					ctx.Send(msg.Addr(0), 1, ctx.Self(), left-1)
+					return
+				}
+				ctx.Exit(n)
+			})
+		})
+	})
+	typ := rig.leader().TypeByName("bouncer")
+	for round := 0; round < 3; round++ {
+		seen.Store(0)
+		v, err := runOn(rig, t, func(ctx *Context) {
+			near, far := ctx.NewOn(0, typ), ctx.NewOn(nodes-1, typ)
+			ctx.Send(far, 1, near, bounces)
+		})
+		if got := seen.Load(); got != bounces {
+			t.Fatalf("round %d: Wait returned after %d of %d bounces (err %v)", round, got, bounces, err)
+		}
+		if err != nil || v != int64(bounces) {
+			t.Fatalf("round %d: result %v, %v; want %d", round, v, err, bounces)
+		}
+	}
+	rig.shutdown(t)
+	var cuts uint64
+	for i, m := range rig.machines {
+		st := m.Stats()
+		if st.Total.DeadLetters != 0 {
+			t.Errorf("process %d: deadletters=%d, want 0", i, st.Total.DeadLetters)
+		}
+		cuts += st.Wire.FaultCuts
+	}
+	if cuts == 0 {
+		t.Error("the plan never cut a link")
+	}
+}
+
+// TestDistWaveRule pins the four-counter verdict wave by wave: a program
+// finishes only on a second wave whose balanced totals equal the first's,
+// a first balanced wave asks for its confirmation at once, and a done
+// program is not looked at.
+func TestDistWaveRule(t *testing.T) {
+	progs := make([]*Program, 5)
+	for i := range progs {
+		progs[i] = &Program{id: uint64(i + 1), done: make(chan struct{})}
+	}
+	progs[4].finishProg()
+	type tot = map[uint64][2]int64
+	waves := []struct {
+		totals   tot
+		finished []uint64
+		confirm  bool
+		out      int64
+	}{
+		// 1 and 2 balance for the first time, 3 has a unit in flight, 4 has
+		// not started anywhere, 5 is done.
+		{tot{1: {3, 3}, 2: {3, 3}, 3: {2, 1}, 5: {1, 0}}, nil, true, 1},
+		// 1 confirms; 2 moved and balances again, so confirms next wave.
+		{tot{1: {3, 3}, 2: {4, 4}, 3: {2, 1}}, []uint64{1}, true, 1},
+		{tot{2: {4, 4}, 3: {3, 2}}, []uint64{2}, false, 1},
+		// Equal but unbalanced totals never finish.
+		{tot{3: {3, 2}}, nil, false, 1},
+	}
+	prev := tot{}
+	for i, w := range waves {
+		v := judge(progs, prev, w.totals)
+		var got []uint64
+		for _, p := range v.finished {
+			got = append(got, p.id)
+			p.finishProg()
+		}
+		if !slices.Equal(got, w.finished) || v.confirm != w.confirm || v.outstanding != w.out || !v.live {
+			t.Errorf("wave %d: finished %v confirm %v outstanding %d live %v; want %v %v %d true",
+				i+1, got, v.confirm, v.outstanding, v.live, w.finished, w.confirm, w.out)
+		}
+		prev = w.totals
+	}
+}
+
+// TestDistReportCarriesLiveProgramsOnly runs 300 programs, each with a
+// creation in the worker's span, to completion beside one program that
+// never ends (a token bouncing between the processes).  Afterwards each
+// side's counter snapshot, and the report the worker last sent the
+// leader, hold that one program and none of the 300: a wave's cost
+// follows the programs running, not the programs ever run.
+func TestDistReportCarriesLiveProgramsOnly(t *testing.T) {
+	const nodes, programs = 4, 300
+	rig := startDistRig(t, nodes, 2, nil, func(m *Machine) {
+		registerDistTypes(m)
+		m.RegisterType("pinger", func(args []any) Behavior {
+			return BehaviorFunc(func(ctx *Context, msg *Message) {
+				ctx.Send(msg.Addr(0), 1, ctx.Self())
+			})
+		})
+	})
+	counter, pinger := rig.leader().TypeByName("dist-counter"), rig.leader().TypeByName("pinger")
+	live, err := rig.leader().Launch(func(ctx *Context) {
+		ctx.Send(ctx.NewOn(nodes-1, pinger), 1, ctx.NewOn(0, pinger))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < programs; i++ {
+		if _, err := runOn(rig, t, func(ctx *Context) {
+			j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
+			ctx.Request(ctx.NewOn(nodes-1, counter), 1, j, 0)
+		}); err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+	}
+
+	only := []uint64{live.id}
+	ids := func(pcs []progCountWire) []uint64 {
+		var out []uint64
+		for _, pc := range pcs {
+			out = append(out, pc.ID)
+		}
+		return out
+	}
+	lastReport := func() []uint64 {
+		d := rig.leader().dist
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return ids(d.reports[1].Progs)
+	}
+	if got := ids(rig.leader().dist.localCounts()); !slices.Equal(got, only) {
+		t.Errorf("leader snapshot holds programs %v, want %v", got, only)
+	}
+	// The worker drops a program when the leader's dcDone lands, and the
+	// leader hears of that with its next wave.
+	deadline := time.Now().Add(10 * time.Second)
+	for !slices.Equal(ids(rig.machines[1].dist.localCounts()), only) || !slices.Equal(lastReport(), only) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker snapshot holds %v and its last report %v, want %v",
+				ids(rig.machines[1].dist.localCounts()), lastReport(), only)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if live.isDone() {
+		t.Fatal("the endless program finished")
+	}
+	rig.shutdown(t)
+}
+
 // TestDistWorkerLaunchRefused pins the leader-only program-load rule.
 func TestDistWorkerLaunchRefused(t *testing.T) {
 	rig := startDistRig(t, 4, 2, nil, registerDistTypes)
@@ -517,11 +680,41 @@ func TestDistConfigValidation(t *testing.T) {
 }
 
 // runOn launches root on the rig's leader and waits for the result.
-func runOn(rig *distRig, t *testing.T, root func(ctx *Context)) (any, error) {
+func runOn(rig *distRig, t testing.TB, root func(ctx *Context)) (any, error) {
 	t.Helper()
 	prog, err := rig.leader().Launch(root)
 	if err != nil {
 		return nil, fmt.Errorf("launch: %w", err)
 	}
 	return prog.Wait()
+}
+
+// BenchmarkDistLaunchWait times Launch to Wait on a two-process machine
+// over a unix socket — the cost of the termination waves, since the work
+// itself takes microseconds — for a program that never leaves the leader
+// and for one whose root creates one actor in the worker's span.  p50-us
+// is the median round trip.
+func BenchmarkDistLaunchWait(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		node int
+	}{{"local", 0}, {"remote-create", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rig := startDistRig(b, 2, 2, nil, registerDistTypes)
+			typ := rig.leader().TypeByName("dist-counter")
+			lat := make([]time.Duration, 0, b.N)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if _, err := runOn(rig, b, func(ctx *Context) { ctx.NewOn(bc.node, typ) }); err != nil {
+					b.Fatal(err)
+				}
+				lat = append(lat, time.Since(t0))
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2])/float64(time.Microsecond), "p50-us")
+			rig.shutdown(b)
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -32,13 +33,18 @@ func testMachine(t *testing.T, cfg Config) *Machine {
 // the CI flake-hunter job), the machine's flight record is written there
 // under the test's name.  The record is most useful when the machine was
 // built with Config.TraceBuffer, but the stats section works regardless.
-func dumpFlightOnFailure(t *testing.T, m *Machine) {
+// A machine spanning processes writes one record per process.
+func dumpFlightOnFailure(t testing.TB, m *Machine) {
 	t.Cleanup(func() {
 		dir := os.Getenv("HAL_FLIGHT_DIR")
 		if !t.Failed() || dir == "" {
 			return
 		}
-		name := strings.NewReplacer("/", "_", " ", "_").Replace(t.Name()) + ".flight"
+		name := strings.NewReplacer("/", "_", " ", "_").Replace(t.Name())
+		if m.dist != nil {
+			name += fmt.Sprintf(".p%d", m.dist.t.Self())
+		}
+		name += ".flight"
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			t.Logf("flight record: %v", err)

@@ -277,13 +277,20 @@ type payloadCodec struct {
 var _ amnet.PayloadCodec = (*payloadCodec)(nil)
 
 // AppendPayload appends a boxed kernel payload's wire form to buf.  On
-// error buf comes back at its original length.
+// error buf comes back at its original length.  A message that encodes is
+// consumed: a sent message is the sender's no longer (types.go), its bytes
+// are all the link keeps, so it goes back to the machine's spill pool for
+// the next decode — unless it is shared (a broadcast's, with other
+// readers).
 func (c *payloadCodec) AppendPayload(buf []byte, p *amnet.Packet) ([]byte, error) {
 	start := len(buf)
 	var err error
 	switch v := p.Payload.(type) {
 	case *Message:
-		buf, err = appendMsg(append(buf, wtMsg), v)
+		if buf, err = appendMsg(append(buf, wtMsg), v); err == nil && !v.shared {
+			*v = Message{}
+			c.m.msgSpill.Put(v)
+		}
 	case *spawnRecord:
 		buf = appendAddr(append(buf, wtSpawn), v.alias)
 		buf = le.AppendUint64(buf, uint64(uint32(v.typ)))
@@ -525,8 +532,14 @@ func (r *payloadReader) prog() *Program {
 	return r.m.progForWire(id)
 }
 
+// msg decodes a message into one from the spill pool (zeroed there),
+// where the encoder returns every message it sent.
 func (r *payloadReader) msg() *Message {
-	msg := &Message{To: r.addr()}
+	msg, _ := r.m.msgSpill.Get().(*Message)
+	if msg == nil {
+		msg = new(Message)
+	}
+	msg.To = r.addr()
 	w := r.u64()
 	msg.Sel = Selector(uint32(w >> 32))
 	msg.routed, msg.shared = w&mfRouted != 0, w&mfShared != 0
