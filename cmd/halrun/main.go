@@ -8,7 +8,7 @@
 //	halrun pagerank [-n 2000] [-deg 8] [-iters 20] [-nodes 4] [-verify]
 //	halrun cannon   [-n 240] [-grid 4] [-verify]
 //	halrun cholesky [-n 256] [-b 16] [-nodes 4] [-sync pipelined|seq|bcast]
-//	                [-map cyclic|block] [-flow one-active|ack-all|eager] [-verify]
+//	                [-map cyclic|block] [-flow one-active|eager] [-verify]
 //	halrun dist     -listen ADDR [-net unix|tcp] [-workers 2] [-nodes 8]
 //	                [-app hopscotch|fib] [-n 18] [-rounds 3]        (leader)
 //	halrun dist     -join ADDR [-net unix|tcp]                      (worker)
@@ -224,7 +224,7 @@ func runCholesky(args []string) error {
 	nodes := fs.Int("nodes", 4, "simulated nodes")
 	syncName := fs.String("sync", "pipelined", "synchronization: pipelined, seq, bcast")
 	mapName := fs.String("map", "cyclic", "panel mapping: cyclic, block")
-	flowName := fs.String("flow", "one-active", "bulk flow control: one-active, ack-all, eager")
+	flowName := fs.String("flow", "one-active", "bulk flow control: one-active (one inbound transfer granted per node at a time) or eager (no handshake)")
 	verify := fs.Bool("verify", false, "check L*Lt against the input")
 
 	var sync cholesky.Sync
@@ -252,8 +252,6 @@ func runCholesky(args []string) error {
 		switch *flowName {
 		case "one-active":
 			cfg.Flow = amnet.FlowOneActive
-		case "ack-all":
-			cfg.Flow = amnet.FlowAckAll
 		case "eager":
 			cfg.Flow = amnet.FlowEager
 		default:

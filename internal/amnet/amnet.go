@@ -35,8 +35,8 @@
 //
 // Bulk data does not fit in an active message, so it moves through the
 // three-phase transfer protocol in bulk.go (request, acknowledgment, data
-// segments), with the acknowledgment policy selectable to reproduce the
-// paper's flow-control experiment.
+// segments), on both networks, with the acknowledgment policy selectable
+// to reproduce the paper's flow-control experiment.
 package amnet
 
 import (
@@ -96,9 +96,6 @@ type Config struct {
 	// Flow selects the bulk-transfer acknowledgment policy.  Default
 	// FlowOneActive (the paper's minimal flow control).
 	Flow FlowMode
-	// SegWords is the number of float64 words per bulk data segment.
-	// Default 512 (4 KiB segments).
-	SegWords int
 	// BatchMax is the largest number of packets coalesced into one
 	// SendBatched injection per destination link.  Default 32.  Clamped
 	// to InboxCap so a full batch always fits the destination inbox.
@@ -125,9 +122,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.InboxCap <= 0 {
 		c.InboxCap = 1024
-	}
-	if c.SegWords <= 0 {
-		c.SegWords = 512
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = defaultBatchMax
@@ -202,7 +196,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			out:       make([]outBuf, cfg.Nodes),
 		}
 		nw.eps[i].ring.init(cfg.InboxCap)
-		nw.eps[i].bulk.init(nw.eps[i])
+		nw.eps[i].bulk.in = make(map[xferKey]*inXfer)
 		if cfg.Faults != nil {
 			nw.eps[i].faults = newEPFaults(cfg.Faults, cfg.Nodes, NodeID(i))
 		}
@@ -225,8 +219,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return nw, nil
 }
 
-// IsRemote reports whether node d's kernel runs in another process.
-func (nw *Network) IsRemote(d NodeID) bool {
+// isRemote reports whether node d's kernel runs in another process.
+func (nw *Network) isRemote(d NodeID) bool {
 	return nw.nonres != nil && nw.nonres[d]
 }
 
@@ -583,7 +577,7 @@ const remoteStallPause = 50 * time.Microsecond
 //halvet:allowwallclock remote-link backpressure pacing is host-time: the peer process's drain rate is invisible to virtual time, and a parked sender's VT is frozen
 func (ep *Endpoint) inject(p *Packet) {
 	ep.stats.Sent++
-	if !ep.net.IsRemote(p.Dst) {
+	if !ep.net.isRemote(p.Dst) {
 		dst := ep.net.eps[p.Dst]
 		ep.stall(dst, 1, 0)
 		// Tokens are released only when the receiver dequeues the item, so
@@ -682,7 +676,7 @@ const batchReserveRounds = 128
 func (ep *Endpoint) injectBatch(dst NodeID, buf *[]Packet) {
 	k := len(*buf)
 	ep.stats.FlushOcc.Observe(float64(k))
-	if ep.net.IsRemote(dst) {
+	if ep.net.isRemote(dst) {
 		// A remote batch has no ring slot to share; the coalescing win is
 		// the single wire flush the link writer performs after draining
 		// these packets back-to-back.
@@ -705,10 +699,12 @@ func (ep *Endpoint) injectBatch(dst NodeID, buf *[]Packet) {
 	ep.net.freeBatch(buf)
 }
 
-// DiscardOutbound drops every staged SendBatched packet without injecting
-// it.  Used by machine shutdown, where the network is being drained and
-// unsent control traffic is dead anyway.
-func (ep *Endpoint) DiscardOutbound() {
+// Reset drops everything the endpoint holds for later delivery: staged
+// SendBatched packets, packets held behind cut links, the pause schedule,
+// and every bulk transfer in either direction.  Machine shutdown calls it
+// on the owning goroutine once the network is drained, so nothing of one
+// run reaches the next.
+func (ep *Endpoint) Reset() {
 	// Sweep every link, not just the dirty list: shutdown must reclaim
 	// buffers even if dirty bookkeeping was mid-transition.
 	for i := range ep.out {
@@ -720,6 +716,10 @@ func (ep *Endpoint) DiscardOutbound() {
 		b.dirty = false
 	}
 	ep.dirtyList = ep.dirtyList[:0]
+	if f := ep.faults; f != nil {
+		f.reset()
+	}
+	ep.bulk.reset()
 }
 
 // TrySend injects p without ever blocking or polling.  It reports whether
@@ -729,7 +729,7 @@ func (ep *Endpoint) DiscardOutbound() {
 func (ep *Endpoint) TrySend(p Packet) bool {
 	ep.net.sealed.Store(true)
 	p.Src = ep.id
-	if ep.net.IsRemote(p.Dst) {
+	if ep.net.isRemote(p.Dst) {
 		if !ep.net.remote.TrySend(p) {
 			ep.stats.TryStalls++
 			return false

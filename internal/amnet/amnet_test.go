@@ -33,7 +33,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := nw.Config()
-	if cfg.InboxCap != 1024 || cfg.SegWords != 512 || cfg.Flow != FlowOneActive {
+	if cfg.InboxCap != 1024 || cfg.Flow != FlowOneActive {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 }
@@ -275,7 +275,7 @@ func TestUnregisteredHandlerPanics(t *testing.T) {
 }
 
 func TestFlowModeString(t *testing.T) {
-	cases := map[FlowMode]string{FlowOneActive: "one-active", FlowAckAll: "ack-all", FlowEager: "eager", FlowMode(9): "invalid"}
+	cases := map[FlowMode]string{FlowOneActive: "one-active", FlowEager: "eager", FlowMode(9): "invalid"}
 	for m, want := range cases {
 		if m.String() != want {
 			t.Errorf("FlowMode(%d).String()=%q want %q", m, m.String(), want)

@@ -153,8 +153,8 @@ func TestSendKeepsLinkFIFOWithStaged(t *testing.T) {
 	}
 }
 
-// TestDiscardOutboundDropsStaged checks that DiscardOutbound drops staged
-// packets without injecting them and leaves the endpoint reusable.
+// TestDiscardOutboundDropsStaged checks that Reset drops staged packets
+// without injecting them and leaves the endpoint reusable.
 func TestDiscardOutboundDropsStaged(t *testing.T) {
 	nw := newTestNet(t, Config{Nodes: 2}, map[HandlerID]Handler{
 		hCount: func(*Endpoint, Packet) {},
@@ -162,10 +162,10 @@ func TestDiscardOutboundDropsStaged(t *testing.T) {
 	src, dst := nw.Endpoint(0), nw.Endpoint(1)
 	src.SendBatched(Packet{Handler: hCount, Dst: 1})
 	src.SendBatched(Packet{Handler: hCount, Dst: 1})
-	src.DiscardOutbound()
+	src.Reset()
 	src.flushOut()
 	if got := dst.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after DiscardOutbound, want 0", got)
+		t.Fatalf("Pending() = %d after Reset, want 0", got)
 	}
 	src.SendBatched(Packet{Handler: hCount, Dst: 1})
 	src.flushOut()

@@ -12,20 +12,24 @@ package amnet
 // backing up in the network and starving the small messages that drive
 // software pipelining.
 //
-// Three policies are provided so the Table 1 experiment can compare them:
+// Two policies are provided so the Table 1 experiment can compare them:
 //
 //   - FlowOneActive: the paper's minimal flow control.
-//   - FlowAckAll:    three-phase protocol but every request is granted
-//     immediately; concurrent transfers interleave freely (plain CMAM).
 //   - FlowEager:     no handshake at all; the sender injects all segments
 //     inline, stalling its PE whenever the destination link fills.
 //
-// With FlowOneActive and FlowAckAll the sending PE never blocks on bulk
-// data: segments are pushed opportunistically from the poll loop (pump),
-// so computation overlaps communication.  With FlowEager the send happens
-// on the caller's stack, so a congested link steals compute cycles — the
+// With FlowOneActive the sending PE never blocks on bulk data: segments
+// are pushed opportunistically from the poll loop (pump), so computation
+// overlaps communication.  With FlowEager the send happens on the
+// caller's stack, so a congested link steals compute cycles — the
 // "packet back-up" effect Table 1 attributes to running without flow
 // control.
+//
+// Every packet of the protocol is a plain packet — words and a data
+// section — so it runs unchanged between processes: the grants are the
+// same grants, and a cut link replays segments like any other packet.
+// The fin is the caller's packet itself, with its handler moved into U3
+// beside the transfer id.
 
 import "time"
 
@@ -36,8 +40,6 @@ const (
 	// FlowOneActive grants one inbound transfer at a time per node (the
 	// paper's minimal flow control).  Default.
 	FlowOneActive FlowMode = iota
-	// FlowAckAll grants every transfer immediately.
-	FlowAckAll
 	// FlowEager skips the handshake and pushes segments inline.
 	FlowEager
 )
@@ -47,14 +49,16 @@ func (m FlowMode) String() string {
 	switch m {
 	case FlowOneActive:
 		return "one-active"
-	case FlowAckAll:
-		return "ack-all"
 	case FlowEager:
 		return "eager"
 	default:
 		return "invalid"
 	}
 }
+
+// SegWords is the number of float64 words per bulk data segment (4 KiB
+// segments).
+const SegWords = 512
 
 // Reserved handler ids for the bulk protocol.  The runtime kernel must not
 // use these.
@@ -65,24 +69,19 @@ const (
 	HBulkFin
 )
 
-// finEnvelope carries the user's finishing packet whole inside HBulkFin.
-type finEnvelope struct {
-	fin Packet
-}
-
 type outXfer struct {
 	id    uint64
 	dst   NodeID
 	data  []float64
 	off   int
-	fin   Packet
+	fin   Packet    // the HBulkFin packet
 	ready bool      // granted; segments may flow
 	reqAt time.Time // when the request was sent, for GrantWait
 }
 
 type inXfer struct {
 	buf     []float64
-	granted bool // holds the FlowOneActive grant
+	granted bool // holds the grant
 }
 
 type xferKey struct {
@@ -96,47 +95,51 @@ type bulkState struct {
 	out []*outXfer
 	// Receiver side.
 	in      map[xferKey]*inXfer
-	grantQ  []Packet // requests awaiting a grant (FlowOneActive)
+	grantQ  []Packet // requests awaiting a grant
 	granted int      // inbound transfers currently holding a grant
 }
 
-func (b *bulkState) init(ep *Endpoint) {
-	b.in = make(map[xferKey]*inXfer)
+// reset drops every transfer in either direction.  Transfer ids keep
+// counting, so a packet of a dropped transfer can never be taken for one
+// of the next run's.
+func (b *bulkState) reset() {
+	clear(b.out)
+	b.out = b.out[:0]
+	clear(b.in)
+	clear(b.grantQ)
+	b.grantQ = b.grantQ[:0]
+	b.granted = 0
 }
 
 // BulkSend transfers data to dst and then delivers fin on dst with
 // fin.Data set to the transferred payload.  Ownership of data passes to
 // the network; the caller must not mutate it afterwards.  fin.Dst and
-// fin.Src are stamped by the protocol; fin.Data is overwritten.
+// fin.Src are stamped by the protocol; fin.Data is overwritten, and fin.U3
+// is the protocol's (it arrives zero).  dst may live in another process.
 //
-// Under FlowOneActive and FlowAckAll the call returns immediately and the
-// transfer progresses from the endpoint's poll loop.  Under FlowEager, and
-// for payloads of at most one segment, the data is injected inline before
+// Under FlowOneActive the call returns immediately and the transfer
+// progresses from the endpoint's poll loop.  Under FlowEager, and for
+// payloads of at most one segment, the data is injected inline before
 // BulkSend returns (stalling the caller if links are full).
 func (ep *Endpoint) BulkSend(dst NodeID, data []float64, fin Packet) {
-	if ep.net.IsRemote(dst) {
-		// The three-phase protocol's bookkeeping (finEnvelope, grant
-		// state) is process-local; the kernel ships cross-process bulk
-		// data inside a single framed packet instead, and the wire's own
-		// flow control replaces the grant protocol.
-		panic("amnet: BulkSend to a non-resident node; frame the data in one packet instead")
-	}
 	// Every branch below opens with a Send, which drains what is staged for
 	// this link first: a small-then-bulk sequence to one peer cannot
 	// reorder.
 	ep.stats.BulkSends++
-	fin.Dst = dst
 	b := &ep.bulk
 	b.nextID++
 	id := b.nextID
-	seg := ep.net.cfg.SegWords
+	// fin becomes the HBulkFin packet: its words, VT and payload ride
+	// unchanged, and U3 carries the transfer id above its handler.
+	fin.Dst, fin.Data = dst, nil
+	fin.Handler, fin.U3 = HBulkFin, id<<8|uint64(fin.Handler)
 
-	if ep.net.cfg.Flow == FlowEager || len(data) <= seg {
-		for off := 0; off < len(data); off += seg {
-			end := min(off+seg, len(data))
+	if ep.net.cfg.Flow == FlowEager || len(data) <= SegWords {
+		for off := 0; off < len(data); off += SegWords {
+			end := min(off+SegWords, len(data))
 			ep.Send(Packet{Handler: HBulkSeg, Dst: dst, U0: id, U1: uint64(off), U2: uint64(len(data)), Data: data[off:end]})
 		}
-		ep.Send(Packet{Handler: HBulkFin, Dst: dst, U0: id, Payload: finEnvelope{fin: fin}})
+		ep.Send(fin)
 		return
 	}
 
@@ -149,7 +152,7 @@ func (ep *Endpoint) BulkSend(dst NodeID, data []float64, fin Packet) {
 func registerBulkHandlers(nw *Network) {
 	nw.Register(HBulkReq, func(ep *Endpoint, p Packet) {
 		b := &ep.bulk
-		if nw.cfg.Flow == FlowOneActive && b.granted > 0 {
+		if b.granted > 0 {
 			ep.stats.BulkQueued++
 			b.grantQ = append(b.grantQ, p)
 			return
@@ -184,7 +187,7 @@ func registerBulkHandlers(nw *Network) {
 	})
 	nw.Register(HBulkFin, func(ep *Endpoint, p Packet) {
 		b := &ep.bulk
-		k := xferKey{src: p.Src, id: p.U0}
+		k := xferKey{src: p.Src, id: p.U3 >> 8}
 		x := b.in[k]
 		var data []float64
 		if x != nil {
@@ -200,26 +203,16 @@ func registerBulkHandlers(nw *Network) {
 			delete(b.in, k)
 		}
 		ep.stats.BulkRecvs++
-		fin := p.Payload.(finEnvelope).fin
-		fin.Src = p.Src
-		fin.Dst = ep.id
-		fin.Data = data
-		ep.dispatch(fin)
+		p.Handler, p.U3 = HandlerID(p.U3), 0
+		p.Data = data
+		ep.dispatch(p)
 	})
 }
 
 func (ep *Endpoint) grant(req Packet) {
 	b := &ep.bulk
-	k := xferKey{src: req.Src, id: req.U0}
-	x := b.in[k]
-	if x == nil {
-		x = &inXfer{buf: make([]float64, int(req.U1))}
-		b.in[k] = x
-	}
-	if ep.net.cfg.Flow == FlowOneActive && !x.granted {
-		b.granted++
-		x.granted = true
-	}
+	b.in[xferKey{src: req.Src, id: req.U0}] = &inXfer{buf: make([]float64, int(req.U1)), granted: true}
+	b.granted++
 	ep.Send(Packet{Handler: HBulkAck, Dst: req.Src, U0: req.U0})
 }
 
@@ -227,21 +220,20 @@ func (ep *Endpoint) grant(req Packet) {
 // PE never stalls on bulk data.  Called from PollAll and from the ack
 // handler.  Transfers complete in FIFO order per sender.
 func (b *bulkState) pump(ep *Endpoint) {
-	seg := ep.net.cfg.SegWords
 	for len(b.out) > 0 {
 		x := b.out[0]
 		if !x.ready {
 			return // head-of-line transfer not yet granted
 		}
 		for x.off < len(x.data) {
-			end := min(x.off+seg, len(x.data))
+			end := min(x.off+SegWords, len(x.data))
 			ok := ep.TrySend(Packet{Handler: HBulkSeg, Dst: x.dst, U0: x.id, U1: uint64(x.off), U2: uint64(len(x.data)), Data: x.data[x.off:end]})
 			if !ok {
 				return // link full; resume on next pump
 			}
 			x.off = end
 		}
-		if !ep.TrySend(Packet{Handler: HBulkFin, Dst: x.dst, U0: x.id, Payload: finEnvelope{fin: x.fin}}) {
+		if !ep.TrySend(x.fin) {
 			return // retry the fin on the next pump
 		}
 		b.out = b.out[1:]

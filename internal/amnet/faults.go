@@ -259,14 +259,8 @@ func (ep *Endpoint) drainHeld() int {
 	return n
 }
 
-// FaultReset discards held packets and pause schedules, for reuse of the
-// network across machine runs.  Must be called from the owning goroutine
-// with no traffic in flight.
-func (ep *Endpoint) FaultReset() {
-	f := ep.faults
-	if f == nil {
-		return
-	}
+// reset discards held packets and the pause schedule (Endpoint.Reset).
+func (f *epFaults) reset() {
 	for _, src := range f.cut {
 		clear(f.held[src])
 		f.held[src] = f.held[src][:0]

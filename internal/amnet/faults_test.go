@@ -145,8 +145,8 @@ func TestFaultDelayReinjection(t *testing.T) {
 	}
 }
 
-// TestFaultResetDiscardsBacklog checks FaultReset clears held packets
-// (the machine calls it between runs, after the drain barrier).
+// TestFaultResetDiscardsBacklog checks Reset clears held packets (the
+// machine calls it between runs, after the drain barrier).
 func TestFaultResetDiscardsBacklog(t *testing.T) {
 	plan := FaultPlan{Cut: 1}
 	nw := newTestNet(t, Config{Nodes: 2, Faults: &plan}, map[HandlerID]Handler{
@@ -158,7 +158,7 @@ func TestFaultResetDiscardsBacklog(t *testing.T) {
 	if heldCount(ep) != 1 {
 		t.Fatalf("held=%d, want 1", heldCount(ep))
 	}
-	ep.FaultReset()
+	ep.Reset()
 	if heldCount(ep) != 0 {
 		t.Fatalf("held=%d after reset", heldCount(ep))
 	}
@@ -313,22 +313,22 @@ func TestFaultPauseWindow(t *testing.T) {
 func TestBulkRecoversUnderCuts(t *testing.T) {
 	var got []bulkRecord
 	plan := FaultPlan{Cut: 0.3, Seed: 42}
-	nw, err := NewNetwork(Config{Nodes: 3, Flow: FlowOneActive, SegWords: 8, InboxCap: 64, Faults: &plan})
+	nw, err := NewNetwork(Config{Nodes: 3, Flow: FlowOneActive, InboxCap: 64, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Register(hBulkDone, func(ep *Endpoint, p Packet) {
 		got = append(got, bulkRecord{data: p.Data, tag: p.U0})
 	})
-	const transfers = 5
+	const transfers, words = 5, 12*SegWords + SegWords/2
 	for k := uint64(0); k < transfers; k++ {
-		nw.Endpoint(0).BulkSend(1, ramp(100), Packet{Handler: hBulkDone, U0: k})
-		nw.Endpoint(2).BulkSend(1, ramp(100), Packet{Handler: hBulkDone, U0: 100 + k})
+		nw.Endpoint(0).BulkSend(1, ramp(words), Packet{Handler: hBulkDone, U0: k})
+		nw.Endpoint(2).BulkSend(1, ramp(words), Packet{Handler: hBulkDone, U0: 100 + k})
 	}
 	pumpUntil(t, nw, func() bool { return len(got) == 2*transfers })
 	tags := map[uint64]bool{}
 	for _, r := range got {
-		checkRamp(t, r.data, 100)
+		checkRamp(t, r.data, words)
 		if tags[r.tag] {
 			t.Fatalf("transfer %d completed twice", r.tag)
 		}

@@ -55,11 +55,11 @@ func TestFlushOccupancyObserved(t *testing.T) {
 
 func TestBulkGrantWaitObserved(t *testing.T) {
 	var got []bulkRecord
-	nw := bulkNet(t, 3, FlowOneActive, 16, &got)
+	nw := bulkNet(t, 3, FlowOneActive, &got)
 	// Two announcements race for node 0's single active slot, so at least
 	// one grant is delayed; both transfers must record a wait sample.
-	nw.Endpoint(1).BulkSend(0, ramp(160), Packet{Handler: hBulkDone, U0: 1})
-	nw.Endpoint(2).BulkSend(0, ramp(160), Packet{Handler: hBulkDone, U0: 2})
+	nw.Endpoint(1).BulkSend(0, ramp(10*SegWords), Packet{Handler: hBulkDone, U0: 1})
+	nw.Endpoint(2).BulkSend(0, ramp(10*SegWords), Packet{Handler: hBulkDone, U0: 2})
 	pumpUntil(t, nw, func() bool { return len(got) == 2 })
 	for _, src := range []NodeID{1, 2} {
 		h := nw.Endpoint(src).Stats().GrantWait

@@ -126,11 +126,11 @@ func TestRemoteSeamRoutesBySplit(t *testing.T) {
 		t.Fatal("the network does not hold the configured transport")
 	}
 	for i := NodeID(0); i < nodes; i++ {
-		if got, want := na.IsRemote(i), i >= split; got != want {
-			t.Errorf("side a IsRemote(%d) = %v, want %v", i, got, want)
+		if got, want := na.isRemote(i), i >= split; got != want {
+			t.Errorf("side a isRemote(%d) = %v, want %v", i, got, want)
 		}
-		if got, want := nb.IsRemote(i), i < split; got != want {
-			t.Errorf("side b IsRemote(%d) = %v, want %v", i, got, want)
+		if got, want := nb.isRemote(i), i < split; got != want {
+			t.Errorf("side b isRemote(%d) = %v, want %v", i, got, want)
 		}
 	}
 

@@ -144,10 +144,6 @@ func (d *DistConfig) validate(nodes int) error {
 	return nil
 }
 
-// segWords is the bulk-transfer segment size in float64 words: message
-// Data payloads larger than this ride the three-phase protocol.
-const segWords = 512
-
 // reportEvery is the quiet spell before the dist leader's next
 // termination wave when the last one confirmed nothing (a wave that finds
 // a balanced program is confirmed at once), and the resend period of a

@@ -123,18 +123,9 @@ func (n *node) routeVia(via amnet.NodeID, msg *Message, senderSeq uint64) {
 // forwarding chains accumulate latency naturally.
 func (n *node) netSendMsg(dst amnet.NodeID, msg *Message) {
 	vt := msg.vt + costNetLatency + float64(len(msg.Data))*costPerWord
-	if len(msg.Data) > segWords {
+	if len(msg.Data) > amnet.SegWords {
 		data := msg.Data
 		msg.Data = nil
-		if n.m.nw.IsRemote(dst) {
-			// The three-phase bulk protocol's grant state is process-local;
-			// across the wire the payload rides the packet's Data section of
-			// ONE sequenced frame instead (the socket's own flow control
-			// replaces the grant protocol), and the receiving handler
-			// reattaches it exactly as the transfer fin would.
-			n.emit(amnet.Packet{Handler: hDeliverMsg, Dst: dst, VT: vt, Payload: msg, Data: data})
-			return
-		}
 		if n.m.cfg.Flow == amnet.FlowEager {
 			// Without flow control the eager injection stalls this PE
 			// for the whole transfer (Table 1's pathology).

@@ -267,42 +267,84 @@ func TestDistGroupBroadcast(t *testing.T) {
 	rig.shutdown(t)
 }
 
-// TestDistBulkData sends a beyond-segment bulk payload to a worker node
-// and gets its sum back: the single-frame wire bulk path replacing the
-// three-phase in-memory protocol.
+// TestDistBulkData sends four beyond-segment payloads at once from the
+// leader to one worker node, three rounds on one machine, under each flow
+// mode and with and without a fault plan.  The three-phase protocol runs
+// across the socket: under one-active flow control the worker queues
+// requests behind its single grant, and a cut link replays segments like
+// any other frame.
 func TestDistBulkData(t *testing.T) {
-	const nodes = 4
-	rig := startDistRig(t, nodes, 2, nil, func(m *Machine) {
-		m.RegisterType("summer", func(args []any) Behavior {
-			return BehaviorFunc(func(ctx *Context, msg *Message) {
-				sum := 0.0
-				for _, x := range msg.Data {
-					sum += x
+	const nodes, words, xfers, rounds = 4, 4096, 4, 3
+	for _, flow := range []amnet.FlowMode{amnet.FlowOneActive, amnet.FlowEager} {
+		for _, faulted := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/faults=%v", flow, faulted), func(t *testing.T) {
+				rig := startDistRig(t, nodes, 2, func(cfg *Config) {
+					cfg.Flow = flow
+					if faulted {
+						cfg.Faults = &amnet.FaultPlan{Cut: 0.1, PauseEvery: time.Millisecond}
+						cfg.StallTimeout = 30 * time.Second
+					}
+				}, func(m *Machine) {
+					m.RegisterType("summer", func(args []any) Behavior {
+						return BehaviorFunc(func(ctx *Context, msg *Message) {
+							sum := 0.0
+							for _, x := range msg.Data {
+								sum += x
+							}
+							ctx.Reply(msg, sum)
+							ctx.Die()
+						})
+					})
+				})
+				typ := rig.leader().TypeByName("summer")
+				for r := 0; r < rounds; r++ {
+					v, err := runOn(rig, t, func(ctx *Context) {
+						j := ctx.NewJoin(xfers, func(ctx *Context, vs []any) {
+							sum := 0.0
+							for _, v := range vs {
+								sum += v.(float64)
+							}
+							ctx.Exit(sum)
+						})
+						for i := 0; i < xfers; i++ {
+							data := make([]float64, words)
+							for k := range data {
+								data[k] = float64(k)
+							}
+							// Far span: every transfer crosses the wire.
+							ctx.RequestData(ctx.NewOn(nodes-1, typ), 1, j, i, data)
+						}
+					})
+					if err != nil {
+						t.Fatalf("round %d: %v", r, err)
+					}
+					if want := float64(xfers * words * (words - 1) / 2); v != want {
+						t.Fatalf("round %d: sum = %v, want %v", r, v, want)
+					}
 				}
-				ctx.Reply(msg, sum)
-				ctx.Die()
+				rig.shutdown(t)
+				var tot NodeStats
+				var cuts uint64
+				for _, m := range rig.machines {
+					st := m.Stats()
+					tot.add(st.Total)
+					cuts += st.Wire.FaultCuts
+				}
+				if want := uint64(xfers * rounds); tot.Net.BulkSends != want || tot.Net.BulkRecvs != want {
+					t.Errorf("BulkSends=%d BulkRecvs=%d, want %d each", tot.Net.BulkSends, tot.Net.BulkRecvs, want)
+				}
+				if flow == amnet.FlowOneActive && tot.Net.BulkQueued == 0 {
+					t.Error("no request waited for the one-active grant")
+				}
+				if tot.DeadLetters != 0 {
+					t.Errorf("deadletters=%d, want 0", tot.DeadLetters)
+				}
+				if faulted && cuts == 0 {
+					t.Error("the plan never cut a link")
+				}
 			})
-		})
-	})
-	typ := rig.leader().TypeByName("summer")
-	const words = 4096 // several segments
-	v, err := runOn(rig, t, func(ctx *Context) {
-		data := make([]float64, words)
-		for i := range data {
-			data[i] = float64(i)
 		}
-		a := ctx.NewOn(nodes-1, typ) // far span: crosses the wire
-		j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
-		ctx.RequestData(a, 1, j, 0, data)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	want := float64(words*(words-1)) / 2
-	if v != want {
-		t.Fatalf("sum = %v, want %v", v, want)
-	}
-	rig.shutdown(t)
 }
 
 // TestDistExitNow proves a worker-side ExitNow forces completion from

@@ -103,7 +103,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Nodes:    cfg.Nodes + 1,
 		InboxCap: cfg.InboxCap,
 		Flow:     cfg.Flow,
-		SegWords: segWords,
 		Faults:   cfg.Faults,
 	}
 	if cfg.Dist != nil {

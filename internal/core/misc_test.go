@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hal/internal/amnet"
 )
 
 // Accessors, panic guards, and small paths not covered elsewhere.
@@ -105,7 +107,7 @@ func TestRequestData(t *testing.T) {
 	})
 	v := run(t, m, func(ctx *Context) {
 		a := ctx.NewOn(1, sum)
-		data := make([]float64, segWords+88) // more than one bulk segment
+		data := make([]float64, amnet.SegWords+88) // more than one bulk segment
 		for i := range data {
 			data[i] = 1
 		}
@@ -114,6 +116,48 @@ func TestRequestData(t *testing.T) {
 	})
 	if v != 600.0 {
 		t.Fatalf("RequestData sum=%v", v)
+	}
+}
+
+// TestBulkStateEndsWithRun cuts a run short while its bulk transfers
+// still wait for grants: the next run's transfer to the same node must
+// not queue behind them.
+func TestBulkStateEndsWithRun(t *testing.T) {
+	m := testMachine(t, Config{Nodes: 2})
+	dumpFlightOnFailure(t, m)
+	sum := m.RegisterType("sum", func(args []any) Behavior {
+		return &funcBehavior{f: func(ctx *Context, msg *Message) {
+			s := 0.0
+			for _, v := range msg.Data {
+				s += v
+			}
+			ctx.Reply(msg, s)
+		}}
+	})
+	ones := func(n int) []float64 {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = 1
+		}
+		return data
+	}
+	if v, err := m.Run(func(ctx *Context) {
+		a := ctx.NewOn(1, sum)
+		j := ctx.NewJoin(8, func(ctx *Context, slots []any) {})
+		for i := 0; i < 8; i++ {
+			ctx.RequestData(a, selWork, j, i, ones(4096))
+		}
+		ctx.ExitNow("cut short")
+	}); err != nil || v != "cut short" {
+		t.Fatalf("first run = %v, %v; want cut short", v, err)
+	}
+	v := run(t, m, func(ctx *Context) {
+		a := ctx.NewOn(1, sum)
+		j := ctx.NewJoin(1, func(ctx *Context, slots []any) { ctx.Exit(slots[0]) })
+		ctx.RequestData(a, selWork, j, 0, ones(1024))
+	})
+	if v != 1024.0 {
+		t.Fatalf("second run sum = %v, want 1024", v)
 	}
 }
 

@@ -284,8 +284,7 @@ func (n *node) purge() {
 	n.stealOut = false
 	n.nextSteal = time.Time{}
 	n.stealSent = time.Time{}
-	n.ep.DiscardOutbound() // staged batches must not leak into the next run
-	n.ep.FaultReset()
+	n.ep.Reset() // staged, held and bulk packets must not leak into the next run
 	n.arena.ForEach(func(seq uint64, ld *names.LD) {
 		ld.Held = nil
 		ld.FIRSent = false
