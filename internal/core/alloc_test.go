@@ -33,8 +33,9 @@ func allocMachineCfg(t *testing.T, cfg Config) (*Machine, *Program) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := &Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})}
-	m.registerProg(prog)
+	m.progMu.Lock()
+	prog := m.newProg()
+	m.progMu.Unlock()
 	m.incLiveAt(m.cfg.Nodes, prog, 1)
 	return m, prog
 }
@@ -63,7 +64,6 @@ func TestAllocSendFastZero(t *testing.T) {
 	n := m.nodes[0]
 	sink := &allocSink{}
 	a := n.createLocal(sink)
-	a.prog = prog
 	ctx := &n.ctx
 	ctx.prog = prog
 	to := a.Addr()
@@ -85,7 +85,6 @@ func TestAllocPooledLocalDelivery(t *testing.T) {
 	n := m.nodes[0]
 	sink := &allocSink{}
 	a := n.createLocal(sink)
-	a.prog = prog
 	ctx := &n.ctx
 	ctx.prog = prog
 	to := a.Addr()
@@ -194,7 +193,6 @@ func TestAllocTracedLocalDelivery(t *testing.T) {
 	n := m.nodes[0]
 	rcv := &allocSink{}
 	a := n.createLocal(rcv)
-	a.prog = prog
 	ctx := &n.ctx
 	ctx.prog = prog
 	to := a.Addr()
@@ -295,7 +293,6 @@ func TestAllocSendArgs(t *testing.T) {
 	n := m.nodes[0]
 	sink := &argSink{}
 	a := n.createLocal(sink)
-	a.prog = prog
 	ctx := &n.ctx
 	ctx.prog = prog
 	to := a.Addr()
@@ -343,7 +340,6 @@ func TestAllocRequestReply(t *testing.T) {
 		m, prog := allocMachine(t, nodes)
 		n0, srv := m.nodes[0], m.nodes[nodes-1]
 		a := srv.createLocal(allocEcho{})
-		a.prog = prog
 		ctx := &n0.ctx
 		ctx.prog = prog
 		to := a.Addr()
@@ -381,7 +377,6 @@ func TestAllocFaultedRequestReply(t *testing.T) {
 	m, prog := allocMachineCfg(t, Config{Nodes: 2, Faults: &amnet.FaultPlan{Cut: 0.3, Seed: 3}})
 	n0, srv := m.nodes[0], m.nodes[1]
 	a := srv.createLocal(allocEcho{})
-	a.prog = prog
 	ctx := &n0.ctx
 	ctx.prog = prog
 	to := a.Addr()
@@ -465,7 +460,6 @@ func TestAllocOneWayStream(t *testing.T) {
 	n0, n1 := m.nodes[0], m.nodes[1]
 	sink := &argSink{}
 	a := n1.createLocal(sink)
-	a.prog = prog
 	ctx := &n0.ctx
 	ctx.prog = prog
 	to := a.Addr()

@@ -84,6 +84,7 @@ func (c *Context) SendFast(to Addr, sel Selector, args ...any) bool {
 				msg := n.newMsg()
 				msg.To, msg.Sel, msg.Reply = to, sel, invalidReply
 				msg.setArgs(args)
+				msg.prog = c.prog
 				c.invokeInline(a, msg)
 				return true
 			}
@@ -98,8 +99,9 @@ func (c *Context) SendFast(to Addr, sel Selector, args ...any) bool {
 // the message was never queued).
 func (c *Context) invokeInline(a *Actor, msg *Message) {
 	n := c.n
+	prog := msg.prog
 	prevSelf, prevAddr, prevProg := c.self, c.selfAddr, c.prog
-	c.self, c.selfAddr, c.prog = a, a.addr, a.prog
+	c.self, c.selfAddr, c.prog = a, a.addr, prog
 	c.depth++
 	a.behavior.Receive(c, msg)
 	c.depth--
@@ -107,7 +109,7 @@ func (c *Context) invokeInline(a *Actor, msg *Message) {
 
 	n.stats.Delivered++
 	n.freeMsg(msg)
-	n.afterMethod(a)
+	n.afterMethod(a, prog)
 	if !a.dead {
 		n.flushPending(a)
 	}
@@ -121,16 +123,12 @@ func (c *Context) New(b Behavior) Addr {
 	if b == nil {
 		panic("core: New with nil behavior")
 	}
-	a := c.n.createLocal(b)
-	a.prog = c.prog
-	return a.addr
+	return c.n.createLocal(b).addr
 }
 
 // NewType creates an actor of a registered type on this node.
 func (c *Context) NewType(t TypeID, args ...any) Addr {
-	a := c.n.createLocal(c.n.m.construct(t, args))
-	a.prog = c.prog
-	return a.addr
+	return c.n.createLocal(c.n.m.construct(t, args)).addr
 }
 
 // NewOn requests creation of an actor of a registered type on the given

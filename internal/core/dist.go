@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hal/internal/amnet"
@@ -33,8 +32,9 @@ import (
 // first wave after a quiet spell.  Wave k+1 still opens only after every
 // report of wave k arrived, which is what keeps the two separated.
 // Reports and the leader's fold carry live programs only: a worker learns
-// a program is done from the leader's dcDone alone, so a done program's
-// counters can no longer matter to anyone.
+// a program is done from the leader's dcDone alone, which drops it from
+// the worker's table (finishProg), so a done program's counters can no
+// longer matter to anyone.
 //
 // Wall-clock use in this file is sanctioned: the quiet spell between
 // waves, the refused-probe resend, the stall watchdogs, and the shutdown
@@ -103,9 +103,9 @@ type distState struct {
 	byes      map[int]bool          // leader: shutdown acknowledgments
 	probeSeen time.Time             // worker: last probe arrival
 	shutErr   error                 // worker: what the leader reported
+	counts    []progCountWire       // worker: the last report's counters, reused under mu
 
 	reportc   chan struct{} // leader: one slot, signalled by every report
-	doneBelow atomic.Int64  // every program below this progTab index is done
 	allByes   chan struct{} // leader: closed once every worker said bye
 	shutOnce  sync.Once
 	shutdownc chan struct{} // worker: closed on dcShutdown (DistWait)
@@ -147,36 +147,23 @@ func (p *Program) isDone() bool {
 	}
 }
 
-// livePrograms returns the programs in tab that may still be running: the
-// table from the first one not yet done.  Done is final, so the cursor
-// only moves forward; callers still skip done programs past it.
-func (d *distState) livePrograms(tab []*Program) []*Program {
-	i := min(int(d.doneBelow.Load()), len(tab)) // tab may predate the cursor
-	for i < len(tab) && tab[i].isDone() {
-		i++
-	}
-	d.doneBelow.Store(int64(i)) // a racing caller may store less: it is a hint
-	return tab[i:]
+// counts reads the program's cumulative counters in this process,
+// consumed BEFORE created: a unit retiring between the two reads inflates
+// created relative to consumed, which can only delay the all-equal
+// verdict, never fake it.
+func (p *Program) counts() [2]int64 {
+	consumed := p.consumed.Load()
+	return [2]int64{p.created.Load(), consumed}
 }
 
-// localCounts snapshots this process's cumulative counters of the programs
-// still running, reading each program's consumed counter BEFORE its
-// created counter: a unit retiring between the two reads inflates created
-// relative to consumed, which can only delay the all-equal verdict, never
-// fake it.
-func (d *distState) localCounts() []progCountWire {
-	tab := d.m.progTab.Load()
-	if tab == nil {
-		return nil
-	}
-	var out []progCountWire
-	for _, p := range d.livePrograms(*tab) {
-		if p.isDone() {
-			continue
-		}
-		consumed := p.consumed.Load()
-		created := p.created.Load()
-		out = append(out, progCountWire{ID: p.id, Created: created, Consumed: consumed})
+// localCounts appends this process's counters of the programs still
+// running to out.
+func (m *Machine) localCounts(out []progCountWire) []progCountWire {
+	m.progMu.Lock()
+	defer m.progMu.Unlock()
+	for _, p := range m.progs {
+		c := p.counts()
+		out = append(out, progCountWire{ID: p.id, Created: c[0], Consumed: c[1]})
 	}
 	return out
 }
@@ -191,6 +178,7 @@ func (d *distState) localCounts() []progCountWire {
 func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 	prev := make(map[uint64][2]int64) // prog id -> {created, consumed}
 	cur := make(map[uint64][2]int64)
+	var progs []*Program // the programs running here, walked once a wave
 	tm := time.NewTimer(reportEvery)
 	tm.Stop() // the first wave goes at once
 	lastChange := time.Now()
@@ -210,8 +198,9 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 		}
 
 		clear(cur)
-		for _, pc := range d.localCounts() {
-			cur[pc.ID] = [2]int64{pc.Created, pc.Consumed}
+		progs = d.m.programs(progs[:0])
+		for _, p := range progs {
+			cur[p.id] = p.counts()
 		}
 		for _, r := range reports {
 			for _, pc := range r.Progs {
@@ -222,10 +211,7 @@ func (d *distState) leaderLoop(stop, done <-chan struct{}) {
 			}
 		}
 
-		var v waveVerdict
-		if tab := d.m.progTab.Load(); tab != nil {
-			v = judge(d.livePrograms(*tab), prev, cur)
-		}
+		v := judge(progs, prev, cur)
 		for _, prog := range v.finished {
 			prog.finishProg()
 			d.t.SendControl(-1, dcDone, doneMsg{Prog: prog.id}.encode())
@@ -478,9 +464,11 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		for _, rw := range d.box {
 			results = append(results, rw)
 		}
+		d.counts = d.m.localCounts(d.counts[:0])
+		rep := reportMsg{Wave: pm.Wave, Progs: d.counts, Results: results}
+		body := rep.encode()
 		d.mu.Unlock()
-		rep := reportMsg{Wave: pm.Wave, Progs: d.localCounts(), Results: results}
-		d.t.SendControl(peer, dcReport, rep.encode())
+		d.t.SendControl(peer, dcReport, body)
 	case dcReport:
 		rm, err := decodeReport(body)
 		if err != nil {
@@ -501,7 +489,9 @@ func (d *distState) onCtl(peer int, kind uint8, body []byte) {
 		d.mu.Lock()
 		delete(d.box, dm.Prog)
 		d.mu.Unlock()
-		d.m.progForWire(dm.Prog).finishProg()
+		if prog := d.m.progForWire(dm.Prog); prog != nil { // nil: finished already
+			prog.finishProg()
+		}
 	case dcShutdown:
 		sm, err := decodeShut(body)
 		if err != nil {

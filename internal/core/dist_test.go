@@ -582,9 +582,10 @@ func TestDistNoEarlyFinish(t *testing.T) {
 // a first balanced wave asks for its confirmation at once, and a done
 // program is not looked at.
 func TestDistWaveRule(t *testing.T) {
+	m := bareMachine()
 	progs := make([]*Program, 5)
 	for i := range progs {
-		progs[i] = &Program{id: uint64(i + 1), done: make(chan struct{})}
+		progs[i] = m.progForWire(uint64(i + 1))
 	}
 	progs[4].finishProg()
 	type tot = map[uint64][2]int64
@@ -665,16 +666,16 @@ func TestDistReportCarriesLiveProgramsOnly(t *testing.T) {
 		defer d.mu.Unlock()
 		return ids(d.reports[1].Progs)
 	}
-	if got := ids(rig.leader().dist.localCounts()); !slices.Equal(got, only) {
+	if got := ids(rig.leader().localCounts(nil)); !slices.Equal(got, only) {
 		t.Errorf("leader snapshot holds programs %v, want %v", got, only)
 	}
 	// The worker drops a program when the leader's dcDone lands, and the
 	// leader hears of that with its next wave.
 	deadline := time.Now().Add(10 * time.Second)
-	for !slices.Equal(ids(rig.machines[1].dist.localCounts()), only) || !slices.Equal(lastReport(), only) {
+	for !slices.Equal(ids(rig.machines[1].localCounts(nil)), only) || !slices.Equal(lastReport(), only) {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker snapshot holds %v and its last report %v, want %v",
-				ids(rig.machines[1].dist.localCounts()), lastReport(), only)
+				ids(rig.machines[1].localCounts(nil)), lastReport(), only)
 		}
 		time.Sleep(time.Millisecond)
 	}

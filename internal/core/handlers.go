@@ -115,7 +115,8 @@ func registerKernelHandlers(m *Machine) {
 			n.applyReply(p.U0, slot, env.v, env.prog, p.VT)
 			return
 		}
-		n.applyReply(p.U0, slot, wordValue(byte(p.U1>>32), p.U2), n.m.progByID(p.U3), p.VT)
+		prog, _ := p.Payload.(*Program)
+		n.applyReply(p.U0, slot, wordValue(byte(p.U1>>32), p.U2), prog, p.VT)
 	})
 
 	m.nw.Register(hLoadProgram, func(ep *amnet.Endpoint, p amnet.Packet) {

@@ -28,6 +28,10 @@ func testMachine(t *testing.T, cfg Config) *Machine {
 	return m
 }
 
+// bareMachine is a Machine with nothing but its program table: enough to
+// resolve, materialize and finish programs without kernels or a network.
+func bareMachine() *Machine { return &Machine{progs: make(map[uint64]*Program)} }
+
 // dumpFlightOnFailure arms a post-mortem flight record: if the test has
 // failed by the time its cleanups run and HAL_FLIGHT_DIR is set (as in
 // the CI flake-hunter job), the machine's flight record is written there

@@ -180,9 +180,7 @@ func (n *node) sendReply(rt ReplyTo, v any, prog *Program) {
 	}
 	pkt.U1 |= uint64(tag) << 32
 	pkt.U2 = w
-	if prog != nil {
-		pkt.U3 = prog.id
-	}
+	pkt.Payload = prog // a pointer in an interface: no allocation
 	// The one packet the kernel stages (amnet.SendBatched): a burst of
 	// replies leaves one node for one requester when a barrier or a join
 	// releases, and nothing routes by what a reply says.  Everything else,

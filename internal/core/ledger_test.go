@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"hal/internal/amnet"
 )
 
 // Tests of the node-local work ledger (program.go): what a node created
@@ -24,6 +26,28 @@ func spinUntil(cond func() bool) bool {
 		runtime.Gosched()
 	}
 	return true
+}
+
+// launchWait runs root as one program on the started machine m and
+// returns its result.
+func launchWait(t *testing.T, m *Machine, root func(ctx *Context)) any {
+	t.Helper()
+	p, err := m.Launch(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// programTableSize is how many programs m's table holds.
+func programTableSize(m *Machine) int {
+	m.progMu.Lock()
+	defer m.progMu.Unlock()
+	return len(m.progs)
 }
 
 // TestLedgerNoFalseZero: a continuation that is its program's only live
@@ -222,6 +246,150 @@ func TestLedgerRestartAfterExitNow(t *testing.T) {
 	if live := m.live.sum(); live != 0 {
 		t.Errorf("live gauge = %d after the second run, want 0", live)
 	}
+}
+
+// TestLedgerServiceProgramsCountToCaller: the kernel does not tell
+// actors of different programs apart (§ 3), so one program's actor may
+// serve every later program.  Program 1 leaves a counter on node 1; 200
+// sequential programs each request from it and exit with the reply.  The
+// counter's method is the requesting program's work, and so is its reply:
+// no program may finish before its join ran.
+func TestLedgerServiceProgramsCountToCaller(t *testing.T) {
+	const programs = 200
+	m := testMachine(t, Config{Nodes: 2})
+	counter := m.RegisterType("counter", func([]any) Behavior {
+		n := 0
+		return BehaviorFunc(func(ctx *Context, msg *Message) {
+			n++
+			ctx.Reply(msg, n)
+		})
+	})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	svc := launchWait(t, m, func(ctx *Context) { ctx.Exit(ctx.NewOn(1, counter)) }).(Addr)
+	for i := 1; i <= programs; i++ {
+		v := launchWait(t, m, func(ctx *Context) {
+			j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
+			ctx.Request(svc, selEcho, j, 0)
+		})
+		if v != i {
+			t.Fatalf("program %d of %d returned %v, want the counter's %d", i, programs, v, i)
+		}
+	}
+	if live := m.live.sum(); live != 0 {
+		t.Errorf("live gauge = %d after every program completed, want 0", live)
+	}
+	if n := programTableSize(m); n != 0 {
+		t.Errorf("%d finished programs left in the table", n)
+	}
+}
+
+// TestLedgerMigrationCountsToAsker: a later program's method migrates an
+// actor an earlier program created.  The move is a unit of the program
+// that asked, so that program's Wait returns only after the actor landed
+// and every unit is retired.
+func TestLedgerMigrationCountsToAsker(t *testing.T) {
+	m := testMachine(t, Config{Nodes: 2})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	nomad := launchWait(t, m, func(ctx *Context) {
+		ctx.Exit(ctx.New(BehaviorFunc(func(ctx *Context, msg *Message) { ctx.Migrate(1) })))
+	}).(Addr)
+	launchWait(t, m, func(ctx *Context) { ctx.Send(nomad, selWork) })
+	// Exact at this instant: every node settles its ledger before the
+	// program's own count can reach zero.
+	if live := m.live.sum(); live != 0 {
+		t.Errorf("live gauge = %d when the asking program's Wait returned, want 0", live)
+	}
+	// The node that took the actor in republishes its counters at its next
+	// epoch or park, which may come just after the Wait.
+	if !spinUntil(func() bool { return m.StatsNow().Total.MigratedIn == 1 }) {
+		t.Errorf("MigratedIn = %d, want 1", m.StatsNow().Total.MigratedIn)
+	}
+}
+
+// TestLedgerManyProgramsLeaveTableEmpty: the program table holds running
+// programs only, so a kept machine that ran 20,000 programs holds none.
+func TestLedgerManyProgramsLeaveTableEmpty(t *testing.T) {
+	const programs = 20_000
+	m := testMachine(t, Config{Nodes: 2})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown()
+	var batch []*Program
+	for i := 0; i < programs; i++ {
+		p, err := m.Launch(func(*Context) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch = append(batch, p); len(batch) == 1000 {
+			for _, p := range batch {
+				if _, err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch = batch[:0]
+		}
+	}
+	if n, seq := programTableSize(m), m.progSeq.Load(); n != 0 || seq != programs {
+		t.Errorf("after %d programs the table holds %d, progSeq %d", programs, n, seq)
+	}
+}
+
+// TestLedgerDistServiceAcrossProcesses: program 2 requests from an actor
+// program 1 left in the worker process, and gets its value: the word reply
+// crosses carrying program 2 (wtProg).  Once both programs finished,
+// the worker's table is empty, and a late wtProg or dcDone for a finished
+// id resolves to nothing and leaves it so.
+func TestLedgerDistServiceAcrossProcesses(t *testing.T) {
+	const nodes = 4
+	rig := startDistRig(t, nodes, 2, nil, func(m *Machine) {
+		m.RegisterType("counter", func([]any) Behavior {
+			n := 0
+			return BehaviorFunc(func(ctx *Context, msg *Message) {
+				n++
+				ctx.Reply(msg, n)
+			})
+		})
+	})
+	counter := rig.leader().TypeByName("counter")
+	svc, err := runOn(rig, t, func(ctx *Context) { ctx.Exit(ctx.NewOn(nodes-1, counter)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := runOn(rig, t, func(ctx *Context) {
+		j := ctx.NewJoin(1, func(ctx *Context, vs []any) { ctx.Exit(vs[0]) })
+		ctx.Request(svc.(Addr), selEcho, j, 0)
+	})
+	if err != nil || v != 1 {
+		t.Fatalf("program 2 returned %v (%v), want the counter's 1", v, err)
+	}
+	w := rig.machines[1]
+	if !spinUntil(func() bool { return programTableSize(w) == 0 }) {
+		t.Fatalf("worker table holds %d programs after both finished", programTableSize(w))
+	}
+	late, err := (&payloadCodec{m: rig.leader()}).AppendPayload(nil, &amnet.Packet{Payload: &Program{id: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := (&payloadCodec{m: w}).DecodePayload(late); err != nil || p.(*Program) != nil {
+		t.Errorf("a late wtProg for a finished program decoded as %v (%v), want nil", p, err)
+	}
+	for id := uint64(1); id <= 2; id++ {
+		w.dist.onCtl(0, dcDone, doneMsg{Prog: id}.encode())
+	}
+	if n, seq := programTableSize(w), w.progSeq.Load(); n != 0 || seq != 2 {
+		t.Errorf("after late messages the worker table holds %d programs, progSeq %d; want 0 and 2", n, seq)
+	}
+	if n := programTableSize(rig.leader()); n != 0 {
+		t.Errorf("leader table holds %d finished programs", n)
+	}
+	rig.shutdown(t)
 }
 
 // TestTaskEntrySize pins the dispatcher's heap entry the way TestLDSize

@@ -64,11 +64,14 @@ type Machine struct {
 	// manager's attachment), used to inject program loads.
 	frontEP  *amnet.Endpoint
 	launchMu sync.Mutex
-	progSeq  atomic.Uint64
-	// progTab maps program id -> *Program (id 1 at index 0) so replies can
-	// carry the program as a word.  Copy-on-write under launchMu; readers
-	// load lock-free from handler context.
-	progTab atomic.Pointer[[]*Program]
+	// progs holds the programs still running here, by id: a program
+	// crosses a process boundary as its id (progForWire), and finishProg
+	// drops its entry.  progSeq is the highest id allocated or heard of;
+	// it moves only under progMu, which guards progs and nothing else
+	// (launchMu is held across a blocking send).
+	progMu  sync.Mutex
+	progs   map[uint64]*Program
+	progSeq atomic.Uint64
 
 	monDone   chan struct{}
 	monExited chan struct{}
@@ -117,6 +120,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		nw:         nw,
 		typeByName: make(map[string]TypeID),
 		types:      []typeEntry{{name: "<invalid>"}}, // TypeID 0 reserved
+		progs:      make(map[uint64]*Program),
 	}
 	m.pace.init(cfg.Nodes, cfg.LoadBalance)
 	m.live = newSharded(cfg.Nodes + 1) // one slot per node + the front end
@@ -360,27 +364,28 @@ func (m *Machine) StatsNow() MachineStats {
 // abandons a packet.  It stays for the benchmark harness, which reads it.
 func (m *Machine) RetryExhausted() bool { return false }
 
-// registerProg appends prog to the id->program table.  Caller holds
-// launchMu, so prog.id == len(table)+1 exactly.
-func (m *Machine) registerProg(prog *Program) {
-	old := m.progTab.Load()
-	var tab []*Program
-	if old != nil {
-		tab = append(tab, *old...)
-	}
-	tab = append(tab, prog)
-	m.progTab.Store(&tab)
+// newProg allocates the next program id and enters the program in the
+// table.  Caller holds progMu.
+func (m *Machine) newProg() *Program {
+	p := &Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})}
+	m.progs[p.id] = p
+	return p
 }
 
-// progByID resolves a program id from the wire; 0 (and unknown ids) is
-// nil, matching an untagged reply.
+// progByID returns the running program with the given id, or nil: for id
+// 0, a finished program, or one not heard of here.
 func (m *Machine) progByID(id uint64) *Program {
-	if id == 0 {
-		return nil
+	m.progMu.Lock()
+	defer m.progMu.Unlock()
+	return m.progs[id]
+}
+
+// programs appends the programs still running here to buf.
+func (m *Machine) programs(buf []*Program) []*Program {
+	m.progMu.Lock()
+	defer m.progMu.Unlock()
+	for _, p := range m.progs {
+		buf = append(buf, p)
 	}
-	tab := m.progTab.Load()
-	if tab == nil || id > uint64(len(*tab)) {
-		return nil
-	}
-	return (*tab)[id-1]
+	return buf
 }

@@ -25,12 +25,12 @@ type migBundle struct {
 	behavior Behavior
 	msgs     []*Message
 	pending  []*Message
-	prog     *Program
+	prog     *Program // the program whose method asked for the move
 }
 
-// startMigration detaches a (after its current method returned) and ships
-// it to the requested node.
-func (n *node) startMigration(a *Actor) {
+// startMigration detaches a (after its current method, of prog, returned)
+// and ships it to the requested node; the move is a unit of prog's work.
+func (n *node) startMigration(a *Actor, prog *Program) {
 	dst := a.migrate
 	a.migrate = amnet.NoNode
 	if dst == n.id || dst < 0 || int(dst) >= len(n.m.nodes) {
@@ -57,7 +57,7 @@ func (n *node) startMigration(a *Actor) {
 	if c, ok := b.(Cloner); ok {
 		b = c.CloneBehavior()
 	}
-	bundle := &migBundle{addr: a.addr, alias: a.alias, behavior: b, pending: a.pending, prog: a.prog}
+	bundle := &migBundle{addr: a.addr, alias: a.alias, behavior: b, pending: a.pending, prog: prog}
 	for {
 		msg, ok := a.mailq.PopFront()
 		if !ok {
@@ -68,7 +68,7 @@ func (n *node) startMigration(a *Actor) {
 	a.pending = nil
 	a.dead = true // the local husk; the identity lives on at dst
 
-	n.incLive(a.prog, 1)
+	n.incLive(prog, 1)
 	n.emit(amnet.Packet{Handler: hMigrate, Dst: dst, VT: n.stamp(0), Payload: bundle})
 }
 
@@ -117,7 +117,6 @@ func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 		seq:      seq,
 		home:     n,
 		migrate:  amnet.NoNode,
-		prog:     bundle.prog,
 	}
 	held := ld.Held
 	ld.State = names.LDLocal

@@ -28,7 +28,6 @@ type Actor struct {
 	dead     bool
 	migrate  amnet.NodeID // requested migration target, NoNode if none
 	become   Behavior     // replacement installed after the current method
-	prog     *Program     // the program this actor belongs to
 }
 
 // Addr returns the actor's ordinary mail address.
@@ -361,30 +360,30 @@ func (n *node) invoke(a *Actor, msg *Message) {
 	n.syncTo(msg.vt)
 	n.charge(costDispatch)
 	ctx := &n.ctx
+	prog := msg.prog
 	prevSelf, prevAddr, prevProg := ctx.self, ctx.selfAddr, ctx.prog
-	ctx.self, ctx.selfAddr, ctx.prog = a, a.addr, a.prog
+	ctx.self, ctx.selfAddr, ctx.prog = a, a.addr, prog
 	n.trace(EvDeliver, a.addr, amnet.NoNode)
 	a.behavior.Receive(ctx, msg)
 	ctx.self, ctx.selfAddr, ctx.prog = prevSelf, prevAddr, prevProg
 
 	n.stats.Delivered++
-	prog := msg.prog
 	n.freeMsg(msg)
-	n.afterMethod(a)
+	n.afterMethod(a, prog)
 	n.decLiveProg(prog)
 }
 
-// afterMethod applies the effects a method deferred to its return: become,
-// then die or migrate.  Nearly every method defers nothing, so the test
-// stands apart from the work and inlines into invoke and invokeInline
+// afterMethod applies the effects a method of prog deferred to its return:
+// become, then die or migrate.  Nearly every method defers nothing, so the
+// test stands apart from the work and inlines into invoke and invokeInline
 // (as one function it cost local-ring 2 % of its hops).
-func (n *node) afterMethod(a *Actor) {
+func (n *node) afterMethod(a *Actor, prog *Program) {
 	if a.become != nil || a.dead || a.migrate != amnet.NoNode {
-		n.applyDeferred(a)
+		n.applyDeferred(a, prog)
 	}
 }
 
-func (n *node) applyDeferred(a *Actor) {
+func (n *node) applyDeferred(a *Actor, prog *Program) {
 	if a.become != nil {
 		a.behavior = a.become
 		a.become = nil
@@ -392,7 +391,7 @@ func (n *node) applyDeferred(a *Actor) {
 	if a.dead {
 		n.reapActor(a)
 	} else if a.migrate != amnet.NoNode {
-		n.startMigration(a)
+		n.startMigration(a, prog)
 	}
 }
 
@@ -550,7 +549,6 @@ func (n *node) instantiate(rec *spawnRecord) {
 	n.charge(costCreateServe)
 	b := n.m.construct(rec.typ, rec.args)
 	a := n.createLocal(b)
-	a.prog = rec.prog
 	a.alias = rec.alias
 	n.table.Bind(rec.alias, a.seq)
 	n.stats.CreatesServed++

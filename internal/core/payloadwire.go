@@ -32,6 +32,7 @@ import (
 //	wtGroup  Group | typ | program id | args values
 //	wtBcast  Group | root | message
 //	wtReply  program id | value
+//	wtProg   program id (a word reply's whole payload, wire.go)
 //
 // A list is a u32 element count (nilList marks a nil slice, so nil and
 // empty survive the trip apart) followed by its elements; floats are a
@@ -50,8 +51,8 @@ import (
 // types above.
 //
 // Program pointers cross as leader-assigned ids, materialized on demand
-// (progForWire).  Every decoder checks a length against the bytes that
-// remain before it allocates for it.
+// and nil once the program finished (progForWire).  Every decoder checks
+// a length against the bytes that remain before it allocates for it.
 //
 // progLaunch deliberately has no wire form: its body is a Go closure.
 // Programs load on the leader, whose node 0 serves hLoadProgram locally;
@@ -76,6 +77,7 @@ const (
 	wtGroup
 	wtBcast
 	wtReply
+	wtProg
 )
 
 // Value tags.
@@ -324,6 +326,8 @@ func (c *payloadCodec) AppendPayload(buf []byte, p *amnet.Packet) ([]byte, error
 	case replyEnvelope:
 		buf = le.AppendUint64(append(buf, wtReply), progID(v.prog))
 		buf, err = appendValue(buf, v.v)
+	case *Program:
+		buf = le.AppendUint64(append(buf, wtProg), progID(v))
 	case progLaunch:
 		return buf, fmt.Errorf("core: program loads never cross the wire (hLoadProgram is leader-local)")
 	default:
@@ -654,6 +658,8 @@ func (c *payloadCodec) DecodePayload(b []byte) (any, error) {
 		env := replyEnvelope{prog: r.prog()}
 		env.v = r.value()
 		v = env
+	case wtProg:
+		v = r.prog()
 	default:
 		return nil, fmt.Errorf("core: unknown payload kind %d", b[0])
 	}
@@ -663,34 +669,23 @@ func (c *payloadCodec) DecodePayload(b []byte) (any, error) {
 	return v, nil
 }
 
-// progForWire resolves a leader-assigned program id in this process,
-// materializing placeholder Programs for ids not seen before.  The leader
-// allocates ids densely from 1 and is the only process that launches, so
-// materializing id n fills every id <= n and later ids stay aligned.
-// Callers bound id first (maxProgAhead).
+// progForWire resolves a leader-assigned program id in this process.  The
+// leader allocates ids densely from 1 and is the only process that
+// launches, so an id past progSeq is news here: it materializes a
+// placeholder for every id up to it, and later ids stay aligned.  An id
+// at or below progSeq that the table lacks is a finished program (or 0):
+// nil, which counts nothing, and never materialized again.  Callers bound
+// id first (maxProgAhead).
 func (m *Machine) progForWire(id uint64) *Program {
-	if id == 0 {
-		return nil
-	}
-	if p := m.progByID(id); p != nil {
+	m.progMu.Lock()
+	defer m.progMu.Unlock()
+	if p, ok := m.progs[id]; ok || id <= m.progSeq.Load() {
 		return p
 	}
-	m.launchMu.Lock()
-	defer m.launchMu.Unlock()
-	var tab []*Program
-	if old := m.progTab.Load(); old != nil {
-		tab = *old
+	for m.progSeq.Load() < id {
+		m.newProg()
 	}
-	if id <= uint64(len(tab)) {
-		return tab[id-1]
-	}
-	grown := make([]*Program, len(tab), id)
-	copy(grown, tab)
-	for uint64(len(grown)) < id {
-		grown = append(grown, &Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})})
-	}
-	m.progTab.Store(&grown)
-	return grown[id-1]
+	return m.progs[id]
 }
 
 // --- opaque values ----------------------------------------------------------

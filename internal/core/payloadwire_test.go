@@ -81,12 +81,15 @@ func wireCases(prog *Program) map[string]any {
 		"reply":      replyEnvelope{v: "done", prog: prog},
 		"reply/user": replyEnvelope{v: wirePoint{X: 5}},
 		"reply/nil":  replyEnvelope{},
+		// A word reply's payload (wire.go): its program alone.
+		"prog":     prog,
+		"prog/nil": (*Program)(nil),
 	}
 }
 
 // wireCodec is a codec over a bare machine with program id 1 known.
 func wireCodec() (*payloadCodec, *Program) {
-	m := &Machine{}
+	m := bareMachine()
 	return &payloadCodec{m: m}, m.progForWire(1)
 }
 
@@ -213,9 +216,9 @@ func TestPayloadRefusals(t *testing.T) {
 }
 
 // TestProgForWireFillsGaps: an id ahead of the table materializes every
-// id up to it, in order, once.
+// id up to it, in order, once; a finished id resolves to nil from then on.
 func TestProgForWireFillsGaps(t *testing.T) {
-	m := &Machine{}
+	m := bareMachine()
 	p5 := m.progForWire(5)
 	if p5 == nil || p5.id != 5 || m.progSeq.Load() != 5 {
 		t.Fatalf("progForWire(5) = %+v with progSeq %d", p5, m.progSeq.Load())
@@ -227,6 +230,14 @@ func TestProgForWireFillsGaps(t *testing.T) {
 	}
 	if m.progForWire(5) != p5 || m.progForWire(0) != nil {
 		t.Error("second resolution differs, or id 0 is not nil")
+	}
+	m.progByID(3).finishProg()
+	p5.finishProg()
+	if p, q := m.progForWire(3), m.progForWire(5); p != nil || q != nil {
+		t.Errorf("finished programs resolve to %+v and %+v, want nil", p, q)
+	}
+	if len(m.progs) != 3 || m.progSeq.Load() != 5 {
+		t.Errorf("table holds %d programs with progSeq %d, want 3 with 5", len(m.progs), m.progSeq.Load())
 	}
 }
 
@@ -289,7 +300,7 @@ func FuzzPayloadDecode(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		c := &payloadCodec{m: &Machine{}}
+		c := &payloadCodec{m: bareMachine()}
 		slack := uint64(2 << 20)
 		opaque := bytes.IndexByte(b, tvGob) >= 0
 		if opaque {

@@ -19,9 +19,10 @@ import (
 // A Machine can therefore be started once and loaded with several
 // programs, each of which completes independently: every unit of work
 // (message, deferred creation, continuation, migration bundle) belongs
-// to the program whose actor produced it, and a program finishes when its
-// own work count drains — quiescence per program — while the machine and
-// the other programs keep running.  The front end injects program loads
+// to the program whose method or join produced it — actors belong to no
+// program — and a program finishes when its own work count drains —
+// quiescence per program — while the machine and the other programs keep
+// running.  The front end injects program loads
 // through its own network endpoint, as the partition manager did.
 
 // Program is a handle to one loaded program.
@@ -47,13 +48,17 @@ type Program struct {
 	consumed atomic.Int64
 }
 
-// finishProg marks the program complete (idempotent).
+// finishProg marks the program complete (idempotent) and drops it from
+// the table.
 //
-// channel, so a loser waits a few instructions, never on network progress.
-//
-//halvet:allowblock Once.Do is bounded here: the winning call only closes a
+//halvet:allowblock Once.Do is bounded here: the winning call only deletes a table entry and closes a channel, so a loser waits a few instructions, never on network progress.
 func (p *Program) finishProg() {
-	p.once.Do(func() { close(p.done) })
+	p.once.Do(func() {
+		p.m.progMu.Lock()
+		delete(p.m.progs, p.id)
+		p.m.progMu.Unlock()
+		close(p.done)
+	})
 }
 
 // setResult records the value Wait returns (ctx.Exit).
@@ -242,12 +247,12 @@ func (m *Machine) Launch(root func(ctx *Context)) (*Program, error) {
 	// The front end injects the load through its own endpoint; node 0's
 	// kernel instantiates the root actor (program loading is node-manager
 	// work, like any other request).  Launches may come from several user
-	// goroutines; the endpoint itself is single-owner.  Id allocation and
-	// table registration sit inside the lock so ids match table order.
-	m.launchMu.Lock()
-	prog := &Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})}
-	m.registerProg(prog)
+	// goroutines; the endpoint itself is single-owner.
+	m.progMu.Lock()
+	prog := m.newProg()
+	m.progMu.Unlock()
 	m.incLiveAt(m.cfg.Nodes, prog, 1) // the bootstrap message
+	m.launchMu.Lock()
 	m.frontEP.Send(amnet.Packet{
 		Handler: hLoadProgram,
 		Dst:     0,
@@ -314,7 +319,6 @@ func (m *Machine) DistWait() error {
 // handleLoadProgram instantiates a program's root actor (on node 0).
 func (n *node) handleLoadProgram(pl progLaunch) {
 	a := n.createLocal(&rootBehavior{fn: pl.fn})
-	a.prog = pl.prog
 	msg := n.newMsg()
 	msg.To, msg.Sel, msg.Reply = a.addr, selRoot, invalidReply
 	msg.prog = pl.prog

@@ -21,9 +21,11 @@ import "hal/internal/amnet"
 //	  U0 = addr.Seq   U1 = Birth<<32|Hint
 //	  U2 = hops[0..3] (16 bits each)   U3 = hops[4..6] | count<<48
 //	reply (hReply; one-word values only, else boxed replyEnvelope):
-//	  U0 = jc   U1 = slot | tag<<32   U2 = value bits   U3 = program id
+//	  U0 = jc   U1 = slot | tag<<32   U2 = value bits
 //	  (tag and bits are wordOf's, types.go: the same tv* tag and word a
 //	  message argument of that value carries)
+//	  Payload = the reply's *Program, a pointer that boxes nothing
+//	  (across processes, payloadwire.go's wtProg)
 //
 // Node ids round-trip through uint32 so NoNode (-1) survives; FIR hop
 // slots are 16-bit, wide enough for any partition this simulator runs.
