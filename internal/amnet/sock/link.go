@@ -39,12 +39,6 @@ import (
 // fails, and failure is the only trigger for replay.  A FaultPlan's
 // losses are failures of that kind: the reader cuts the connection.
 
-// ctlFrame is one queued control message.
-type ctlFrame struct {
-	kind uint8
-	body []byte
-}
-
 const (
 	// outqCap is the per-link outbound queue depth, in packets.  A full
 	// queue refuses TrySend, which propagates as the kernel's ordinary
@@ -159,8 +153,13 @@ type link struct {
 	// full window.  One slot: the writer re-examines all of them.
 	kick chan struct{}
 
-	ctlMu sync.Mutex
-	ctl   []ctlFrame
+	// ctlPend holds the control frames SendControl encoded and the writer
+	// has not taken yet, ctlN of them.  The writer swaps it for ctlSpare,
+	// its own, so in steady state neither buffer is reallocated.
+	ctlMu    sync.Mutex
+	ctlPend  []byte
+	ctlN     int
+	ctlSpare []byte
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled on install and on close
@@ -235,17 +234,19 @@ func (l *link) offer(p amnet.Packet) bool {
 // sendCtl queues a control message and never waits on the wire: readers
 // answer probes from inside the control callback, and a reader that
 // waited for the writer would be waiting for acks only it can read.
-// body is retained; callers must not reuse it.
+// The frame is encoded into the pending buffer at once, so the caller
+// may reuse body as soon as this returns.
 func (l *link) sendCtl(kind uint8, body []byte) error {
 	if l.t.isClosed() {
 		return errClosed
 	}
 	l.ctlMu.Lock()
-	if len(l.ctl) >= ctlBacklogCap {
+	if l.ctlN >= ctlBacklogCap {
 		l.ctlMu.Unlock()
 		return errCtlBacklog
 	}
-	l.ctl = append(l.ctl, ctlFrame{kind: kind, body: body})
+	l.ctlPend, _ = appendControlFrame(l.ctlPend, kind, body) // SendControl checked the size
+	l.ctlN++
 	l.ctlMu.Unlock()
 	l.wake()
 	return nil
@@ -579,23 +580,18 @@ func (l *link) write(bw *bufio.Writer, start int) error {
 // packet traffic is stalled.
 func (l *link) writeControls(bw *bufio.Writer) error {
 	l.ctlMu.Lock()
-	batch := l.ctl
-	l.ctl = nil
+	batch, n := l.ctlPend, l.ctlN
+	l.ctlPend, l.ctlN = l.ctlSpare[:0], 0
 	l.ctlMu.Unlock()
-	if len(batch) == 0 {
+	l.ctlSpare = batch
+	if n == 0 {
 		return nil
 	}
 	w := &l.win
 	w.compact()
 	start := len(w.buf)
-	for _, c := range batch {
-		buf, err := appendControlFrame(w.buf, c.kind, c.body)
-		if err != nil {
-			panic(err) // SendControl checked the size
-		}
-		w.buf = buf
-	}
-	l.t.stats.ctlSent.Add(uint64(len(batch)))
+	w.buf = append(w.buf, batch...)
+	l.t.stats.ctlSent.Add(uint64(n))
 	return l.write(bw, start)
 }
 
@@ -708,11 +704,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			}
 			t.stats.ctlRecvd.Add(1)
 			if fn := t.onCtl; fn != nil {
-				// The scratch buffer is reused for the next frame; the
-				// callback owns a copy.
-				b := make([]byte, len(rest))
-				copy(b, rest)
-				fn(l.peer, ck, b)
+				fn(l.peer, ck, rest) // rest is scratch: valid during the call only
 			}
 		}
 		rx = uint64(h.seq)<<32 | uint64(uint32(rx)+wire)

@@ -3,6 +3,7 @@ package sock
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
@@ -659,4 +660,42 @@ func writerAllocs(t *testing.T, l *link) float64 {
 		send()
 	}
 	return testing.AllocsPerRun(1000, send)
+}
+
+// TestAllocControlSteadyState guards the control lane the way
+// TestAllocLinkWriterSteadyState guards the packet writer: a control
+// message's SendControl, write, read and delivery to the OnControl
+// receiver, on a real two-process mesh, allocate nothing once warm.
+func TestAllocControlSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := bootMesh(t, "unix", filepath.Join(t.TempDir(), "hal.sock"), 1, 2, nil)
+	var sent atomic.Uint64
+	recvd := make(chan bool, 1)
+	for slot, tr := range m.ts {
+		tr.OnControl(func(peer int, kind uint8, body []byte) {
+			recvd <- kind == 0x21 && len(body) == 8 && binary.LittleEndian.Uint64(body) == sent.Load()
+		})
+		startWireNode(t, tr, m.regs[slot], 2)
+	}
+	leader := m.byIdx(0)
+	body := make([]byte, 8) // reused: SendControl copies it
+	send := func() {
+		binary.LittleEndian.PutUint64(body, sent.Add(1))
+		if err := leader.SendControl(1, 0x21, body); err != nil {
+			t.Fatal(err)
+		}
+		// Block rather than spin: AllocsPerRun runs on one P, where a
+		// spinning goroutine keeps the scheduler from polling the socket.
+		if !<-recvd {
+			t.Fatal("the receiver got another message than was sent")
+		}
+	}
+	for i := 0; i < 200; i++ {
+		send()
+	}
+	if a := testing.AllocsPerRun(1000, send); a != 0 {
+		t.Fatalf("a control message allocates %v times end to end, want 0", a)
+	}
 }

@@ -461,7 +461,8 @@ func (t *Transport) TrySend(p amnet.Packet) bool {
 
 // SendControl queues an out-of-band control message for peer (or for
 // every peer when peer < 0).  It does not wait for the wire: the message
-// goes out ahead of queued packets, exactly once, after any redial.  An
+// goes out ahead of queued packets, exactly once, after any redial.  body
+// is copied before SendControl returns, so the caller may reuse it.  An
 // error means this link did not take it (transport closed, or a backlog
 // of ctlBacklogCap behind a peer that is not coming back); a broadcast
 // still reaches the other peers and returns the first failure.
@@ -476,14 +477,14 @@ func (t *Transport) SendControl(peer int, kind uint8, body []byte) error {
 		if peer >= t.procs || t.links[peer] == nil {
 			return fmt.Errorf("sock: no link to peer %d", peer)
 		}
-		return t.links[peer].sendCtl(kind, bytes.Clone(body))
+		return t.links[peer].sendCtl(kind, body)
 	}
 	var first error
 	for i, l := range t.links {
 		if l == nil {
 			continue
 		}
-		if err := l.sendCtl(kind, bytes.Clone(body)); err != nil && first == nil {
+		if err := l.sendCtl(kind, body); err != nil && first == nil {
 			first = fmt.Errorf("sock: control to peer %d: %w", i, err)
 		}
 	}
@@ -491,6 +492,8 @@ func (t *Transport) SendControl(peer int, kind uint8, body []byte) error {
 }
 
 // OnControl installs the control receiver; must be called before Start.
+// The body it is handed is the reader's frame buffer, valid only during
+// the call.
 func (t *Transport) OnControl(fn func(peer int, kind uint8, body []byte)) {
 	t.onCtl = fn
 }

@@ -41,9 +41,13 @@ type Transport interface {
 	// bypass packet framing, the payload codec and packet backpressure;
 	// the kernel's distributed termination protocol rides here.  It may
 	// take locks and must not be called from node kernel goroutines.
+	// The transport copies body before returning, so the caller may
+	// reuse its buffer for the next message.
 	SendControl(peer int, kind uint8, body []byte) error
 	// OnControl installs the control-message receiver, called on
-	// transport reader goroutines.  Must be set before Start.
+	// transport reader goroutines.  body is valid only during the call
+	// (the transport reuses it); a receiver that keeps it copies it.
+	// Must be set before Start.
 	OnControl(fn func(peer int, kind uint8, body []byte))
 	// SetPayloadCodec installs the codec for Packet.Payload bodies.
 	// Must be set before Start; packets with a nil Payload never touch

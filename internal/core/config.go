@@ -144,11 +144,9 @@ func (d *DistConfig) validate(nodes int) error {
 	return nil
 }
 
-// reportEvery is the quiet spell before the dist leader's next
-// termination wave when the last one confirmed nothing (a wave that finds
-// a balanced program is confirmed at once), and the resend period of a
-// probe the transport refused.
-const reportEvery = 2 * time.Millisecond
+// probeResend is how soon the dist leader sends again a probe the
+// transport refused (a control backlog behind a dead peer).
+const probeResend = 2 * time.Millisecond
 
 // stealBackoffBase is the pause between steal attempts after a denial
 // (receiver-initiated polling is otherwise continuous).

@@ -276,8 +276,8 @@ func (c *Context) Migrate(nodeID int) {
 func (c *Context) Exit(v any) {
 	c.prog.setResult(v)
 	if d := c.n.m.dist; d != nil && !d.leader {
-		// The result must reach the leader's Wait; it rides every probe
-		// reply until the leader confirms (dist.go), so a lost frame
+		// The result must reach the leader's Wait; it rides every
+		// report until the leader confirms (dist.go), so a lost frame
 		// cannot strand it.
 		d.boxResult(c.prog, v, false)
 	}
@@ -291,7 +291,7 @@ func (c *Context) ExitNow(v any) {
 		d.boxResult(c.prog, v, true)
 		return // completion is the leader's call; it forces done on receipt
 	}
-	c.prog.finishProg()
+	c.prog.finishProg() // on a multi-process leader, also tells the workers
 }
 
 // Printf writes to the front end's output stream (the partition manager

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,6 +50,15 @@ func programTableSize(m *Machine) int {
 	m.progMu.Lock()
 	defer m.progMu.Unlock()
 	return len(m.progs)
+}
+
+// tableIDs returns the ids of the programs in m's table, sorted.
+func tableIDs(m *Machine) []uint64 {
+	m.progMu.Lock()
+	defer m.progMu.Unlock()
+	ids := slices.Collect(maps.Keys(m.progs))
+	slices.Sort(ids)
+	return ids
 }
 
 // TestLedgerNoFalseZero: a continuation that is its program's only live
@@ -381,13 +392,35 @@ func TestLedgerDistServiceAcrossProcesses(t *testing.T) {
 		t.Errorf("a late wtProg for a finished program decoded as %v (%v), want nil", p, err)
 	}
 	for id := uint64(1); id <= 2; id++ {
-		w.dist.onCtl(0, dcDone, doneMsg{Prog: id}.encode())
+		w.dist.onCtl(0, dcDone, doneMsg{Prog: id}.appendTo(nil))
 	}
 	if n, seq := programTableSize(w), w.progSeq.Load(); n != 0 || seq != 2 {
 		t.Errorf("after late messages the worker table holds %d programs, progSeq %d; want 0 and 2", n, seq)
 	}
 	if n := programTableSize(rig.leader()); n != 0 {
 		t.Errorf("leader table holds %d finished programs", n)
+	}
+	rig.shutdown(t)
+}
+
+// TestLedgerDistLeaderExitNowEmptiesWorkers: a program that sent work to
+// a worker process and then ends by ExitNow on the leader is dropped from
+// the worker's table too (the leader's dcDone), instead of riding every
+// report for the life of the machine.
+func TestLedgerDistLeaderExitNowEmptiesWorkers(t *testing.T) {
+	const nodes = 4
+	rig := startDistRig(t, nodes, 2, nil, registerDistTypes)
+	sleeper := rig.leader().TypeByName("dist-sleeper")
+	v, err := runOn(rig, t, func(ctx *Context) {
+		ctx.Send(ctx.NewOn(nodes-1, sleeper), 1)
+		ctx.ExitNow("early")
+	})
+	if err != nil || v != "early" {
+		t.Fatalf("Wait returned %v, %v; want early", v, err)
+	}
+	w := rig.machines[1]
+	if !spinUntil(func() bool { return w.progSeq.Load() == 1 && programTableSize(w) == 0 }) {
+		t.Fatalf("worker heard of %d programs and still holds %v", w.progSeq.Load(), tableIDs(w))
 	}
 	rig.shutdown(t)
 }

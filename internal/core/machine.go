@@ -368,6 +368,7 @@ func (m *Machine) RetryExhausted() bool { return false }
 // table.  Caller holds progMu.
 func (m *Machine) newProg() *Program {
 	p := &Program{id: m.progSeq.Add(1), m: m, done: make(chan struct{})}
+	p.reported.Store(unreported)
 	m.progs[p.id] = p
 	return p
 }

@@ -59,8 +59,10 @@ type node struct {
 	spawnq sched.Deque[*spawnRecord]
 
 	// led is the work this node created and retired since it last settled
-	// (program.go).
-	led ledger
+	// (program.go); touched, on a multi-process machine, the programs it
+	// published work for since its last share check.
+	led     ledger
+	touched []*Program
 
 	// pendingAddr holds messages routed here for actors that are not
 	// registered yet (creation or group-create still in flight).
@@ -165,6 +167,9 @@ func (n *node) run() {
 			runtime.Gosched()
 			n.publishStats()
 			n.settle()
+			if len(n.touched) > 0 {
+				n.checkShares()
+			}
 		}
 		progressed := n.ep.PollAll() > 0
 
@@ -221,6 +226,9 @@ func (n *node) publishStats() {
 // signal, or a retry deadline (for steals and stalled bulk pumps) ends it.
 func (n *node) idle() {
 	n.settle()
+	if len(n.touched) > 0 {
+		n.checkShares()
+	}
 	timeout := time.Duration(0)
 	if n.ep.BulkBacklog() > 0 {
 		// An outbound transfer needs re-pumping; don't sleep long.

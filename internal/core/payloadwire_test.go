@@ -246,35 +246,38 @@ func TestControlBodyRoundTrip(t *testing.T) {
 	rm := reportMsg{Wave: 7,
 		Progs:   []progCountWire{{ID: 1, Created: 10, Consumed: -1}, {ID: 2}},
 		Results: []resultWire{{Prog: 2, V: []byte{1, 2, 3}, Force: true}, {Prog: 1}}}
-	if got, err := decodeReport(rm.encode()); err != nil || !reflect.DeepEqual(got, rm) {
+	var got reportMsg
+	if err := decodeReport(rm.appendTo(nil), &got); err != nil || !reflect.DeepEqual(got, rm) {
 		t.Errorf("report: %+v, %v", got, err)
 	}
-	if got, err := decodeReport(reportMsg{Wave: 1}.encode()); err != nil || !reflect.DeepEqual(got, reportMsg{Wave: 1}) {
+	// Decoding into a used report reuses it: nothing of the old one shows.
+	if err := decodeReport(reportMsg{Wave: 1}.appendTo(nil), &got); err != nil ||
+		got.Wave != 1 || len(got.Progs) != 0 || len(got.Results) != 0 {
 		t.Errorf("empty report: %+v, %v", got, err)
 	}
-	if got, err := decodeProbe(probeMsg{Wave: 1 << 60}.encode()); err != nil || got.Wave != 1<<60 {
+	if got, err := decodeProbe(probeMsg{Wave: 1 << 60}.appendTo(nil)); err != nil || got.Wave != 1<<60 {
 		t.Errorf("probe: %+v, %v", got, err)
 	}
-	if got, err := decodeDone(doneMsg{Prog: 9}.encode()); err != nil || got.Prog != 9 {
+	if got, err := decodeDone(doneMsg{Prog: 9}.appendTo(nil)); err != nil || got.Prog != 9 {
 		t.Errorf("done: %+v, %v", got, err)
 	}
 	sm := shutMsg{Stalled: true, Msg: "counters stable"}
-	if got, err := decodeShut(sm.encode()); err != nil || got != sm {
+	if got, err := decodeShut(sm.appendTo(nil)); err != nil || got != sm {
 		t.Errorf("shutdown: %+v, %v", got, err)
 	}
 	// Truncated and over-long bodies are errors; a lying count does not
 	// allocate (the list check fails first).
-	enc := rm.encode()
+	enc := rm.appendTo(nil)
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeReport(enc[:cut]); err == nil {
+		if err := decodeReport(enc[:cut], &got); err == nil {
 			t.Fatalf("report truncated to %d bytes decoded", cut)
 		}
 	}
 	lying := le.AppendUint32(le.AppendUint64(nil, 1), 1<<30)
-	if _, err := decodeReport(lying); err == nil {
+	if err := decodeReport(lying, &got); err == nil {
 		t.Error("report with a 2^30-entry list decoded")
 	}
-	if _, err := decodeDone(append(doneMsg{Prog: 1}.encode(), 0)); err == nil {
+	if _, err := decodeDone(append(doneMsg{Prog: 1}.appendTo(nil), 0)); err == nil {
 		t.Error("trailing byte after a done body went unnoticed")
 	}
 }

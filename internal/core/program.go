@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -46,18 +47,30 @@ type Program struct {
 	// dist.go).
 	created  atomic.Int64
 	consumed atomic.Int64
+	// reported is the net created − consumed this process last reported
+	// for the program (unreported before its first report); a node
+	// compares against it to decide whether the leader needs a wave
+	// (dist.go).
+	reported atomic.Int64
 }
 
+// unreported is Program.reported before the program's first report.
+const unreported = math.MinInt64
+
 // finishProg marks the program complete (idempotent) and drops it from
-// the table.
+// the table.  On a multi-process leader it also queues the program for
+// the dist loop, which tells the workers (dcDone).
 //
-//halvet:allowblock Once.Do is bounded here: the winning call only deletes a table entry and closes a channel, so a loser waits a few instructions, never on network progress.
+//halvet:allowblock Once.Do is bounded here: the winning call only deletes a table entry, closes a channel and appends to the dist loop's done queue, so a loser waits a few instructions, never on network progress.
 func (p *Program) finishProg() {
 	p.once.Do(func() {
 		p.m.progMu.Lock()
 		delete(p.m.progs, p.id)
 		p.m.progMu.Unlock()
 		close(p.done)
+		if d := p.m.dist; d != nil && d.leader {
+			d.queueDone(p.id)
+		}
 	})
 }
 
@@ -145,7 +158,8 @@ func (n *node) decLiveProg(prog *Program)      { n.retire(prog, 1) }
 // On a multi-process machine the local zero crossing means nothing (units
 // retire in other processes too); completion there is the leader's call,
 // from the cumulative counters (dist.go).  created is published before
-// consumed, the order localCounts relies on.
+// consumed, the order Program.counts relies on, and the program is noted
+// for the node's next share check (checkShares).
 func (n *node) settle() {
 	l := &n.led
 	if l.beat != 0 {
@@ -169,10 +183,40 @@ func (n *node) settle() {
 	if n.m.dist != nil {
 		prog.created.Add(plus)
 		prog.consumed.Add(minus)
+		n.touch(prog)
 		return
 	}
 	if d != 0 && prog.live.Add(d) == 0 {
 		prog.finishProg()
+	}
+}
+
+// touch notes prog for the node's next share check.
+func (n *node) touch(prog *Program) {
+	for _, p := range n.touched {
+		if p == prog {
+			return
+		}
+	}
+	n.touched = append(n.touched, prog)
+}
+
+// checkShares is the trigger of the cross-process termination waves
+// (dist.go).  For each program this node published work for since its
+// last check, it compares this process's net created − consumed with the
+// net last reported, and asks for a report if one differs or a worker
+// result was boxed since.  A node runs it at its idle edge and its
+// run-loop epoch, after settling: a node that never parks still checks.
+func (n *node) checkShares() {
+	d := n.m.dist
+	moved := d.boxNew.Load()
+	for _, p := range n.touched {
+		moved = moved || p.shareMoved()
+	}
+	clear(n.touched)
+	n.touched = n.touched[:0]
+	if moved {
+		d.wantWave()
 	}
 }
 
