@@ -411,10 +411,11 @@ func TestAllocFaultedRequestReply(t *testing.T) {
 }
 
 // cacheRemote gives n a's descriptor address as a delivery would have
-// cached it, so sends to a leave direct.
+// cached it, so sends to a leave direct.  a must still live on the node
+// that created it.
 func cacheRemote(n *node, a *Actor) {
 	seq, ld := n.arena.Alloc()
-	ld.State, ld.RNode, ld.RSeq = names.LDRemote, a.home.id, a.seq
+	ld.State, ld.RNode, ld.RSeq = names.LDRemote, a.addr.Birth, a.seq
 	n.table.Bind(a.addr, seq)
 }
 

@@ -162,6 +162,9 @@ func (c *Config) applyDefaults() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("core: config needs at least 1 node, got %d", c.Nodes)
 	}
+	if c.Nodes > maxNodes {
+		return fmt.Errorf("core: config allows at most %d nodes (a letter names its sender in 15 bits), got %d", maxNodes, c.Nodes)
+	}
 	if c.InboxCap <= 0 {
 		c.InboxCap = 1024
 	}

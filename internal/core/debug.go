@@ -52,10 +52,28 @@ func (n *node) dumpHeld(b *strings.Builder) {
 		}
 		// Also surface actors with undispatched traffic.
 		if ld.State == names.LDLocal {
-			if a, ok := ld.Actor.(*Actor); ok && (a.mailq.Len() > 0 || len(a.pending) > 0) {
-				fmt.Fprintf(b, "  actor %v: mailq=%d pending=%d queued=%v dead=%v\n",
-					a.addr, a.mailq.Len(), len(a.pending), a.queued, a.dead)
+			if a, ok := ld.Actor.(*Actor); ok {
+				if a.mailq.Len() > 0 || a.npending() > 0 {
+					fmt.Fprintf(b, "  actor %v: mailq=%d pending=%d queued=%v dead=%v\n",
+						a.addr, a.mailq.Len(), a.npending(), a.queued, a.dead)
+				}
+				if seq == a.seq { // once, if a second descriptor points here too
+					dumpOutOfTurn(b, a)
+				}
 			}
 		}
 	})
+}
+
+// dumpOutOfTurn lists the letters an actor holds out of turn, each with
+// the number its stream waits for: a machine stalled on a gap in a stream
+// shows it here.
+func dumpOutOfTurn(b *strings.Builder, a *Actor) {
+	if a.side == nil {
+		return
+	}
+	for _, h := range a.side.held {
+		fmt.Fprintf(b, "  actor %v: holds letter %d from node %d (ld %d) out of turn, waiting for letter %d\n",
+			a.addr, h.num, h.origin(), h.originLD, a.turn(h.origin(), h.originLD))
+	}
 }

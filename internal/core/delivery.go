@@ -52,6 +52,7 @@ func (n *node) sendMsg(msg *Message) {
 		ld.State = names.LDUnresolved
 		ld.RNode = addr.Hint
 		n.table.Bind(addr, seq)
+		n.number(msg, ld, seq)
 		n.routeVia(addr.Hint, msg, seq)
 		return
 	}
@@ -62,6 +63,11 @@ func (n *node) sendMsg(msg *Message) {
 		n.table.Unbind(addr, seq)
 		n.dropMsg(msg)
 		return
+	}
+	if ld.State != names.LDLocal || ld.Out != 0 {
+		// Once a letter has left the node through this descriptor, a
+		// later one may reach the actor first: number them all (order.go).
+		n.number(msg, ld, seq)
 	}
 	switch ld.State {
 	case names.LDLocal:
@@ -90,8 +96,8 @@ func (n *node) sendMsg(msg *Message) {
 // sendDirect transmits msg straight to the receiver's node with the cached
 // descriptor address, so the receiving node manager skips its name table.
 func (n *node) sendDirect(ld *names.LD, msg *Message, senderSeq uint64) {
-	msg.origin, msg.originLD = n.id, senderSeq
-	msg.dstSeq, msg.routed = ld.RSeq, false
+	msg.setSrc(n.id, false)
+	msg.originLD, msg.dstSeq = senderSeq, ld.RSeq
 	n.stats.SendsRemote++
 	n.charge(costRemoteSend)
 	msg.vt = maxf(msg.vt, n.vclock)
@@ -103,8 +109,8 @@ func (n *node) sendDirect(ld *names.LD, msg *Message, senderSeq uint64) {
 // there is "routed", so the receiver propagates its descriptor address
 // back to us (cache update).
 func (n *node) routeVia(via amnet.NodeID, msg *Message, senderSeq uint64) {
-	msg.origin, msg.originLD = n.id, senderSeq
-	msg.dstSeq, msg.routed = 0, true
+	msg.setSrc(n.id, true)
+	msg.originLD, msg.dstSeq = senderSeq, 0
 	n.charge(costRemoteSend)
 	msg.vt = maxf(msg.vt, n.vclock)
 	if via == n.id {
@@ -182,7 +188,7 @@ func (n *node) deliverHere(msg *Message) {
 func (n *node) deliverVia(ld *names.LD, seq uint64, msg *Message) {
 	switch ld.State {
 	case names.LDLocal:
-		if msg.routed {
+		if msg.routed() {
 			n.cacheBack(msg, seq)
 		}
 		n.enqueueLocal(ld.Actor.(*Actor), msg)
@@ -196,7 +202,8 @@ func (n *node) deliverVia(ld *names.LD, seq uint64, msg *Message) {
 			// chain.  No FIR, no cache repair — the sender stays stale
 			// and bulk payloads cross every hop.
 			n.stats.Forwarded++
-			msg.dstSeq, msg.routed = ld.RSeq, false
+			msg.dstSeq = ld.RSeq
+			msg.src &^= srcRouted
 			n.netSendMsg(ld.RNode, msg)
 			return
 		}
@@ -215,11 +222,12 @@ func (n *node) deliverVia(ld *names.LD, seq uint64, msg *Message) {
 // the original sender, to be cached in the descriptor it allocated
 // (§ 4.1).
 func (n *node) cacheBack(msg *Message, seq uint64) {
-	if msg.originLD == 0 || msg.origin == n.id {
+	origin := msg.origin()
+	if msg.originLD == 0 || origin == n.id {
 		return
 	}
 	n.stats.CacheUpdates++
-	n.sendCacheUpdate(msg.origin, msg.To, n.id, seq)
+	n.sendCacheUpdate(origin, msg.To, n.id, seq)
 }
 
 // applyCacheUpdate installs a remote descriptor address learned from a
@@ -352,9 +360,12 @@ func (n *node) releaseHeld(ld *names.LD, addr Addr) {
 			default:
 				// Send directly to the discovered home; mark routed so
 				// the receiver refreshes the ORIGINAL sender's cache
-				// (v.origin is preserved from the first hop).
+				// (v.origin is preserved from the first hop) — unless
+				// that is us: this descriptor has just learned it.
 				v.dstSeq = ld.RSeq
-				v.routed = true
+				if v.origin() != n.id {
+					v.src |= srcRouted
+				}
 				n.netSendMsg(ld.RNode, v)
 			}
 		case firReq:

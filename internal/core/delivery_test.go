@@ -442,6 +442,33 @@ func TestDieDropsRemainingMessages(t *testing.T) {
 	}
 }
 
+// TestDieDropsPendingMessages: letters a constraint holds back are work
+// too — the actor's death drops them as dead letters, or the run would
+// never quiesce.
+func TestDieDropsPendingMessages(t *testing.T) {
+	m := testMachine(t, Config{Nodes: 1})
+	run(t, m, func(ctx *Context) {
+		a := ctx.New(stopGate{})
+		ctx.Send(a, selWork, 1)
+		ctx.Send(a, selWork, 2)
+		ctx.Send(a, selStop)
+	})
+	if dl := m.Stats().Total.DeadLetters; dl != 2 {
+		t.Errorf("DeadLetters=%d want 2", dl)
+	}
+}
+
+// stopGate never enables selWork and dies on selStop.
+type stopGate struct{}
+
+func (stopGate) Enabled(sel Selector) bool { return sel != selWork }
+
+func (stopGate) Receive(ctx *Context, msg *Message) {
+	if msg.Sel == selStop {
+		ctx.Die()
+	}
+}
+
 // TestSendToDeadRemote: a sender with a cached descriptor for a dead actor
 // gets its messages dropped, not delivered to a recycled slot.
 func TestSendToDeadRemote(t *testing.T) {

@@ -64,6 +64,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewMachine(Config{Nodes: 0}); err == nil {
 		t.Error("NewMachine accepted 0 nodes")
 	}
+	// A letter names its sending node in 15 bits (Message.src).
+	if _, err := NewMachine(Config{Nodes: maxNodes + 1}); err == nil {
+		t.Errorf("NewMachine accepted %d nodes", maxNodes+1)
+	}
 }
 
 // TestConfigSurface counts the settable values.  A field stays only while

@@ -17,15 +17,18 @@ import (
 // Senders with stale caches are repaired lazily by the FIR protocol in
 // delivery.go.
 
-// migBundle carries a moving actor: identity, behavior, and every message
-// it had not yet processed.
+// migBundle carries a moving actor: identity, behavior, every message it
+// had not yet processed, and its place in each numbered stream (order.go).
+// side brings the letters its constraints disabled and those it holds out
+// of turn.
 type migBundle struct {
 	addr     Addr
 	alias    Addr
 	behavior Behavior
 	msgs     []*Message
-	pending  []*Message
 	prog     *Program // the program whose method asked for the move
+	in       inStream
+	side     *actorSide
 }
 
 // startMigration detaches a (after its current method, of prog, returned)
@@ -57,7 +60,7 @@ func (n *node) startMigration(a *Actor, prog *Program) {
 	if c, ok := b.(Cloner); ok {
 		b = c.CloneBehavior()
 	}
-	bundle := &migBundle{addr: a.addr, alias: a.alias, behavior: b, pending: a.pending, prog: prog}
+	bundle := &migBundle{addr: a.addr, alias: a.alias, behavior: b, prog: prog, in: a.in, side: a.side}
 	for {
 		msg, ok := a.mailq.PopFront()
 		if !ok {
@@ -65,7 +68,7 @@ func (n *node) startMigration(a *Actor, prog *Program) {
 		}
 		bundle.msgs = append(bundle.msgs, msg)
 	}
-	a.pending = nil
+	a.side = nil
 	a.dead = true // the local husk; the identity lives on at dst
 
 	n.incLive(prog, 1)
@@ -115,9 +118,9 @@ func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 		addr:     bundle.addr,
 		alias:    bundle.alias,
 		seq:      seq,
-		home:     n,
 		migrate:  amnet.NoNode,
 	}
+	a.in, a.side = bundle.in, bundle.side
 	held := ld.Held
 	ld.State = names.LDLocal
 	ld.Actor = a
@@ -138,8 +141,13 @@ func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 			}
 		}
 	}
-	// Whatever was parked on the reclaimed descriptors is deliverable
-	// right here.
+	// The bundle's mail was taken in turn at the old home, so it goes
+	// first.  Whatever was parked on the reclaimed descriptors reached
+	// this node since: it is deliverable right here, behind that mail and
+	// in its own turn.
+	for _, msg := range bundle.msgs {
+		n.queue(a, msg)
+	}
 	for _, h := range held {
 		switch v := h.(type) {
 		case *Message:
@@ -153,11 +161,7 @@ func (n *node) handleMigrate(src amnet.NodeID, bundle *migBundle, vt float64) {
 	n.stats.MigratedIn++
 	n.trace(EvMigrateIn, a.addr, src)
 
-	a.pending = bundle.pending
-	for _, msg := range bundle.msgs {
-		n.enqueueLocal(a, msg)
-	}
-	if len(a.pending) > 0 {
+	if a.npending() > 0 {
 		// Constraints may evaluate differently than they did when these
 		// were parked; give them a chance immediately.
 		n.flushPending(a)

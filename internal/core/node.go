@@ -21,13 +21,45 @@ type Actor struct {
 	addr     Addr // ordinary mail address
 	alias    Addr // alias, if created remotely or deferred; else Nil
 	seq      uint64
-	home     *node
 	mailq    sched.Deque[*Message]
-	pending  []*Message
 	queued   bool
 	dead     bool
 	migrate  amnet.NodeID // requested migration target, NoNode if none
 	become   Behavior     // replacement installed after the current method
+	// in is the actor's place in the first numbered stream it received
+	// (order.go).
+	in inStream
+	// side is the state most actors never need, nil until they do.
+	side *actorSide
+}
+
+// actorSide is the part of an actor that most actors never use.  Kept
+// behind one pointer, it leaves every Actor in the 144-byte size class,
+// and a migration moves it whole.
+type actorSide struct {
+	// pending holds the letters a synchronization constraint disabled
+	// (§ 6.1), retried after each method.
+	pending []*Message
+	// streams are the numbered streams after the first, held the letters
+	// that arrived ahead of their turn (order.go).
+	streams []inStream
+	held    []*Message
+}
+
+// cold returns a's side, making it if need be.
+func (a *Actor) cold() *actorSide {
+	if a.side == nil {
+		a.side = &actorSide{}
+	}
+	return a.side
+}
+
+// npending is how many letters a's constraints hold back.
+func (a *Actor) npending() int {
+	if a.side == nil {
+		return 0
+	}
+	return len(a.side.pending)
 }
 
 // Addr returns the actor's ordinary mail address.
@@ -292,14 +324,18 @@ func (n *node) purge() {
 	n.nextSteal = time.Time{}
 	n.stealSent = time.Time{}
 	n.ep.Reset() // staged, held and bulk packets must not leak into the next run
+	// A shutdown purges every node, and the letters in flight are gone
+	// with it, so every stream restarts from its first number on both
+	// sides.
 	n.arena.ForEach(func(seq uint64, ld *names.LD) {
 		ld.Held = nil
 		ld.FIRSent = false
+		ld.Out = 0
 		if ld.State == names.LDLocal {
 			if a, ok := ld.Actor.(*Actor); ok {
 				a.mailq.Clear()
-				a.pending = nil
 				a.queued = false
+				a.in, a.side = inStream{}, nil
 			}
 		}
 	})
@@ -334,7 +370,8 @@ func (n *node) runActor(a *Actor) {
 		return
 	}
 	if !n.enabled(a, msg.Sel) {
-		a.pending = append(a.pending, msg)
+		s := a.cold()
+		s.pending = append(s.pending, msg)
 		n.stats.Disabled++
 	} else {
 		n.invoke(a, msg)
@@ -406,14 +443,13 @@ func (n *node) applyDeferred(a *Actor, prog *Program) {
 // flushPending re-dispatches pending messages that the (possibly new)
 // behavior state now enables, repeating until none becomes enabled.
 func (n *node) flushPending(a *Actor) {
-	for !a.dead && len(a.pending) > 0 {
+	for !a.dead && a.npending() > 0 {
 		fired := false
-		for i := 0; i < len(a.pending); i++ {
-			msg := a.pending[i]
+		for i, msg := range a.side.pending {
 			if !n.enabled(a, msg.Sel) {
 				continue
 			}
-			a.pending = append(a.pending[:i], a.pending[i+1:]...)
+			a.side.pending = append(a.side.pending[:i], a.side.pending[i+1:]...)
 			n.stats.PendingRuns++
 			n.invoke(a, msg)
 			fired = true
@@ -439,10 +475,15 @@ func (n *node) reapActor(a *Actor) {
 		}
 		n.dropMsg(msg)
 	}
-	for _, msg := range a.pending {
-		n.dropMsg(msg)
+	if s := a.side; s != nil {
+		for _, msg := range s.pending {
+			n.dropMsg(msg)
+		}
+		for _, msg := range s.held {
+			n.dropMsg(msg)
+		}
+		a.side = nil
 	}
-	a.pending = nil
 	ld := n.arena.Get(a.seq)
 	if ld != nil {
 		ld.State = names.LDDead
@@ -466,13 +507,37 @@ func (n *node) dropMsg(msg *Message) {
 	n.decLiveProg(prog)
 }
 
-// enqueueLocal appends msg to a local actor's mail queue and schedules the
-// actor.  The caller has already accounted the message in live.
+// enqueueLocal appends msg to a local actor's mail queue, in its turn if
+// it is numbered, and schedules the actor.  The caller has already
+// accounted the message in live.
 func (n *node) enqueueLocal(a *Actor, msg *Message) {
 	if a.dead {
 		n.dropMsg(msg)
 		return
 	}
+	if msg.num != 0 {
+		// A numbered letter that is its stream's next, with nothing held,
+		// takes its turn here; admit sees to every other.
+		st := &a.in
+		if msg.originLD != st.ld || msg.origin() != st.node {
+			st = a.stream(msg.origin(), msg.originLD)
+		}
+		if msg.num != nextNum(st.last) || a.side != nil && len(a.side.held) != 0 {
+			n.admit(a, msg, st)
+			return
+		}
+		st.last = msg.num
+	}
+	// queue's body, written out: as a call it cost the local hop 4 ns.
+	a.mailq.PushBack(msg)
+	if !a.queued {
+		a.queued = true
+		n.ready.Push(a, n.headVT(a))
+	}
+}
+
+// queue appends msg to a's mail queue and schedules a.
+func (n *node) queue(a *Actor, msg *Message) {
 	a.mailq.PushBack(msg)
 	if !a.queued {
 		a.queued = true
@@ -538,7 +603,6 @@ func (n *node) createLocal(b Behavior) *Actor {
 		addr:     Addr{Birth: n.id, Hint: n.id, Seq: seq},
 		alias:    Nil,
 		seq:      seq,
-		home:     n,
 		migrate:  amnet.NoNode,
 	}
 	ld.State = names.LDLocal

@@ -22,13 +22,14 @@ import (
 //	Addr     nodes(Birth,Hint) | Seq
 //	ReplyTo  Node<<32|Slot | JC
 //	Group    ID | N | nodes(Birth,Base) | Nodes | slot0
-//	message  To | Sel<<32|flags | Reply | origin | originLD | dstSeq |
-//	         vt bits | program id | Data floats | argument values
+//	message  To | Sel<<32|flags | Reply | num<<32|origin | originLD |
+//	         dstSeq | vt bits | program id | Data floats | argument values
 //	wtMsg    message
 //	wtSpawn  alias | typ | vt bits | program id | args values
 //	wtFIR    addr | path list (u32 node ids)
 //	wtMig    addr | alias | program id | behavior value |
-//	         msgs list (messages) | pending list (messages)
+//	         msgs list (messages) | pending list (messages) |
+//	         streams list (last<<32|node, ld) | held list (messages)
 //	wtGroup  Group | typ | program id | args values
 //	wtBcast  Group | root | message
 //	wtReply  program id | value
@@ -233,7 +234,7 @@ func progID(p *Program) uint64 {
 func appendMsg(b []byte, msg *Message) ([]byte, error) {
 	b = appendAddr(b, msg.To)
 	var flags uint64
-	if msg.routed {
+	if msg.routed() {
 		flags |= mfRouted
 	}
 	if msg.shared {
@@ -241,7 +242,7 @@ func appendMsg(b []byte, msg *Message) ([]byte, error) {
 	}
 	b = le.AppendUint64(b, uint64(uint32(msg.Sel))<<32|flags)
 	b = appendReplyTo(b, msg.Reply)
-	b = le.AppendUint64(b, uint64(uint32(msg.origin)))
+	b = le.AppendUint64(b, uint64(msg.num)<<32|uint64(msg.origin()))
 	b = le.AppendUint64(b, msg.originLD)
 	b = le.AppendUint64(b, msg.dstSeq)
 	b = le.AppendUint64(b, math.Float64bits(msg.vt))
@@ -258,6 +259,29 @@ func appendMsg(b []byte, msg *Message) ([]byte, error) {
 		b = appendWord(append(b, tag), tag, msg.w[i])
 	}
 	return b, nil
+}
+
+// appendSide appends a migrating actor's pending letters, its streams
+// (the inline one first) and the letters it holds out of turn.
+func appendSide(b []byte, in inStream, side *actorSide) ([]byte, error) {
+	var pending, held []*Message
+	var streams []inStream
+	if side != nil {
+		pending, streams, held = side.pending, side.streams, side.held
+	}
+	b, err := appendMsgs(b, pending)
+	if err != nil {
+		return b, err
+	}
+	if in.ld != 0 {
+		streams = append([]inStream{in}, streams...)
+	}
+	b = le.AppendUint32(b, uint32(len(streams)))
+	for _, st := range streams {
+		b = le.AppendUint64(b, uint64(st.last)<<32|uint64(uint32(st.node)))
+		b = le.AppendUint64(b, st.ld)
+	}
+	return appendMsgs(b, held)
 }
 
 func appendMsgs(b []byte, msgs []*Message) ([]byte, error) {
@@ -311,7 +335,7 @@ func (c *payloadCodec) AppendPayload(buf []byte, p *amnet.Packet) ([]byte, error
 		buf = le.AppendUint64(buf, progID(v.prog))
 		if buf, err = appendValue(buf, v.behavior); err == nil {
 			if buf, err = appendMsgs(buf, v.msgs); err == nil {
-				buf, err = appendMsgs(buf, v.pending)
+				buf, err = appendSide(buf, v.in, v.side)
 			}
 		}
 	case groupCreate:
@@ -546,9 +570,15 @@ func (r *payloadReader) msg() *Message {
 	msg.To = r.addr()
 	w := r.u64()
 	msg.Sel = Selector(uint32(w >> 32))
-	msg.routed, msg.shared = w&mfRouted != 0, w&mfShared != 0
+	routed := w&mfRouted != 0
+	msg.shared = w&mfShared != 0
 	msg.Reply = r.replyTo()
-	msg.origin = r.node()
+	// No machine applyDefaults accepts has an origin past maxNodes; like
+	// the payload's other node ids it is not checked, and keeps its low
+	// bits.
+	w = r.u64()
+	msg.setSrc(amnet.NodeID(uint32(w)%maxNodes), routed)
+	msg.num = uint32(w >> 32)
 	msg.originLD = r.u64()
 	msg.dstSeq = r.u64()
 	msg.vt = math.Float64frombits(r.u64())
@@ -590,6 +620,31 @@ func (r *payloadReader) inlineArgs(msg *Message, n int) bool {
 	}
 	msg.nargs = uint8(n)
 	return true
+}
+
+// side reads appendSide's layout: the first stream goes inline, the rest
+// to the actor's side with the pending and held letters (no side when
+// there are none).
+func (r *payloadReader) side() (in inStream, side *actorSide) {
+	pending := r.msgs()
+	n, _ := r.listLen(16)
+	var rest []inStream
+	for i := 0; i < n; i++ {
+		w := r.u64()
+		st := inStream{node: amnet.NodeID(int32(uint32(w))), last: uint32(w >> 32), ld: r.u64()}
+		if st.ld == 0 && r.err == nil {
+			r.err = errors.New("stream without a descriptor")
+		}
+		if i == 0 {
+			in = st
+		} else {
+			rest = append(rest, st)
+		}
+	}
+	if held := r.msgs(); pending != nil || rest != nil || held != nil {
+		side = &actorSide{pending: pending, streams: rest, held: held}
+	}
+	return in, side
 }
 
 func (r *payloadReader) msgs() []*Message {
@@ -642,7 +697,7 @@ func (c *payloadCodec) DecodePayload(b []byte) (any, error) {
 			mb.behavior = beh
 		}
 		mb.msgs = r.msgs()
-		mb.pending = r.msgs()
+		mb.in, mb.side = r.side()
 		v = mb
 	case wtGroup:
 		gc := groupCreate{g: r.group(), typ: TypeID(uint32(r.u64()))}

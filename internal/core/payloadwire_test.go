@@ -39,11 +39,11 @@ func wireCases(prog *Program) map[string]any {
 	grp := Group{ID: 3<<40 | 9, N: 5, Birth: 3, Base: 1, Nodes: 4, slot0: 77}
 	plain := msgWith(&Message{
 		To: Addr{Birth: 1, Hint: 2, Seq: 99}, Sel: -4,
-		Reply:  ReplyTo{Node: 1, JC: 12, Slot: -3},
-		origin: 2, originLD: 1 << 50, dstSeq: 5, routed: true, vt: 1234.5, prog: prog,
+		Reply: ReplyTo{Node: 1, JC: 12, Slot: -3},
+		src:   2 | srcRouted, originLD: 1 << 50, dstSeq: 5, vt: 1234.5, prog: prog,
 	}, 7, -1<<40, int64(math.MinInt64), uint64(math.MaxUint64), 2.5, true, false, "héllo", "")
 	handles := msgWith(&Message{
-		To: Nil, Sel: math.MaxInt32, Reply: invalidReply, origin: amnet.NoNode,
+		To: Nil, Sel: math.MaxInt32, Reply: invalidReply, src: maxNodes - 1,
 		Data: []float64{},
 	}, nil, Addr{Birth: 0, Hint: 3, Seq: 1 << 63}, grp, ReplyTo{Node: amnet.NoNode},
 		Selector(-9), TypeID(4), []float64{1, -2}, []float64(nil), []float64{})
@@ -52,7 +52,13 @@ func wireCases(prog *Program) map[string]any {
 		Data: []float64{3, 4, 5},
 		prog: prog,
 	}, Ref{V: wirePoint{X: 1, Y: -2}}, Ref{V: int32(-7)}, Ref{V: []string{"a", "b"}})
+	// A letter of a stream (order.go): its number rides in the high half
+	// of the origin word.
+	numbered := func() *Message {
+		return msgWith(&Message{To: Addr{Birth: 2, Hint: 2, Seq: 7}, src: 3, originLD: 1<<40 | 5, num: math.MaxUint32}, 1)
+	}
 	return map[string]any{
+		"msg/numbered":  numbered(),
 		"msg/scalars":   plain,
 		"msg/handles":   handles,
 		"msg/opaque":    opaque,
@@ -72,10 +78,20 @@ func wireCases(prog *Program) map[string]any {
 			addr: Addr{Birth: 1, Hint: 1, Seq: 6}, alias: Addr{Birth: 0, Hint: 1, Seq: 2},
 			behavior: &wireBeh{Count: 3, Next: Addr{Birth: 2, Hint: 2, Seq: 1}, G: grp},
 			msgs:     []*Message{plain, handles},
-			pending:  []*Message{opaque},
+			side:     &actorSide{pending: []*Message{opaque}},
 			prog:     prog,
 		},
-		"mig/bare":   &migBundle{addr: Addr{Seq: 1}, alias: Nil, msgs: []*Message{}},
+		"mig/bare": &migBundle{addr: Addr{Seq: 1}, alias: Nil, msgs: []*Message{}},
+		// An actor that has taken letters of three streams and holds one
+		// out of turn.
+		"mig/hold": &migBundle{
+			addr: Addr{Birth: 2, Hint: 2, Seq: 7}, alias: Nil,
+			in: inStream{ld: 1<<40 | 5, node: 3, last: 41},
+			side: &actorSide{
+				streams: []inStream{{ld: 9, node: 0, last: 1}, {ld: 1, node: maxNodes - 1, last: math.MaxUint32}},
+				held:    []*Message{numbered()},
+			},
+		},
 		"group":      groupCreate{g: grp, typ: 2, args: []any{"x", 1.5}, prog: prog},
 		"bcast":      &bcastWork{g: grp, root: 3, msg: msgWith(&Message{To: Nil, Sel: 1, shared: true, prog: prog}, 1)},
 		"reply":      replyEnvelope{v: "done", prog: prog},

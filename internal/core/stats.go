@@ -34,6 +34,7 @@ type NodeStats struct {
 	FIRRelayed   uint64 // FIRs forwarded along a chain
 	FIRServed    uint64 // FIRs answered (actor found here)
 	HeldMessages uint64 // messages held on an unresolved descriptor
+	Reordered    uint64 // letters an actor held until its stream's earlier letters came
 	Forwarded    uint64 // whole messages forwarded hop by hop (NaiveForwarding)
 
 	// Control.
@@ -88,6 +89,7 @@ func (s *NodeStats) add(o NodeStats) {
 	s.FIRRelayed += o.FIRRelayed
 	s.FIRServed += o.FIRServed
 	s.HeldMessages += o.HeldMessages
+	s.Reordered += o.Reordered
 	s.Forwarded += o.Forwarded
 	s.Broadcasts += o.Broadcasts
 	s.BcastRelays += o.BcastRelays
@@ -137,8 +139,8 @@ func (m MachineStats) String() string {
 		t.SendsLocal, t.SendsFast, t.SendsFastMiss, t.SendsRemote, t.SendsRouted, t.Delivered)
 	fmt.Fprintf(&b, "sync:    disabled=%d pendingRuns=%d deadletters=%d\n",
 		t.Disabled, t.PendingRuns, t.DeadLetters)
-	fmt.Fprintf(&b, "names:   cacheupd=%d fir=%d/%d/%d held=%d\n",
-		t.CacheUpdates, t.FIRSent, t.FIRRelayed, t.FIRServed, t.HeldMessages)
+	fmt.Fprintf(&b, "names:   cacheupd=%d fir=%d/%d/%d held=%d reordered=%d\n",
+		t.CacheUpdates, t.FIRSent, t.FIRRelayed, t.FIRServed, t.HeldMessages, t.Reordered)
 	fmt.Fprintf(&b, "ctl:     bcasts=%d relays=%d replies=%d joins=%d mig=%d/%d steal=%d/%d/%d given=%d\n",
 		t.Broadcasts, t.BcastRelays, t.Replies, t.JoinsRun, t.Migrations, t.MigratedIn,
 		t.StealReqs, t.StealHits, t.StealMisses, t.StolenFrom)

@@ -117,7 +117,8 @@ type Message struct {
 	// origin/originLD identify the sending node and its cached locality
 	// descriptor so the receiving node can send the descriptor's memory
 	// address back ("cached in the newly allocated locality
-	// descriptor", § 4.1).
+	// descriptor", § 4.1).  Together they also name the letter's stream
+	// (num).
 	originLD uint64
 	// dstSeq is the receiver-node LD slot when the sender has it cached;
 	// it lets the receiving node manager skip its name table.
@@ -133,16 +134,41 @@ type Message struct {
 	// more, when set, holds every argument and the inline words are
 	// unused.  Read-only once the message is sent: a broadcast's clones
 	// share it.
-	more   *[]any
-	origin amnet.NodeID
-	// routed marks a delivery that did not go directly to the actor's
-	// node (first send via the birthplace, or a release after FIR); the
-	// receiving node then propagates its LD address back to origin.
-	routed bool
+	more *[]any
+	// src is the sending node (origin) in its low 15 bits, so a machine
+	// has at most maxNodes nodes, and srcRouted in its top bit: num took
+	// the word's last bytes, and shared stays a bool of its own because
+	// freeMsg inlines only while its test is one load.
+	src uint16
 	// shared marks a broadcast message delivered to many actors; shared
 	// messages are never pooled or mutated.
 	shared bool
 	nargs  uint8 // inline arguments
+	// num is the letter's place in its stream, the letters origin sent
+	// through its descriptor originLD; 0 for a letter outside every
+	// stream (order.go).
+	num uint32
+}
+
+// srcRouted marks a delivery that did not go directly to the actor's node
+// (first send via the birthplace, or a release after FIR); the receiving
+// node then propagates its LD address back to origin.
+const srcRouted = 1 << 15
+
+// maxNodes is the most nodes a machine may have: ids below it fit src.
+const maxNodes = srcRouted
+
+// origin is the node that sent the message.
+func (m *Message) origin() amnet.NodeID { return amnet.NodeID(m.src &^ srcRouted) }
+
+func (m *Message) routed() bool { return m.src&srcRouted != 0 }
+
+// setSrc records the sending node and whether the delivery is routed.
+func (m *Message) setSrc(origin amnet.NodeID, routed bool) {
+	m.src = uint16(origin)
+	if routed {
+		m.src |= srcRouted
+	}
 }
 
 // The kernel's value set is closed: nil, int, int64, uint64, float64, bool,

@@ -124,6 +124,11 @@ type LD struct {
 	// the flag rides in the descriptor's existing padding: arenas hold
 	// one LD per actor and slab growth amortizes into creation cost.)
 	FIRSent bool
+	// Out numbers the letters this node sends through the descriptor
+	// (the kernel's per-pair order): the number of the last one, 0 while
+	// the descriptor has only ever delivered locally.  It fills the
+	// padding after State, like FIRSent.
+	Out uint32
 	// Actor is the local actor when State == LDLocal.
 	Actor any
 	// RNode/RSeq are the best-guess remote location (LDRemote,
